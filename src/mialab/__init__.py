@@ -17,14 +17,13 @@ from .attacks import (
     train_shadow_ensemble,
 )
 from .bounds import bound_erlingsson, bound_new, bound_yeom, tradeoff_feasible
-from .dataio import Column, Dataset, Sample, Schema, TabularEncoder, load_csv, preprocess
+from .dataio import Column, Dataset, Rows, Sample, Schema, TabularEncoder, load_csv, preprocess
 from .dp import (
     AccountResult,
     PrivacyParams,
     RdpProfile,
     account,
     calibrate_sigma,
-    clip,
     compose_and_convert,
     noisy_mean,
     rdp_profile,
@@ -50,20 +49,18 @@ from .experiments import (
     exp_iid,
     exp_mm,
     exp_strong,
+    strong_challenge,
     two_proportion_z_test,
 )
 from .nn import (
-    MlpClassifier,
     MlpModel,
     TrainConfig,
     accuracy,
     forward,
     init_model,
-    load_model,
     logloss,
     loglosses,
     per_example_grad,
-    save_model,
     train,
 )
 from .splits import (

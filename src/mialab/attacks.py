@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .dataio import Sample
+from .dataio import Rows, Sample
 from .errors import MialabError, ShadowPoolTooSmall
 from .rngs import as_generator, subseed
 
@@ -64,19 +64,13 @@ def threshold_decisions(losses, tau: float) -> np.ndarray:
     return np.where(losses < tau, MEMBER, NONMEMBER)
 
 
-def average_threshold(
-    model: nn.MlpModel,
-    train_losses: Sequence[float],
-    samples: Sequence[Sample],
-    truth,
-) -> AttackOutcome:
+def average_threshold(train_losses, eval_losses, truth) -> AttackOutcome:
     """Threshold attack using the mean training loss as the decision
-    threshold."""
+    threshold on the evaluation losses."""
     if len(train_losses) == 0:
         raise MialabError("average_threshold needs at least one training loss")
     tau = float(np.mean(train_losses))
-    losses = nn.loglosses(model, samples)
-    return AttackOutcome.from_decisions(threshold_decisions(losses, tau), truth)
+    return AttackOutcome.from_decisions(threshold_decisions(eval_losses, tau), truth)
 
 
 def optimal_threshold(
@@ -115,15 +109,8 @@ class ShadowEnsemble:
     n_classes: int
 
 
-def _prob_samples(model: nn.MlpModel, samples: Sequence[Sample], membership: int):
-    probs = nn.forward(model, np.stack([s.features for s in samples]))
-    return [
-        (probs[i], samples[i].label, membership) for i in range(len(samples))
-    ]
-
-
 def train_shadow_ensemble(
-    shadow_pool: Sequence[Sample],
+    shadow_pool: Rows,
     layer_dims: Sequence[int],
     cfg: nn.TrainConfig,
     privacy=None,
@@ -142,21 +129,22 @@ def train_shadow_ensemble(
     """
     if n_shadows < 1:
         raise MialabError(f"need at least one shadow model, got {n_shadows}")
-    pool = list(shadow_pool)
-    size = shadow_train_size if shadow_train_size is not None else len(pool) // 2
-    if size < 1 or len(pool) < 2 * size:
+    size = shadow_train_size if shadow_train_size is not None else len(shadow_pool) // 2
+    if size < 1 or len(shadow_pool) < 2 * size:
         raise ShadowPoolTooSmall(
-            f"shadow attack skipped: pool of {len(pool)} cannot supply "
+            f"shadow attack skipped: pool of {len(shadow_pool)} cannot supply "
             f"{2 * size or 2} disjoint in/out samples"
         )
     n_classes = int(layer_dims[-1])
     shadows = []
-    records = []
+    # One record per shadow query, in order: the shadow's probability
+    # vector, the queried row's label, and the membership bit.
+    probs, labels, membership = [], [], []
     for j in range(n_shadows):
         rng = as_generator(subseed(seed, 101, j))
-        idx = rng.choice(len(pool), size=2 * size, replace=False)
-        in_samples = [pool[int(i)] for i in idx[:size]]
-        out_samples = [pool[int(i)] for i in idx[size:]]
+        idx = rng.choice(len(shadow_pool), size=2 * size, replace=False)
+        in_rows = shadow_pool[idx[:size]]
+        out_rows = shadow_pool[idx[size:]]
         init = nn.init_model(layer_dims, subseed(seed, 102, j))
         shadow_cfg = nn.TrainConfig(
             epochs=cfg.epochs,
@@ -167,30 +155,33 @@ def train_shadow_ensemble(
             adam_epsilon=cfg.adam_epsilon,
             seed=int(np.random.default_rng(subseed(seed, 103, j)).integers(2**31)),
         )
-        shadow = nn.train(init, in_samples, shadow_cfg, privacy)
+        shadow = nn.train(init, in_rows, shadow_cfg, privacy)
         shadows.append(shadow)
-        records.extend(_prob_samples(shadow, in_samples, MEMBER))
-        records.extend(_prob_samples(shadow, out_samples, NONMEMBER))
+        for queried, bit in ((in_rows, MEMBER), (out_rows, NONMEMBER)):
+            probs.append(nn.forward(shadow, queried.X))
+            labels.append(queried.y)
+            membership.append(np.full(len(queried), bit))
+    records = Rows(np.concatenate(probs), np.concatenate(membership))
+    labels = np.concatenate(labels)
 
-    def fit_attack_model(rows, fit_seed) -> nn.MlpModel:
-        feats = [Sample(r[0], r[2]) for r in rows]
+    def fit_attack_model(records: Rows, fit_seed) -> nn.MlpModel:
         init = nn.init_model((n_classes, attack_hidden, 2), fit_seed)
         attack_cfg = nn.TrainConfig(
             epochs=cfg.epochs,
-            batch_size=min(cfg.batch_size, max(1, len(feats))),
+            batch_size=min(cfg.batch_size, max(1, len(records))),
             learning_rate=cfg.learning_rate,
             l2_coefficient=cfg.l2_coefficient,
             adam_betas=cfg.adam_betas,
             adam_epsilon=cfg.adam_epsilon,
             seed=int(np.random.default_rng(subseed(seed, 104)).integers(2**31)),
         )
-        return nn.train(init, feats, attack_cfg, None)
+        return nn.train(init, records, attack_cfg, None)
 
     attack_models = {}
-    for c in sorted({r[1] for r in records}):
-        rows = [r for r in records if r[1] == c]
-        if len({r[2] for r in rows}) == 2:
-            attack_models[c] = fit_attack_model(rows, subseed(seed, 105, c))
+    for c in np.unique(labels):
+        of_class = records[labels == c]
+        if np.unique(of_class.y).size == 2:
+            attack_models[int(c)] = fit_attack_model(of_class, subseed(seed, 105, c))
     fallback = fit_attack_model(records, subseed(seed, 106))
     return ShadowEnsemble(
         shadow_models=tuple(shadows),
@@ -203,19 +194,18 @@ def train_shadow_ensemble(
 def shadow_attack(
     ensemble: ShadowEnsemble,
     target_model: nn.MlpModel,
-    samples: Sequence[Sample],
+    rows: Rows,
     truth,
 ) -> AttackOutcome:
-    """Query the target's probability vector for each sample, route it to
-    the attack model of the sample's class (or the pooled fallback), and
-    claim member when the member score exceeds 0.5."""
-    probs = nn.forward(target_model, np.stack([s.features for s in samples]))
-    decisions = np.empty(len(samples), dtype=np.int64)
-    labels = np.array([s.label for s in samples])
-    for c in np.unique(labels):
+    """Query the target's probability vector for each row, route it to the
+    attack model of the row's class (or the pooled fallback), and claim
+    member when the member score exceeds 0.5."""
+    probs = nn.forward(target_model, rows.X)
+    decisions = np.empty(len(rows), dtype=np.int64)
+    for c in np.unique(rows.y):
         attack_model = ensemble.attack_models.get(int(c), ensemble.fallback_model)
-        scores = nn.forward(attack_model, probs[labels == c])[:, MEMBER]
-        decisions[labels == c] = np.where(scores > 0.5, MEMBER, NONMEMBER)
+        scores = nn.forward(attack_model, probs[rows.y == c])[:, MEMBER]
+        decisions[rows.y == c] = np.where(scores > 0.5, MEMBER, NONMEMBER)
     return AttackOutcome.from_decisions(decisions, truth)
 
 
@@ -226,7 +216,7 @@ def strong_loss_attack(model: nn.MlpModel, z: Sample, z_prime: Sample, s_tilde) 
 
 
 def average_threshold_decider(
-    model: nn.MlpModel, members: Sequence[Sample]
+    model: nn.MlpModel, members: Rows
 ) -> Callable[[Sample], int]:
     """Single-sample decision function for the membership games: member
     exactly when the sample's loss is below the mean training loss."""

@@ -103,28 +103,17 @@ def _summary_rows(result: experiments.CampaignResult):
 
 def _game_trainer(resolved: config.ResolvedConfig, eps: float, sigma: float):
     cfg = resolved.cfg
-    hidden = cfg.hidden_units
+    privacy = experiments._privacy_for(cfg, eps, sigma)
 
     def trainer(members, rng):
         rng = as_generator(rng)
-        n = len(members)
-        privacy = None
-        if not math.isinf(eps):
-            privacy = dp.PrivacyParams(
-                epsilon=eps,
-                delta=cfg.delta,
-                clip_norm=cfg.clip_norm,
-                noise_multiplier=sigma,
-                sampling_rate=nn.sampling_rate(n, cfg.train),
-                steps=nn.training_steps(n, cfg.train),
-            )
-        width = members[0].features.shape[0]
-        n_classes = max(2, max(s.label for s in members) + 1)
-        init = nn.init_model((width, *hidden, n_classes), int(rng.integers(2**31)))
+        n_classes = max(2, int(members.y.max()) + 1)
+        dims = (members.X.shape[1], *cfg.hidden_units, n_classes)
+        init = nn.init_model(dims, int(rng.integers(2**31)))
         tcfg = replace(
             cfg.train,
             seed=int(rng.integers(2**31)),
-            batch_size=min(cfg.train.batch_size, n),
+            batch_size=min(cfg.train.batch_size, len(members)),
         )
         return nn.train(init, members, tcfg, privacy)
 
@@ -153,18 +142,9 @@ def _run_games(resolved: config.ResolvedConfig, mat: config.Materialized):
         elif resolved.experiment == "mm":
             bit = experiments.exp_mm(builder, trainer, cfg.n_members, mat.pools, seed)
         else:  # strong
-            pools = mat.pools
-            rng = as_generator(subseed(cfg.seed, 41, g))
-            member_pool = pools.pools[pools.k_member]
-            if len(member_pool) < cfg.n_members + 1:
-                raise MialabError("member pool too small for the strong game")
-            idx = rng.choice(len(member_pool), size=cfg.n_members + 1, replace=False)
-            s_tilde = [member_pool[int(i)] for i in idx[: cfg.n_members - 1]]
-            z = member_pool[int(idx[cfg.n_members - 1])]
-            others = [
-                s for k, p in enumerate(pools.pools) if k != pools.k_member for s in p
-            ]
-            z_prime = others[int(rng.integers(len(others)))]
+            s_tilde, z, z_prime = experiments.strong_challenge(
+                mat.pools, cfg.n_members, subseed(cfg.seed, 41, g)
+            )
             bit = experiments.exp_strong(
                 attacks.strong_loss_attack, trainer, s_tilde, z, z_prime, seed
             )

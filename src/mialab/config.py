@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import experiments, nn
-from .dataio import Dataset, Schema, load_csv, preprocess
+from .dataio import Dataset, Rows, Schema, load_csv, preprocess
 from .errors import ConfigError
 from .splits import MixturePools, attribute_bias_pools, cluster_split, source_split
 from .synthetic import GaussianComponent, halfspace_label, mixture_dataset, synthetic_mixture
@@ -388,7 +388,7 @@ class Materialized:
     dataset: "Dataset | None"
     pools: "MixturePools | None"
     pool_builder: "Callable | None"
-    union_pool: "tuple | None"
+    union_pool: "Rows | None"
 
 
 def materialize(resolved: ResolvedConfig) -> Materialized:
@@ -448,9 +448,9 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
                 raise ConfigError("split.k_member", f"only {pools.n_pools} pools exist")
             pools = pools.with_member(k_member)
     if dataset is not None:
-        union = tuple(dataset.samples)
+        union = dataset.samples
     elif base_pools is not None:
-        union = tuple(base_pools.flatten())
+        union = base_pools.flatten()
     else:
         union = None
     return Materialized(

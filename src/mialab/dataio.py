@@ -131,47 +131,123 @@ class Sample:
         return f"Sample(label={self.label}, dim={self.features.shape[0]}, attribute={self.attribute!r})"
 
 
+class Rows:
+    """An immutable set of samples held as arrays: features X (n x d,
+    float64), labels y (n, int64) and the raw split-attribute values (an
+    object array, or None when no row carries one).
+
+    rows[i] and iteration yield Sample values; rows[idx] with a slice or an
+    index array yields a Rows in that row order.
+    """
+
+    __slots__ = ("X", "y", "attribute")
+
+    def __init__(self, X, y, attribute=None):
+        # Copies, so that no caller keeps a writable alias of the store.
+        X = np.array(X, dtype=np.float64)
+        y = np.array(y, dtype=np.int64)
+        if X.ndim != 2 or y.shape != (X.shape[0],):
+            raise PreprocessError(f"rows need X of shape (n, d) and y of shape (n,), "
+                                  f"got {X.shape} and {y.shape}")
+        if attribute is not None:
+            attribute = np.array(attribute, dtype=object)
+            if attribute.shape != y.shape:
+                raise PreprocessError(f"attribute shape {attribute.shape} != {y.shape}")
+        for name, arr in (("X", X), ("y", y), ("attribute", attribute)):
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def stack(cls, samples) -> "Rows":
+        """The rows of a Sample sequence, in order (a Rows passes through)."""
+        if isinstance(samples, Rows):
+            return samples
+        samples = list(samples)
+        attrs = [s.attribute for s in samples]
+        return cls(
+            np.array([s.features for s in samples]),
+            [s.label for s in samples],
+            None if all(a is None for a in attrs) else attrs,
+        )
+
+    @classmethod
+    def concat(cls, parts: "Sequence[Rows]") -> "Rows":
+        """All rows of the parts, in order."""
+        attribute = None
+        if any(p.attribute is not None for p in parts):
+            attribute = np.concatenate(
+                [np.full(len(p), None, dtype=object) if p.attribute is None else p.attribute
+                 for p in parts]
+            )
+        return cls(
+            np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts]), attribute
+        )
+
+    def keys(self) -> np.ndarray:
+        """The distinct row keys, sorted: one opaque value per distinct
+        (feature bits, label) pair, equal exactly when Sample.key() is."""
+        packed = np.column_stack([self.X.view(np.int64), self.y])
+        keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+        keys.sort()
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        return keys[distinct]
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, index):
+        attribute = None if self.attribute is None else self.attribute[index]
+        if isinstance(index, (int, np.integer)):
+            return Sample(self.X[index], self.y[index], attribute)
+        return Rows(self.X[index], self.y[index], attribute)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Rows is immutable")
+
+    def __reduce__(self):
+        # numpy does not restore writeable=False on unpickle; __init__ does.
+        return (Rows, (self.X, self.y, self.attribute))
+
+    def __eq__(self, other):
+        if not isinstance(other, Rows):
+            return NotImplemented
+        attrs = [None if r.attribute is None else r.attribute.tolist() for r in (self, other)]
+        return (
+            np.array_equal(self.X, other.X)
+            and np.array_equal(self.y, other.y)
+            and attrs[0] == attrs[1]
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Rows(n={len(self)}, dim={self.X.shape[1]})"
+
+
 @dataclass(frozen=True)
 class Dataset:
     schema: Schema
-    samples: tuple[Sample, ...]
+    samples: Rows
     provenance: str = ""
 
     def __post_init__(self):
         if not self.samples:
             raise PreprocessError("dataset is empty")
-        width = self.samples[0].features.shape[0]
-        if width == 0:
+        if self.feature_width == 0:
             raise PreprocessError("zero-width feature space")
-        for s in self.samples:
-            if s.features.shape[0] != width:
-                raise PreprocessError(
-                    f"inconsistent feature width: {s.features.shape[0]} != {width}"
-                )
-            if not np.all(np.isfinite(s.features)):
-                raise PreprocessError("non-finite feature value")
-        keys = {s.key() for s in self.samples}
-        if len(keys) != len(self.samples):
+        if not np.all(np.isfinite(self.samples.X)):
+            raise PreprocessError("non-finite feature value")
+        if len(self.samples.keys()) != len(self.samples):
             raise PreprocessError("dataset contains duplicate (features, label) rows")
 
     @property
     def feature_width(self) -> int:
-        return self.samples[0].features.shape[0]
-
-    def features_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def classes(self) -> list[int]:
-        return sorted({s.label for s in self.samples})
-
-    def samples_of_class(self, label: int) -> list[Sample]:
-        return [s for s in self.samples if s.label == label]
-
-    def attribute_values(self) -> list[str]:
-        return sorted({s.attribute for s in self.samples if s.attribute is not None})
+        return self.samples.X.shape[1]
 
 
 def load_csv(path: "str | Path", schema: Schema) -> RawTable:
@@ -379,5 +455,8 @@ def preprocess(raw: RawTable, schema: Schema, seed: int, provenance: str = "") -
     survivors = sorted(
         idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0] for idx in groups.values()
     )
-    samples = tuple(Sample(X[i], int(y[i]), attrs[i]) for i in survivors)
+    attribute = None
+    if schema.split_attribute_column is not None:
+        attribute = np.array(attrs, dtype=object)[survivors]
+    samples = Rows(X[survivors], y[survivors], attribute)
     return Dataset(schema=schema, samples=samples, provenance=provenance)

@@ -1,6 +1,6 @@
 """Differential-privacy mechanics for noisy gradient training.
 
-Implements L2 clipping, Gaussian noising of summed gradients, a Renyi-DP
+Implements Gaussian noising of summed clipped gradients, a Renyi-DP
 accountant for the Poisson-subsampled Gaussian mechanism, conversion of a
 composed RDP profile to (epsilon, delta), and calibration of the noise
 multiplier to a target epsilon.
@@ -42,8 +42,6 @@ class PrivacyParams:
     delta: float = 1e-5
     clip_norm: float = 1.0
     noise_multiplier: float = 0.0
-    sampling_rate: float = 1.0
-    steps: int = 1
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -54,10 +52,6 @@ class PrivacyParams:
             raise AccountingError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.noise_multiplier < 0:
             raise AccountingError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
-        if not 0 < self.sampling_rate <= 1:
-            raise AccountingError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
-        if self.steps < 1:
-            raise AccountingError(f"steps must be >= 1, got {self.steps}")
         if math.isfinite(self.epsilon) and self.noise_multiplier <= 0:
             raise AccountingError("finite epsilon requires a positive noise multiplier")
 
@@ -95,45 +89,23 @@ class AccountResult:
     order: float
 
 
-def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale a gradient onto the L2 ball of radius clip_norm."""
-    if not clip_norm > 0:
-        raise AccountingError(f"clip_norm must be > 0, got {clip_norm}")
-    g = np.asarray(gradient, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm <= clip_norm or math.isinf(clip_norm):
-        return g.copy()
-    return g * (clip_norm / norm)
-
-
 def noisy_mean(
-    gradients: "Sequence[np.ndarray] | np.ndarray",
+    gradient_sum: np.ndarray,
     clip_norm: float,
     noise_multiplier: float,
     expected_batch: float,
     seed,
-    dim: "int | None" = None,
 ) -> np.ndarray:
-    """(sum of gradients + N(0, (noise_multiplier * clip_norm)^2 I)) / expected_batch.
-
-    Poisson sampling can produce an empty batch, in which case `dim` tells
-    the noise dimension.
-    """
+    """(gradient_sum + N(0, (noise_multiplier * clip_norm)^2 I)) / expected_batch,
+    where gradient_sum is the sum of the batch's clipped gradients (zeros
+    for an empty Poisson batch)."""
     if noise_multiplier < 0:
         raise AccountingError(f"noise_multiplier must be >= 0, got {noise_multiplier}")
     if expected_batch <= 0:
         raise AccountingError(f"expected_batch must be > 0, got {expected_batch}")
     if noise_multiplier > 0 and not math.isfinite(clip_norm):
         raise AccountingError("noise with an infinite clip norm is unbounded")
-    grads = np.asarray(gradients, dtype=np.float64)
-    if grads.size == 0:
-        if dim is None:
-            raise AccountingError("empty gradient list needs an explicit dim")
-        total = np.zeros(dim)
-    else:
-        if grads.ndim == 1:
-            grads = grads[None, :]
-        total = grads.sum(axis=0)
+    total = np.asarray(gradient_sum, dtype=np.float64)
     if noise_multiplier > 0:
         rng = as_generator(seed)
         total = total + rng.normal(0.0, noise_multiplier * clip_norm, size=total.shape)

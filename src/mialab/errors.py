@@ -30,12 +30,12 @@ class ShadowPoolTooSmall(SplitError):
 
 
 class TrainingDiverged(MialabError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or per-example gradient norm."""
 
-    def __init__(self, step, loss):
-        super().__init__(f"non-finite training loss {loss!r} at step {step}")
+    def __init__(self, step, value, quantity="training loss"):
+        super().__init__(f"non-finite {quantity} {value!r} at step {step}")
         self.step = step
-        self.loss = loss
+        self.value = value
 
 
 class AccountingError(MialabError):

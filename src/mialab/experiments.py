@@ -29,8 +29,8 @@ import numpy as np
 from scipy import stats
 
 from . import attacks, dp, nn
-from .dataio import Sample
-from .errors import MialabError, ShadowPoolTooSmall, SplitError
+from .dataio import Rows, Sample
+from .errors import MialabError, ShadowPoolTooSmall, SplitError, TrainingDiverged
 from .rngs import as_generator, subseed
 from .splits import BiasInfo, MixturePools, draw, iid_counterfactual
 
@@ -40,15 +40,22 @@ SCENARIO_IID = "IID"
 KNOWN_ATTACKS = ("average_threshold", "optimal_threshold", "shadow")
 
 # Trainer: (members, seed) -> model. AttackBuilder: (model, members) -> decide(z).
-Trainer = Callable[[Sequence[Sample], object], nn.MlpModel]
-AttackBuilder = Callable[[nn.MlpModel, Sequence[Sample]], Callable[[Sample], int]]
+Trainer = Callable[[Rows, object], nn.MlpModel]
+AttackBuilder = Callable[[nn.MlpModel, Rows], Callable[[Sample], int]]
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def exp_strong(attack, trainer: Trainer, s_tilde: Sequence[Sample],
+def _complement(pool: Rows, idx: np.ndarray) -> Rows:
+    """The pool's rows outside idx, in pool order."""
+    rest = np.ones(len(pool), dtype=bool)
+    rest[idx] = False
+    return pool[rest]
+
+
+def exp_strong(attack, trainer: Trainer, s_tilde: "Rows | Sequence[Sample]",
                z: Sample, z_prime: Sample, seed) -> int:
     """One round of the strong-adversary game. The attack receives
     (model, z, z_prime, s_tilde) and outputs the bit it believes was used."""
@@ -56,27 +63,27 @@ def exp_strong(attack, trainer: Trainer, s_tilde: Sequence[Sample],
         raise MialabError("z and z_prime must differ")
     rng = as_generator(subseed(seed, 11) if isinstance(seed, int) else seed)
     b = int(rng.integers(2))
-    members = list(s_tilde) + [z if b == 0 else z_prime]
+    members = Rows.stack([*s_tilde, z if b == 0 else z_prime])
     model = trainer(members, rng)
-    return int(attack(model, z, z_prime, list(s_tilde)) == b)
+    return int(attack(model, z, z_prime, s_tilde) == b)
 
 
 def exp_iid(attack_builder: AttackBuilder, trainer: Trainer, n: int,
-            pool: Sequence[Sample], seed) -> int:
+            pool: "Rows | Sequence[Sample]", seed) -> int:
     """One round of the IID game over a finite pool (drawn without
     replacement)."""
-    pool = list(pool)
+    pool = Rows.stack(pool)
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
     rng = as_generator(subseed(seed, 12) if isinstance(seed, int) else seed)
     idx = rng.choice(len(pool), size=n, replace=False)
-    members = [pool[int(i)] for i in idx]
+    members = pool[idx]
     model = trainer(members, rng)
     b = int(rng.integers(2))
     if b == 0:
         z = members[int(rng.integers(n))]
     else:
-        rest = [pool[i] for i in range(len(pool)) if i not in set(int(j) for j in idx)]
+        rest = _complement(pool, idx)
         z = rest[int(rng.integers(len(rest)))]
     decide = attack_builder(model, members)
     return int(decide(z) == b)
@@ -92,7 +99,7 @@ def exp_mm(attack_builder: AttackBuilder, trainer: Trainer, n: int,
     if len(pool) < n:
         raise SplitError(f"pool {k} has {len(pool)} samples, need {n}")
     idx = rng.choice(len(pool), size=n, replace=False)
-    members = [pool[int(i)] for i in idx]
+    members = pool[idx]
     model = trainer(members, rng)
     b = int(rng.integers(2))
     if b == 0:
@@ -109,22 +116,35 @@ def exp_mm(attack_builder: AttackBuilder, trainer: Trainer, n: int,
 
 
 def exp_alt(attack_builder: AttackBuilder, trainer: Trainer, n: int,
-            pool: Sequence[Sample], seed) -> int:
+            pool: "Rows | Sequence[Sample]", seed) -> int:
     """One round of the alternative game: draw both the member candidate
     and the fresh candidate first, then flip the bit."""
-    pool = list(pool)
+    pool = Rows.stack(pool)
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
     rng = as_generator(subseed(seed, 14) if isinstance(seed, int) else seed)
     idx = rng.choice(len(pool), size=n, replace=False)
-    members = [pool[int(i)] for i in idx]
+    members = pool[idx]
     model = trainer(members, rng)
     z = members[int(rng.integers(n))]
-    rest = [pool[i] for i in range(len(pool)) if i not in set(int(j) for j in idx)]
+    rest = _complement(pool, idx)
     z_prime = rest[int(rng.integers(len(rest)))]
     b = int(rng.integers(2))
     decide = attack_builder(model, members)
     return int(decide(z if b == 0 else z_prime) == b)
+
+
+def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Sample, Sample]:
+    """The strong game's draw: n - 1 known members and the candidate z from
+    the member pool, and the alternative z_prime from the other pools."""
+    rng = as_generator(seed)
+    member_pool = pools.pools[pools.k_member]
+    if len(member_pool) < n + 1:
+        raise MialabError("member pool too small for the strong game")
+    idx = rng.choice(len(member_pool), size=n + 1, replace=False)
+    others = Rows.concat([p for k, p in enumerate(pools.pools) if k != pools.k_member])
+    z_prime = others[int(rng.integers(len(others)))]
+    return member_pool[idx[: n - 1]], member_pool[int(idx[n - 1])], z_prime
 
 
 def two_proportion_z_test(successes_a: int, n_a: int,
@@ -241,12 +261,10 @@ def _privacy_for(cfg: ExperimentConfig, eps: float, sigma: float) -> "dp.Privacy
         delta=cfg.delta,
         clip_norm=cfg.clip_norm,
         noise_multiplier=sigma,
-        sampling_rate=nn.sampling_rate(cfg.n_members, cfg.train),
-        steps=nn.training_steps(cfg.n_members, cfg.train),
     )
 
 
-def biased_validation(bias: BiasInfo, size: int, seed) -> "list[Sample] | None":
+def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
     """Validation set with the member pool's attribute bias, drawn from the
     leftover reserves; None when the reserves cannot supply it."""
     k_with = math.ceil(bias.p * size)
@@ -260,13 +278,11 @@ def biased_validation(bias: BiasInfo, size: int, seed) -> "list[Sample] | None":
         if k_without
         else []
     )
-    return [bias.reserve_with[int(i)] for i in wi] + [
-        bias.reserve_without[int(i)] for i in wo
-    ]
+    return Rows.concat([bias.reserve_with[wi], bias.reserve_without[wo]])
 
 
 def _infer_n_classes(pools: MixturePools) -> int:
-    return max(s.label for pool in pools.pools for s in pool) + 1
+    return int(pools.flatten().y.max()) + 1
 
 
 def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
@@ -282,77 +298,78 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
     if pools.bias is not None:
         val_set = biased_validation(pools.bias, math.ceil(n / 4), subseed(cfg.seed, 4, rep))
     n_classes = cfg.n_classes if cfg.n_classes is not None else _infer_n_classes(pools)
-    width = base.members[0].features.shape[0]
-    dims = (width, *cfg.hidden_units, n_classes)
-    for si, (scenario, d) in enumerate(
-        ((SCENARIO_DEPENDENT, base), (SCENARIO_IID, counterfactual))
-    ):
-        truth = np.concatenate(
-            [
-                np.full(len(d.members), attacks.MEMBER),
-                np.full(len(d.nonmembers), attacks.NONMEMBER),
-            ]
-        )
-        eval_samples = list(d.members) + list(d.nonmembers)
-        for ei, eps in enumerate(cfg.epsilon_grid):
-            sigma, realized = noise[eps]
-            privacy = _privacy_for(cfg, eps, sigma)
-            tcfg = replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei)))
-            init = nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei))
-            model = nn.train(init, d.members, tcfg, privacy)
-            member_losses = nn.loglosses(model, d.members)
-            nonmember_losses = nn.loglosses(model, d.nonmembers)
-            member_acc = nn.accuracy(model, d.members)
-            nonmember_acc = nn.accuracy(model, d.nonmembers)
-            validation_acc = None
-            if scenario == SCENARIO_DEPENDENT and val_set is not None:
-                validation_acc = nn.accuracy(model, val_set)
+    dims = (base.members.X.shape[1], *cfg.hidden_units, n_classes)
+    try:
+        for si, (scenario, d) in enumerate(
+            ((SCENARIO_DEPENDENT, base), (SCENARIO_IID, counterfactual))
+        ):
+            truth = np.concatenate(
+                [
+                    np.full(len(d.members), attacks.MEMBER),
+                    np.full(len(d.nonmembers), attacks.NONMEMBER),
+                ]
+            )
+            eval_rows = Rows.concat([d.members, d.nonmembers])
+            for ei, eps in enumerate(cfg.epsilon_grid):
+                sigma, realized = noise[eps]
+                privacy = _privacy_for(cfg, eps, sigma)
+                tcfg = replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei)))
+                init = nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei))
+                model = nn.train(init, d.members, tcfg, privacy)
+                member_losses = nn.loglosses(model, d.members)
+                nonmember_losses = nn.loglosses(model, d.nonmembers)
+                member_acc = nn.accuracy(model, d.members)
+                nonmember_acc = nn.accuracy(model, d.nonmembers)
+                validation_acc = None
+                if scenario == SCENARIO_DEPENDENT and val_set is not None:
+                    validation_acc = nn.accuracy(model, val_set)
 
-            eval_losses = np.concatenate([member_losses, nonmember_losses])
+                eval_losses = np.concatenate([member_losses, nonmember_losses])
 
-            def emit(name: str, outcome: attacks.AttackOutcome):
-                rows.append(
-                    CampaignRow(
-                        epsilon=eps,
-                        attack=name,
-                        scenario=scenario,
-                        repetition=rep,
-                        tpr=outcome.tpr,
-                        fpr=outcome.fpr,
-                        advantage=outcome.advantage,
-                        member_acc=member_acc,
-                        nonmember_acc=nonmember_acc,
-                        validation_acc=validation_acc,
-                        sigma=sigma,
-                        realized_epsilon=realized,
+                def emit(name: str, outcome: attacks.AttackOutcome):
+                    rows.append(
+                        CampaignRow(
+                            epsilon=eps,
+                            attack=name,
+                            scenario=scenario,
+                            repetition=rep,
+                            tpr=outcome.tpr,
+                            fpr=outcome.fpr,
+                            advantage=outcome.advantage,
+                            member_acc=member_acc,
+                            nonmember_acc=nonmember_acc,
+                            validation_acc=validation_acc,
+                            sigma=sigma,
+                            realized_epsilon=realized,
+                        )
                     )
-                )
-                if trace_sink is not None:
-                    trace_sink(eps, name, scenario, rep, outcome, eval_losses)
+                    if trace_sink is not None:
+                        trace_sink(eps, name, scenario, rep, outcome, eval_losses)
 
-            for name in cfg.attack_names:
-                if name == "average_threshold":
-                    emit(name, attacks.average_threshold(
-                        model, member_losses, eval_samples, truth))
-                elif name == "optimal_threshold":
-                    _, outcome = attacks.optimal_threshold(member_losses, nonmember_losses)
-                    emit(name, outcome)
-                elif name == "shadow":
-                    try:
-                        ensemble = attacks.train_shadow_ensemble(
-                            d.shadow_pool,
-                            dims,
-                            tcfg,
-                            privacy if cfg.shadow_privacy_mimic else None,
-                            seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
-                            n_shadows=cfg.n_shadows,
-                            shadow_train_size=n,
-                        )
-                        emit(name, attacks.shadow_attack(ensemble, model, eval_samples, truth))
-                    except ShadowPoolTooSmall as exc:
-                        notes.append(
-                            f"rep {rep} {scenario} eps={eps}: {exc}"
-                        )
+                for name in cfg.attack_names:
+                    if name == "average_threshold":
+                        emit(name, attacks.average_threshold(member_losses, eval_losses, truth))
+                    elif name == "optimal_threshold":
+                        _, outcome = attacks.optimal_threshold(member_losses, nonmember_losses)
+                        emit(name, outcome)
+                    elif name == "shadow":
+                        try:
+                            ensemble = attacks.train_shadow_ensemble(
+                                d.shadow_pool,
+                                dims,
+                                tcfg,
+                                privacy if cfg.shadow_privacy_mimic else None,
+                                seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
+                                n_shadows=cfg.n_shadows,
+                                shadow_train_size=n,
+                            )
+                            emit(name, attacks.shadow_attack(ensemble, model, eval_rows, truth))
+                        except ShadowPoolTooSmall as exc:
+                            notes.append(
+                                f"rep {rep} {scenario} eps={eps}: {exc}"
+                            )
+    except TrainingDiverged as exc:
+        raise MialabError(f"rep {rep} {scenario} eps={eps}: {exc}") from exc
     return rows, notes
 
 

@@ -1,29 +1,25 @@
 """Fully connected ReLU classifier trained by Adam, with an optional
 differentially private path (per-example clipping + Gaussian noise).
 
-The functional core operates on immutable MlpModel values; MlpClassifier
-wraps it in a fit/predict estimator for array-based callers. Parameters
-flatten in a fixed canonical order (per layer: weight matrix row-major,
-then bias vector) used by gradients and checkpoints alike.
+Everything operates on immutable MlpModel values. Parameters flatten in a
+fixed canonical order (per layer: weight matrix row-major, then bias
+vector) used by gradients and the optimizer alike.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import dp
-from .dataio import Sample
+from .dataio import Rows, Sample
 from .errors import MialabError, TrainingDiverged
 from .rngs import as_generator
 
 PROB_FLOOR = 1e-30
-CHECKPOINT_VERSION = 1
 _GRAD_CHUNK = 64
 
 
@@ -155,11 +151,9 @@ def logloss(model: MlpModel, sample: Sample) -> float:
     return -math.log(max(float(probs[sample.label]), PROB_FLOOR))
 
 
-def loglosses(model: MlpModel, samples: Sequence[Sample]) -> np.ndarray:
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples])
-    probs = forward(model, X)
-    p_true = np.clip(probs[np.arange(len(samples)), y], PROB_FLOOR, None)
+def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
+    probs = forward(model, rows.X)
+    p_true = np.clip(probs[np.arange(len(rows)), rows.y], PROB_FLOOR, None)
     return -np.log(p_true)
 
 
@@ -249,7 +243,7 @@ class _Adam:
 
 def train(
     init: MlpModel,
-    members: Sequence[Sample],
+    members: Rows,
     cfg: TrainConfig,
     privacy: "dp.PrivacyParams | None" = None,
     loss_callback=None,
@@ -268,8 +262,7 @@ def train(
     n = len(members)
     if cfg.batch_size > n:
         raise MialabError(f"batch_size {cfg.batch_size} exceeds the {n} training samples")
-    X = np.stack([s.features for s in members])
-    y = np.array([s.label for s in members], dtype=np.int64)
+    X, y = members.X, members.y
     rng = as_generator(cfg.seed)
     params = init.flatten()
     adam = _Adam(params.size, cfg)
@@ -302,7 +295,7 @@ def train(
             grads = _per_example_grads(model, X[sel], y[sel], cfg.l2_coefficient)
             norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
             if not np.all(np.isfinite(norms)):
-                raise TrainingDiverged(step, float(norms.max()))
+                raise TrainingDiverged(step, float(norms.max()), "per-example gradient norm")
             scale = np.minimum(1.0, privacy.clip_norm / np.maximum(norms, 1e-300))
             grads *= scale[:, None]
             if cfg.debug_checks:
@@ -313,135 +306,17 @@ def train(
                     )
             clipped_sum += grads.sum(axis=0)
         grad = dp.noisy_mean(
-            clipped_sum[None, :] if idx.size else np.empty((0, params.size)),
-            privacy.clip_norm,
-            privacy.noise_multiplier,
-            expected_batch,
-            rng,
-            dim=params.size,
+            clipped_sum, privacy.clip_norm, privacy.noise_multiplier, expected_batch, rng
         )
         params = adam.update(params, grad)
         model = MlpModel.unflatten(init.layer_dims, params)
     return model
 
 
-def accuracy(model: MlpModel, samples: Sequence[Sample]) -> float:
-    """Fraction of samples whose argmax prediction matches the label;
-    argmax ties break toward the lower class index."""
-    if not samples:
+def accuracy(model: MlpModel, rows: Rows) -> float:
+    """Fraction of rows whose argmax prediction matches the label; argmax
+    ties break toward the lower class index."""
+    if not rows:
         raise MialabError("accuracy over an empty sample list")
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples])
-    probs = forward(model, X)
-    return float(np.mean(np.argmax(probs, axis=1) == y))
-
-
-def save_model(model: MlpModel, path: "str | Path") -> None:
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "layer_dims": list(model.layer_dims),
-        "parameters": model.flatten().tolist(),
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: "str | Path") -> MlpModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise MialabError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    return MlpModel.unflatten(doc["layer_dims"], np.array(doc["parameters"], dtype=np.float64))
-
-
-class MlpClassifier:
-    """Estimator-style interface over the functional training core.
-
-    Parameters mirror TrainConfig plus the architecture and an optional
-    PrivacyParams; follows the fit/predict/get_params protocol so it can sit
-    in standard model-selection tooling.
-    """
-
-    def __init__(
-        self,
-        hidden_units: tuple[int, ...] = (256, 256),
-        epochs: int = 100,
-        batch_size: int = 200,
-        learning_rate: float = 1e-2,
-        l2: float = 1e-5,
-        adam_betas: tuple[float, float] = (0.9, 0.999),
-        adam_epsilon: float = 1e-8,
-        privacy: "dp.PrivacyParams | None" = None,
-        seed: int = 0,
-    ):
-        self.hidden_units = hidden_units
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.adam_betas = adam_betas
-        self.adam_epsilon = adam_epsilon
-        self.privacy = privacy
-        self.seed = seed
-
-    _PARAM_NAMES = (
-        "hidden_units",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "l2",
-        "adam_betas",
-        "adam_epsilon",
-        "privacy",
-        "seed",
-    )
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
-
-    def set_params(self, **params) -> "MlpClassifier":
-        for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            l2_coefficient=self.l2,
-            adam_betas=self.adam_betas,
-            adam_epsilon=self.adam_epsilon,
-            seed=self.seed,
-        )
-
-    def fit(self, X, y) -> "MlpClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.ndim != 2:
-            raise MialabError(f"X must be 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise MialabError(f"y shape {y.shape} does not match X rows {X.shape[0]}")
-        if y.min() < 0:
-            raise MialabError("labels must be non-negative class indices")
-        self.classes_ = np.arange(int(y.max()) + 1)
-        self.n_features_in_ = X.shape[1]
-        dims = (X.shape[1], *self.hidden_units, len(self.classes_))
-        samples = [Sample(X[i], int(y[i])) for i in range(X.shape[0])]
-        model = init_model(dims, self.seed)
-        self.model_ = train(model, samples, self._train_config(), self.privacy)
-        return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "model_"):
-            raise MialabError("classifier is not fitted")
-
-    def predict_proba(self, X) -> np.ndarray:
-        self._check_fitted()
-        return forward(self.model_, np.asarray(X, dtype=np.float64))
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=-1)
-
-    def score(self, X, y) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+    probs = forward(model, rows.X)
+    return float(np.mean(np.argmax(probs, axis=1) == rows.y))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, Sample
+from .dataio import Dataset, Rows
 from .errors import SplitError
 from .rngs import as_generator, subseed
 
@@ -27,16 +27,16 @@ class BiasInfo:
 
     attribute_value: str
     p: float
-    reserve_with: tuple[Sample, ...]
-    reserve_without: tuple[Sample, ...]
+    reserve_with: Rows
+    reserve_without: Rows
 
 
 @dataclass(frozen=True)
 class MixturePools:
-    pools: tuple[tuple[Sample, ...], ...]
+    pools: tuple[Rows, ...]
     k_member: int = 0
     labels_of_pools: "tuple[str, ...] | None" = None
-    shadow_reserve: "tuple[Sample, ...] | None" = None
+    shadow_reserve: "Rows | None" = None
     bias: "BiasInfo | None" = None
 
     def __post_init__(self):
@@ -44,13 +44,16 @@ class MixturePools:
             raise SplitError(f"need at least 2 pools, got {len(self.pools)}")
         if not 0 <= self.k_member < len(self.pools):
             raise SplitError(f"k_member {self.k_member} out of range")
-        seen: dict[tuple, int] = {}
-        for k, pool in enumerate(self.pools):
-            for s in pool:
-                other = seen.get(s.key())
-                if other is not None and other != k:
-                    raise SplitError(f"pools {other} and {k} share a sample")
-                seen[s.key()] = k
+        # A row may repeat inside a pool (zero-variance components) but not
+        # across pools: after per-pool dedup every key must be unique.
+        keys = [pool.keys() for pool in self.pools]
+        owner = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+        merged = np.concatenate(keys)
+        order = np.argsort(merged, kind="stable")
+        shared = np.flatnonzero(merged[order[1:]] == merged[order[:-1]])
+        if shared.size:
+            i = shared[0]
+            raise SplitError(f"pools {owner[order[i]]} and {owner[order[i + 1]]} share a sample")
 
     @property
     def n_pools(self) -> int:
@@ -68,15 +71,15 @@ class MixturePools:
             bias=self.bias,
         )
 
-    def flatten(self) -> list[Sample]:
-        return [s for pool in self.pools for s in pool]
+    def flatten(self) -> Rows:
+        return Rows.concat(self.pools)
 
 
 @dataclass(frozen=True)
 class SplitDraw:
-    members: tuple[Sample, ...]
-    nonmembers: tuple[Sample, ...]
-    shadow_pool: tuple[Sample, ...] = ()
+    members: Rows
+    nonmembers: Rows
+    shadow_pool: Rows
 
 
 @dataclass(frozen=True)
@@ -211,23 +214,31 @@ def _canonical_order(centroids: np.ndarray) -> np.ndarray:
 def cluster_split(data: Dataset, seed: int, k: int = 2) -> MixturePools:
     """Cluster each class's samples independently and pool cluster i of
     every class into pool i."""
-    buckets: list[list[Sample]] = [[] for _ in range(k)]
-    for label in data.classes():
-        samples = data.samples_of_class(label)
-        points = np.stack([s.features for s in samples])
+    rows = data.samples
+    buckets: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for label in np.unique(rows.y):
+        idx = np.flatnonzero(rows.y == label)
+        points = rows.X[idx]
         if np.unique(points, axis=0).shape[0] < k:
             raise SplitError(f"class {label} has fewer than {k} distinct points")
         result = kmeans(points, k, subseed(seed, label))
         order = _canonical_order(result.centroids)
         canon = np.empty(k, dtype=np.int64)
         canon[order] = np.arange(k)
-        for s, c in zip(samples, result.labels):
-            buckets[canon[c]].append(s)
+        assigned = canon[result.labels]
+        for j in range(k):
+            buckets[j].append(idx[assigned == j])
     return MixturePools(
-        pools=tuple(tuple(b) for b in buckets),
+        pools=tuple(rows[np.concatenate(b)] for b in buckets),
         k_member=0,
         labels_of_pools=tuple(f"cluster-{i + 1}" for i in range(k)),
     )
+
+
+def _has_attribute(rows: Rows, value: str) -> np.ndarray:
+    if rows.attribute is None:
+        return np.zeros(len(rows), dtype=bool)
+    return rows.attribute == value
 
 
 def attribute_bias_pools(
@@ -247,8 +258,10 @@ def attribute_bias_pools(
         raise SplitError(f"pool size n must be >= 1, got {n}")
     if data.schema.split_attribute_column is None:
         raise SplitError("dataset has no split-attribute column")
-    with_v = [s for s in data.samples if s.attribute == value]
-    without_v = [s for s in data.samples if s.attribute != value]
+    rows = data.samples
+    has_value = _has_attribute(rows, value)
+    with_v = np.flatnonzero(has_value)
+    without_v = np.flatnonzero(~has_value)
     n1_with = math.ceil(p * n)
     n1_without = n - n1_with
     n2_with = n // 2
@@ -263,19 +276,21 @@ def attribute_bias_pools(
             f"have {len(without_v)}"
         )
     rng = as_generator(seed)
-    w = [with_v[i] for i in rng.permutation(len(with_v))]
-    wo = [without_v[i] for i in rng.permutation(len(without_v))]
-    d1 = w[:n1_with] + wo[:n1_without]
-    d2 = w[n1_with : n1_with + n2_with] + wo[n1_without : n1_without + n2_without]
+    w = with_v[rng.permutation(len(with_v))]
+    wo = without_v[rng.permutation(len(without_v))]
+    d1 = np.concatenate([w[:n1_with], wo[:n1_without]])
+    d2 = np.concatenate(
+        [w[n1_with : n1_with + n2_with], wo[n1_without : n1_without + n2_without]]
+    )
     left_w = w[n1_with + n2_with :]
     left_wo = wo[n1_without + n2_without :]
-    shadow = tuple(left_w[:n] + left_wo[:n])
+    shadow = np.concatenate([left_w[:n], left_wo[:n]])
     return MixturePools(
-        pools=(tuple(d1), tuple(d2)),
+        pools=(rows[d1], rows[d2]),
         k_member=0,
         labels_of_pools=(f"bias[{value}]={p}", "balanced"),
-        shadow_reserve=shadow if shadow else None,
-        bias=BiasInfo(value, p, tuple(left_w), tuple(left_wo)),
+        shadow_reserve=rows[shadow] if shadow.size else None,
+        bias=BiasInfo(value, p, rows[left_w], rows[left_wo]),
     )
 
 
@@ -284,14 +299,13 @@ def source_split(data: Dataset, member_value: str) -> MixturePools:
     pool 2 everything else."""
     if data.schema.split_attribute_column is None:
         raise SplitError("dataset has no split-attribute column")
-    d1 = tuple(s for s in data.samples if s.attribute == member_value)
-    d2 = tuple(s for s in data.samples if s.attribute != member_value)
-    if not d1:
+    in_source = _has_attribute(data.samples, member_value)
+    if not in_source.any():
         raise SplitError(f"attribute value {member_value!r} does not occur in the data")
-    if not d2:
+    if in_source.all():
         raise SplitError(f"all rows have attribute value {member_value!r}; non-member pool empty")
     return MixturePools(
-        pools=(d1, d2),
+        pools=(data.samples[in_source], data.samples[~in_source]),
         k_member=0,
         labels_of_pools=(f"source={member_value}", "other-sources"),
     )
@@ -308,7 +322,7 @@ def draw(
     of the other pools, both uniformly without replacement."""
     rng = as_generator(seed)
     member_pool = pools.pools[pools.k_member]
-    others = [s for k, pool in enumerate(pools.pools) if k != pools.k_member for s in pool]
+    others = Rows.concat([pool for k, pool in enumerate(pools.pools) if k != pools.k_member])
     if len(member_pool) < n_members:
         raise SplitError(
             f"member pool has {len(member_pool)} samples, need {n_members}"
@@ -319,39 +333,35 @@ def draw(
         )
     m_idx = rng.choice(len(member_pool), size=n_members, replace=False)
     nm_idx = rng.choice(len(others), size=n_nonmembers, replace=False)
-    members = tuple(member_pool[int(i)] for i in m_idx)
-    nonmembers = tuple(others[int(i)] for i in nm_idx)
     if pools.shadow_reserve is not None:
         shadow = pools.shadow_reserve
     else:
         cap = n_members if shadow_cap is None else shadow_cap
-        shadow_parts: list[Sample] = []
-        taken_member = set(int(i) for i in m_idx)
-        taken_other = set(int(i) for i in nm_idx)
+        left_member = np.ones(len(member_pool), dtype=bool)
+        left_member[m_idx] = False
+        left_other = np.ones(len(others), dtype=bool)
+        left_other[nm_idx] = False
+        parts = []
         offset = 0
         for k, pool in enumerate(pools.pools):
             if k == pools.k_member:
-                left = [s for i, s in enumerate(pool) if i not in taken_member]
+                left = pool[left_member]
             else:
-                left = [
-                    s
-                    for i, s in enumerate(pool)
-                    if (offset + i) not in taken_other
-                ]
+                left = pool[left_other[offset : offset + len(pool)]]
                 offset += len(pool)
             order = rng.permutation(len(left))
-            shadow_parts.extend(left[int(i)] for i in order[:cap])
-        shadow = tuple(shadow_parts)
-    return SplitDraw(members=members, nonmembers=nonmembers, shadow_pool=shadow)
+            parts.append(left[order[:cap]])
+        shadow = Rows.concat(parts)
+    return SplitDraw(members=member_pool[m_idx], nonmembers=others[nm_idx], shadow_pool=shadow)
 
 
 def iid_counterfactual(split: SplitDraw, seed) -> SplitDraw:
     """Merge members and non-members and re-partition into the original
     sizes, destroying any member/non-member dependency."""
     rng = as_generator(seed)
-    merged = list(split.members) + list(split.nonmembers)
+    merged = Rows.concat([split.members, split.nonmembers])
     order = rng.permutation(len(merged))
     n = len(split.members)
-    members = tuple(merged[int(i)] for i in order[:n])
-    nonmembers = tuple(merged[int(i)] for i in order[n:])
-    return SplitDraw(members=members, nonmembers=nonmembers, shadow_pool=split.shadow_pool)
+    return SplitDraw(
+        members=merged[order[:n]], nonmembers=merged[order[n:]], shadow_pool=split.shadow_pool
+    )

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import Column, Dataset, Sample, Schema
+from .dataio import Column, Dataset, Rows, Schema
 from .errors import MialabError
 from .rngs import as_generator, subseed
 from .splits import MixturePools
@@ -56,26 +56,26 @@ def mixture_samples(
     n_per_component: int,
     seed,
     label_rule: "Callable | None" = None,
-) -> list[list[Sample]]:
-    """Draw n_per_component samples from every component; deterministic
-    given the seed."""
+) -> list[Rows]:
+    """Draw n_per_component samples from every component, one Rows per
+    component; deterministic given the seed."""
     if not components:
         raise MialabError("need at least one mixture component")
     if n_per_component < 1:
         raise MialabError(f"n_per_component must be >= 1, got {n_per_component}")
     rng = as_generator(subseed(seed, 31) if isinstance(seed, (int, np.integer)) else seed)
-    pools: list[list[Sample]] = []
+    pools: list[Rows] = []
     for k, comp in enumerate(components):
         if comp.label is None and label_rule is None:
             raise MialabError(f"component {k} has no label and no label rule was given")
         mean = np.asarray(comp.mean, dtype=np.float64)
         cov = comp.covariance()
         draws = rng.multivariate_normal(mean, cov, size=n_per_component, method="svd")
-        pool = []
-        for x in draws:
-            label = comp.label if comp.label is not None else label_rule(x)
-            pool.append(Sample(x, int(label)))
-        pools.append(pool)
+        if comp.label is not None:
+            labels = [comp.label] * n_per_component
+        else:
+            labels = [int(label_rule(x)) for x in draws]
+        pools.append(Rows(draws, labels))
     return pools
 
 
@@ -89,7 +89,7 @@ def synthetic_mixture(
     """Disjoint sample pools, one per mixture component."""
     pools = mixture_samples(components, n_per_component, seed, label_rule)
     return MixturePools(
-        pools=tuple(tuple(p) for p in pools),
+        pools=tuple(pools),
         k_member=k_member,
         labels_of_pools=tuple(f"component-{k}" for k in range(len(pools))),
     )
@@ -104,14 +104,12 @@ def mixture_dataset(
 ) -> Dataset:
     """All components flattened into one dataset with a generated schema."""
     pools = mixture_samples(components, n_per_component, seed, label_rule)
-    samples = tuple(s for pool in pools for s in pool)
-    width = samples[0].features.shape[0]
-    labels = {s.label for s in samples}
+    samples = Rows.concat(pools)
     schema = Schema(
         columns=(
-            *(Column(f"f{i}", "numeric") for i in range(width)),
+            *(Column(f"f{i}", "numeric") for i in range(samples.X.shape[1])),
             Column("label", "numeric", "label"),
         ),
-        label_classes=max(2, len(labels)),
+        label_classes=max(2, len(np.unique(samples.y))),
     )
     return Dataset(schema=schema, samples=samples, provenance=provenance)

@@ -1,6 +1,6 @@
 import pytest
 
-from mialab.dataio import Column, Sample, Schema
+from mialab.dataio import Column, Rows, Schema
 from mialab.synthetic import GaussianComponent, mixture_dataset, synthetic_mixture
 
 
@@ -58,5 +58,4 @@ def constant_pools():
 
 
 def samples_from_array(X, y, attributes=None):
-    attributes = attributes or [None] * len(y)
-    return [Sample(X[i], int(y[i]), attributes[i]) for i in range(len(y))]
+    return Rows(X, y, attributes)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mialab import nn
@@ -18,7 +18,7 @@ from mialab.attacks import (
     trace_rows,
     train_shadow_ensemble,
 )
-from mialab.dataio import Sample
+from mialab.dataio import Rows, Sample
 from mialab.errors import MialabError, ShadowPoolTooSmall
 from mialab.splits import draw
 
@@ -72,27 +72,24 @@ class TestAverageThreshold:
     def test_perfect_separation(self):
         model = constant_model()
         # features chosen so member losses are tiny and non-member losses large
-        members = [Sample([8.0], 0) for _ in range(3)]
-        nonmembers = [Sample([-8.0], 0) for _ in range(3)]
+        members = Rows([[8.0]] * 3, [0] * 3)
+        eval_losses = nn.loglosses(model, Rows([[8.0]] * 3 + [[-8.0]] * 3, [0] * 6))
         truth = [MEMBER] * 3 + [NONMEMBER] * 3
         train_losses = nn.loglosses(model, members)
-        outcome = average_threshold(model, train_losses, members + nonmembers, truth)
+        outcome = average_threshold(train_losses, eval_losses, truth)
         assert outcome.advantage == pytest.approx(0.0)  # tau = mean member loss, ties lose
         # nudging the threshold above the member losses flips all members in
         outcome2 = AttackOutcome.from_decisions(
-            threshold_decisions(nn.loglosses(model, members + nonmembers),
-                                float(train_losses.mean()) + 1e-6),
-            truth,
+            threshold_decisions(eval_losses, float(train_losses.mean()) + 1e-6), truth
         )
         assert outcome2.advantage == pytest.approx(1.0)
 
     def test_mixed_losses(self):
         model = constant_model()
-        members = [Sample([4.0], 0), Sample([-4.0], 0)]
-        train_losses = nn.loglosses(model, members)  # one small, one large
-        eval_samples = members + [Sample([0.0], 0)]
+        train_losses = nn.loglosses(model, Rows([[4.0], [-4.0]], [0, 0]))  # small, large
+        eval_losses = nn.loglosses(model, Rows([[4.0], [-4.0], [0.0]], [0, 0, 0]))
         truth = [MEMBER, MEMBER, NONMEMBER]
-        outcome = average_threshold(model, train_losses, eval_samples, truth)
+        outcome = average_threshold(train_losses, eval_losses, truth)
         # tau ~ 2.0; losses ~ (0.0003, 4.02, 0.69) -> claims member, non, member
         assert outcome.decisions.tolist() == [MEMBER, NONMEMBER, MEMBER]
         assert outcome.tpr == 0.5 and outcome.fpr == 1.0
@@ -133,6 +130,9 @@ class TestOptimalThreshold:
     )
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_monotone_transform(self, m, nm):
+        # Rounding can map two close floats to one log value (4.999999999999999
+        # and 5.0 do); the invariance holds only where log stays one-to-one.
+        assume(np.unique(np.log(m + nm)).size == np.unique(m + nm).size)
         _, base = optimal_threshold(m, nm)
         transformed = optimal_threshold(np.log(m).tolist(), np.log(nm).tolist())[1]
         assert transformed.advantage == pytest.approx(base.advantage, abs=1e-12)
@@ -193,11 +193,11 @@ class TestShadowEnsemble:
         b = train_shadow_ensemble(d.shadow_pool, (2, 8, 2), self.CFG, **kwargs)
         for ma, mb in zip(a.shadow_models, b.shadow_models):
             assert np.array_equal(ma.flatten(), mb.flatten())
-        eval_samples = list(d.members) + list(d.nonmembers)
+        eval_rows = Rows.concat([d.members, d.nonmembers])
         truth = [MEMBER] * 60 + [NONMEMBER] * 60
         target = nn.init_model((2, 8, 2), seed=0)
-        oa = shadow_attack(a, target, eval_samples, truth)
-        ob = shadow_attack(b, target, eval_samples, truth)
+        oa = shadow_attack(a, target, eval_rows, truth)
+        ob = shadow_attack(b, target, eval_rows, truth)
         assert oa.decisions.tolist() == ob.decisions.tolist()
 
     def test_half_score_everywhere_claims_nonmember(self):
@@ -216,7 +216,7 @@ class TestShadowEnsemble:
         )
         truth = [MEMBER] * 60 + [NONMEMBER] * 60
         outcome = shadow_attack(
-            neutral, nn.init_model((2, 8, 2), 0), list(d.members) + list(d.nonmembers), truth
+            neutral, nn.init_model((2, 8, 2), 0), Rows.concat([d.members, d.nonmembers]), truth
         )
         assert set(outcome.decisions.tolist()) == {NONMEMBER}
         assert outcome.advantage == 0.0
@@ -235,10 +235,9 @@ class TestShadowEnsemble:
         from dataclasses import replace
 
         rigged = replace(ensemble, attack_models={0: scorer}, fallback_model=scorer)
-        members = [Sample([5.0], 0) for _ in range(4)]
-        nonmembers = [Sample([-5.0], 0) for _ in range(4)]
+        rows = Rows([[5.0]] * 4 + [[-5.0]] * 4, [0] * 8)
         truth = [MEMBER] * 4 + [NONMEMBER] * 4
-        outcome = shadow_attack(rigged, target, members + nonmembers, truth)
+        outcome = shadow_attack(rigged, target, rows, truth)
         assert outcome.advantage == 1.0
 
     def test_unseen_class_routes_to_fallback(self):
@@ -252,7 +251,8 @@ class TestShadowEnsemble:
 
         pruned = replace(ensemble, attack_models=pruned_models)
         outcome = shadow_attack(
-            pruned, nn.init_model((2, 8, 2), 0), [stray, Sample([0.1, 0.1], 0)], [0, 1]
+            pruned, nn.init_model((2, 8, 2), 0), Rows.stack([stray, Sample([0.1, 0.1], 0)]),
+            [0, 1],
         )
         assert outcome.decisions.shape == (2,)
 
@@ -260,8 +260,7 @@ class TestShadowEnsemble:
 class TestGameHelpers:
     def test_average_threshold_decider(self):
         model = constant_model()
-        members = [Sample([4.0], 0), Sample([-4.0], 0)]
-        decide = average_threshold_decider(model, members)
+        decide = average_threshold_decider(model, Rows([[4.0], [-4.0]], [0, 0]))
         assert decide(Sample([8.0], 0)) == MEMBER
         assert decide(Sample([-8.0], 0)) == NONMEMBER
 

@@ -3,6 +3,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from mialab import bounds, config, dp
@@ -242,6 +243,16 @@ class TestRunCommand:
         assert len(rows) == 80 * 2 * 2
         assert {r["attack_name"] for r in rows} == {"average_threshold", "optimal_threshold"}
 
+    def test_divergence_names_repetition_scenario_and_epsilon(self, tmp_path, capsys):
+        doc = synthetic_doc(epsilon_grid=["inf"], repetitions=1)
+        doc["train"]["learning_rate"] = 1e300
+        path = write_doc(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error [campaign]: rep 0 non-IID eps=inf: non-finite training loss" in err
+
     def test_game_experiment(self, tmp_path):
         doc = synthetic_doc(
             experiment="alt", epsilon_grid=["inf"], repetitions=8,
@@ -325,6 +336,22 @@ class TestCsvPipeline:
         rows = list(csv.DictReader(open(out_dir / "results.csv")))
         dependent = [r for r in rows if r["scenario"] == "non-IID"]
         assert all(r["validation_acc"] != "" for r in dependent)
+
+    def test_attribute_bias_shadow_parallel_matches_serial(self, csv_config, tmp_path):
+        # Pool builders ship the whole dataset (arrays plus an object-dtype
+        # attribute column) to the worker processes.
+        doc = json.loads(csv_config.read_text())
+        doc["split"] = {"kind": "attribute_bias", "value": "east", "p": 0.8}
+        doc.update(n_members=40, n_nonmembers=40, attacks=["average_threshold", "shadow"])
+        path = write_doc(tmp_path, doc, "bias-shadow.json")
+        for jobs in ("1", "2"):
+            code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / jobs),
+                              "--jobs", jobs)
+            assert code == 0
+        serial = (tmp_path / "1" / "results.csv").read_bytes()
+        assert serial == (tmp_path / "2" / "results.csv").read_bytes()
+        rows = list(csv.DictReader(io.StringIO(serial.decode())))
+        assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2
 
     def test_split_dry_run_reports_builder_note(self, csv_config, tmp_path):
         doc = json.loads(csv_config.read_text())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mialab.dataio import (
     Column,
     Dataset,
+    Rows,
     Sample,
     Schema,
     TabularEncoder,
@@ -136,7 +137,7 @@ class TestPreprocess:
         raw = make_raw([("0", "7", "x"), ("5", "7", "y"), ("10", "7", "x")],
                        ("a", "c", "y"))
         ds = preprocess(raw, schema, seed=0)
-        X = ds.features_matrix()
+        X = ds.samples.X
         assert X[:, 0].min() == 0.0 and X[:, 0].max() == 1.0
         assert np.all(X[:, 1] == 0.0)
 
@@ -191,8 +192,8 @@ class TestPreprocess:
             for s in ds.samples
         ]
         again = preprocess(encoded_raw, encoded_schema, seed=3)
-        np.testing.assert_allclose(again.features_matrix(), ds.features_matrix())
-        assert again.labels().tolist() == ds.labels().tolist()
+        np.testing.assert_allclose(again.samples.X, ds.samples.X)
+        assert again.samples.y.tolist() == ds.samples.y.tolist()
 
     @given(
         values=st.lists(
@@ -224,11 +225,11 @@ class TestDatasetInvariants:
         )
         s = Sample([1.0], 0)
         with pytest.raises(PreprocessError, match="duplicate"):
-            Dataset(schema=schema, samples=(s, Sample([1.0], 0)))
+            Dataset(schema=schema, samples=Rows.stack([s, Sample([1.0], 0)]))
 
     def test_rejects_empty(self, basic_schema):
         with pytest.raises(PreprocessError, match="empty"):
-            Dataset(schema=basic_schema, samples=())
+            Dataset(schema=basic_schema, samples=Rows(np.empty((0, 2)), []))
 
     def test_sample_immutable_and_hashable(self):
         s = Sample([1.0, 2.0], 1, "g")
@@ -238,6 +239,46 @@ class TestDatasetInvariants:
             s.features[0] = 3.0
         assert s == Sample([1.0, 2.0], 1, "other-attr")
         assert hash(s) == hash(Sample([1.0, 2.0], 1))
+
+
+class TestRows:
+    def rows(self):
+        return Rows([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [0, 1, 0], ["a", "b", "c"])
+
+    def test_integer_index_yields_sample(self):
+        s = self.rows()[np.int64(1)]
+        assert isinstance(s, Sample)
+        assert s == Sample([2.0, 3.0], 1) and s.attribute == "b"
+
+    def test_index_array_keeps_order(self):
+        picked = self.rows()[np.array([2, 0])]
+        assert isinstance(picked, Rows)
+        assert picked.X.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        assert picked.attribute.tolist() == ["c", "a"]
+        assert [s.label for s in self.rows()[1:]] == [1, 0]
+
+    def test_read_only_after_pickle_round_trip(self):
+        import pickle
+
+        again = pickle.loads(pickle.dumps(self.rows()))
+        assert again == self.rows()
+        for arr in (again.X, again.y, again.attribute):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        with pytest.raises(AttributeError):
+            again.X = np.zeros((3, 2))
+
+    def test_stack_and_concat(self):
+        samples = [Sample([1.0], 0, "g"), Sample([2.0], 1)]
+        stacked = Rows.stack(samples)
+        assert Rows.stack(stacked) is stacked
+        assert list(stacked) == samples
+        both = Rows.concat([stacked, Rows([[3.0]], [0])])
+        assert both.attribute.tolist() == ["g", None, None]
+
+    def test_keys_follow_sample_key(self):
+        rows = Rows([[0.0], [-0.0], [0.0]], [1, 1, 1])
+        assert len(rows.keys()) == len({s.key() for s in rows}) == 2
 
 
 class TestSyntheticMixture:

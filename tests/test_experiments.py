@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mialab import attacks, nn
-from mialab.dataio import Sample
+from mialab.dataio import Rows, Sample
 from mialab.errors import MialabError, SplitError
 from mialab.experiments import (
     ExperimentConfig,
@@ -14,6 +14,7 @@ from mialab.experiments import (
     exp_mm,
     exp_strong,
     noise_for_grid,
+    strong_challenge,
     two_proportion_z_test,
 )
 from mialab.rngs import as_generator, subseed
@@ -52,7 +53,7 @@ def optimal_vs_pool_builder(pool):
 
     def build(model, members):
         tau, _ = attacks.optimal_threshold(
-            nn.loglosses(model, members), nn.loglosses(model, list(pool))
+            nn.loglosses(model, members), nn.loglosses(model, Rows.stack(pool))
         )
         return lambda z: attacks.MEMBER if nn.logloss(model, z) < tau else attacks.NONMEMBER
 
@@ -121,6 +122,17 @@ class TestGamesBasics:
         ]
         assert wins == [1] * 50
 
+    def test_strong_challenge_draw(self, blob_pools):
+        s_tilde, z, z_prime = strong_challenge(blob_pools, 20, seed=4)
+        member_keys = {s.key() for s in blob_pools.pools[0]}
+        assert len(s_tilde) == 19 and z.key() not in {s.key() for s in s_tilde}
+        assert {s.key() for s in s_tilde} | {z.key()} <= member_keys
+        assert z_prime.key() in {s.key() for s in blob_pools.pools[1]}
+        again = strong_challenge(blob_pools, 20, seed=4)
+        assert again[0] == s_tilde and again[1] == z and again[2] == z_prime
+        with pytest.raises(MialabError, match="too small"):
+            strong_challenge(blob_pools, len(blob_pools.pools[0]), seed=4)
+
     def test_strong_rejects_equal_candidates(self):
         z = Sample([1.0], 0)
         with pytest.raises(MialabError, match="differ"):
@@ -168,10 +180,7 @@ class TestGamesDerived:
         # constant pools leak membership through the loss even under DP noise
         from mialab import dp
 
-        privacy = dp.PrivacyParams(
-            epsilon=1.0, noise_multiplier=15.0, clip_norm=1.0,
-            sampling_rate=1.0, steps=30,
-        )
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=15.0, clip_norm=1.0)
         trainer = real_trainer_factory(epochs=30, privacy=privacy)
         builder = optimal_vs_pool_builder(constant_pools.flatten())
         bits = [
@@ -184,7 +193,9 @@ class TestGamesDerived:
         # split one homogeneous sample set into two pools: the mixture game
         # then matches the IID game statistically.
         half = len(overlap_pool) // 2
-        pools = MixturePools(pools=(tuple(overlap_pool[:half]), tuple(overlap_pool[half:])))
+        pools = MixturePools(
+            pools=(Rows.stack(overlap_pool[:half]), Rows.stack(overlap_pool[half:]))
+        )
         trainer = real_trainer_factory(epochs=5, hidden=(8,))
         builder = optimal_vs_pool_builder(overlap_pool)
         mm_bits = [
@@ -247,7 +258,9 @@ class TestCampaign:
 
     def test_identical_pools_match_counterfactual_statistics(self, overlap_pool):
         half = len(overlap_pool) // 2
-        pools = MixturePools(pools=(tuple(overlap_pool[:half]), tuple(overlap_pool[half:])))
+        pools = MixturePools(
+            pools=(Rows.stack(overlap_pool[:half]), Rows.stack(overlap_pool[half:]))
+        )
         cfg = small_campaign_config(
             repetitions=6, epsilon_grid=(math.inf,),
             attack_names=("optimal_threshold",), seed=5,
@@ -292,7 +305,7 @@ class TestCampaign:
         for i in range(400):
             group = "v" if i % 2 == 0 else "w"
             samples.append(Sample(rng.normal(size=2), i % 2, group))
-        data = Dataset(schema=attr_schema, samples=tuple(samples))
+        data = Dataset(schema=attr_schema, samples=Rows.stack(samples))
         seen = []
 
         def builder(seed):

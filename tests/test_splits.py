@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mialab.dataio import Sample
+from mialab.dataio import Rows, Sample
 from mialab.errors import SplitError
 from mialab.splits import (
     MixturePools,
@@ -131,7 +131,7 @@ class TestClusterSplit:
         data = four_mode_dataset(5)
         import dataclasses
 
-        tiny = dataclasses.replace(data, samples=tuple(samples))
+        tiny = dataclasses.replace(data, samples=samples)
         with pytest.raises(SplitError, match="class 1"):
             cluster_split(tiny, seed=0)
 
@@ -157,7 +157,7 @@ def attr_dataset(attr_schema):
 
     from mialab.dataio import Dataset
 
-    samples = tuple(attr_samples(300, 300))
+    samples = Rows.stack(attr_samples(300, 300))
     return Dataset(schema=attr_schema, samples=samples, provenance="test")
 
 
@@ -209,14 +209,14 @@ class TestSourceSplit:
     def test_all_rows_same_value_errors(self, attr_schema):
         from mialab.dataio import Dataset
 
-        data = Dataset(schema=attr_schema, samples=tuple(attr_samples(10, 0)))
+        data = Dataset(schema=attr_schema, samples=Rows.stack(attr_samples(10, 0)))
         with pytest.raises(SplitError, match="non-member pool empty"):
             source_split(data, "v")
 
     def test_one_source_versus_union_of_rest(self, attr_schema):
         from mialab.dataio import Dataset
 
-        samples = tuple(
+        samples = Rows.stack(
             Sample([float(i), float(h)], i % 2, f"hospital-{h}")
             for h in range(4)
             for i in range(10 + h)
@@ -295,15 +295,15 @@ class TestIidCounterfactual:
 class TestMixturePoolsInvariants:
     def test_needs_two_pools(self):
         with pytest.raises(SplitError, match="at least 2"):
-            MixturePools(pools=((Sample([1.0], 0),),))
+            MixturePools(pools=(Rows.stack([Sample([1.0], 0)]),))
 
     def test_rejects_shared_samples(self):
         s = Sample([1.0], 0)
         with pytest.raises(SplitError, match="share"):
-            MixturePools(pools=((s,), (Sample([1.0], 0),)))
+            MixturePools(pools=(Rows.stack([s]), Rows.stack([Sample([1.0], 0)])))
 
     def test_k_member_range(self):
-        pools = ((Sample([1.0], 0),), (Sample([2.0], 1),))
+        pools = (Rows.stack([Sample([1.0], 0)]), Rows.stack([Sample([2.0], 1)]))
         with pytest.raises(SplitError, match="out of range"):
             MixturePools(pools=pools, k_member=2)
 
