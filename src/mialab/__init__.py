@@ -49,6 +49,7 @@ from .experiments import (
     exp_iid,
     exp_mm,
     exp_strong,
+    run_games,
     strong_challenge,
     two_proportion_z_test,
 )

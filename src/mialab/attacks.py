@@ -9,7 +9,7 @@ advantage is TPR - FPR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -106,7 +106,6 @@ class ShadowEnsemble:
     shadow_models: tuple[nn.MlpModel, ...]
     attack_models: dict
     fallback_model: nn.MlpModel
-    n_classes: int
 
 
 def train_shadow_ensemble(
@@ -115,20 +114,17 @@ def train_shadow_ensemble(
     cfg: nn.TrainConfig,
     privacy=None,
     seed: int = 0,
-    n_shadows: int = DEFAULT_N_SHADOWS,
     shadow_train_size: "int | None" = None,
-    attack_hidden: int = DEFAULT_ATTACK_HIDDEN,
 ) -> ShadowEnsemble:
-    """Train shadow models on in/out halves of the shadow pool, then one
-    attack model per class (plus a pooled fallback) mapping the target's
-    probability vector to a member/non-member decision.
+    """Train DEFAULT_N_SHADOWS shadow models on in/out halves of the shadow
+    pool, then one attack model per class (plus a pooled fallback) mapping
+    the target's probability vector to a member/non-member decision.
 
-    Shadow models use the target architecture and, by default, the same
-    privacy setting as the target. Raises ShadowPoolTooSmall when the pool
-    cannot supply disjoint in/out halves.
+    Shadow models use the target architecture and the given privacy
+    setting; every model trained here keeps cfg's fields except its batch
+    size and seed. Raises ShadowPoolTooSmall when the pool cannot supply
+    disjoint in/out halves.
     """
-    if n_shadows < 1:
-        raise MialabError(f"need at least one shadow model, got {n_shadows}")
     size = shadow_train_size if shadow_train_size is not None else len(shadow_pool) // 2
     if size < 1 or len(shadow_pool) < 2 * size:
         raise ShadowPoolTooSmall(
@@ -140,19 +136,15 @@ def train_shadow_ensemble(
     # One record per shadow query, in order: the shadow's probability
     # vector, the queried row's label, and the membership bit.
     probs, labels, membership = [], [], []
-    for j in range(n_shadows):
+    for j in range(DEFAULT_N_SHADOWS):
         rng = as_generator(subseed(seed, 101, j))
         idx = rng.choice(len(shadow_pool), size=2 * size, replace=False)
         in_rows = shadow_pool[idx[:size]]
         out_rows = shadow_pool[idx[size:]]
         init = nn.init_model(layer_dims, subseed(seed, 102, j))
-        shadow_cfg = nn.TrainConfig(
-            epochs=cfg.epochs,
+        shadow_cfg = replace(
+            cfg,
             batch_size=min(cfg.batch_size, size),
-            learning_rate=cfg.learning_rate,
-            l2_coefficient=cfg.l2_coefficient,
-            adam_betas=cfg.adam_betas,
-            adam_epsilon=cfg.adam_epsilon,
             seed=int(np.random.default_rng(subseed(seed, 103, j)).integers(2**31)),
         )
         shadow = nn.train(init, in_rows, shadow_cfg, privacy)
@@ -165,14 +157,10 @@ def train_shadow_ensemble(
     labels = np.concatenate(labels)
 
     def fit_attack_model(records: Rows, fit_seed) -> nn.MlpModel:
-        init = nn.init_model((n_classes, attack_hidden, 2), fit_seed)
-        attack_cfg = nn.TrainConfig(
-            epochs=cfg.epochs,
+        init = nn.init_model((n_classes, DEFAULT_ATTACK_HIDDEN, 2), fit_seed)
+        attack_cfg = replace(
+            cfg,
             batch_size=min(cfg.batch_size, max(1, len(records))),
-            learning_rate=cfg.learning_rate,
-            l2_coefficient=cfg.l2_coefficient,
-            adam_betas=cfg.adam_betas,
-            adam_epsilon=cfg.adam_epsilon,
             seed=int(np.random.default_rng(subseed(seed, 104)).integers(2**31)),
         )
         return nn.train(init, records, attack_cfg, None)
@@ -187,7 +175,6 @@ def train_shadow_ensemble(
         shadow_models=tuple(shadows),
         attack_models=attack_models,
         fallback_model=fallback,
-        n_classes=n_classes,
     )
 
 
@@ -228,24 +215,17 @@ def average_threshold_decider(
     return decide
 
 
-def trace_rows(
-    outcome: AttackOutcome,
-    attack_name: str,
-    losses=None,
-    sample_ids: "Sequence[int] | None" = None,
-) -> list[dict]:
+def trace_rows(outcome: AttackOutcome, attack_name: str, losses) -> list[dict]:
     """Per-sample attack trace rows (sample_id, truth, loss, decision,
-    attack_name) ready for CSV export."""
-    n = len(outcome.decisions)
-    ids = list(range(n)) if sample_ids is None else list(sample_ids)
-    loss_list = [""] * n if losses is None else [float(x) for x in losses]
+    attack_name) ready for CSV export; sample_id is the row's position in
+    the evaluated set."""
     return [
         {
-            "sample_id": ids[i],
+            "sample_id": i,
             "truth": int(outcome.truth[i]),
-            "loss": loss_list[i],
+            "loss": float(losses[i]),
             "decision": int(outcome.decisions[i]),
             "attack_name": attack_name,
         }
-        for i in range(n)
+        for i in range(len(outcome.decisions))
     ]

@@ -6,7 +6,8 @@ Subcommands:
   account  evaluate the privacy accountant once, print JSON
   split    dry-run a config's split and print pool sizes
 
-Exit codes: 0 success, 1 runtime failure (with a phase tag), 2 invalid config.
+Exit codes: 0 success, 1 runtime failure (with a phase tag), 2 invalid
+config or argument (with the field named).
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import math
 import platform
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import attacks, bounds, config, dp, experiments, nn
+from . import bounds, config, dp, experiments
 from .errors import ConfigError, MialabError
-from .rngs import as_generator, subseed
+from .rngs import subseed
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -35,13 +37,8 @@ try:
 except Exception:  # pragma: no cover - metadata missing in odd installs
     VERSION = "0+unknown"
 
-RESULT_COLUMNS = (
-    "epsilon", "attack", "scenario", "repetition", "tpr", "fpr", "advantage",
-    "member_acc", "nonmember_acc", "validation_acc", "sigma", "realized_epsilon",
-)
-SUMMARY_COLUMNS = (
-    "epsilon", "attack", "scenario", "mean_advantage", "ci_half_width", "repetitions",
-)
+RESULT_COLUMNS = tuple(f.name for f in fields(experiments.CampaignRow))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(experiments.Aggregate))
 TRACE_COLUMNS = (
     "epsilon", "attack", "scenario", "repetition",
     "sample_id", "truth", "loss", "decision", "attack_name",
@@ -55,11 +52,28 @@ FINITE_POOL_CAVEAT = (
 )
 
 
+class _Phases:
+    """The phase a command is in, for the error tag, and the wall-clock
+    seconds spent in each phase."""
+
+    def __init__(self, current: str):
+        self.current = current
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def __call__(self, name: str):
+        self.current = name
+        t0 = time.perf_counter()
+        yield
+        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
+
+
 def _cell(value) -> str:
-    if value is None:
+    """One CSV cell: floats in repr form; None and NaN (not applicable) empty."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -71,208 +85,88 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _result_rows(result: experiments.CampaignResult):
-    for r in result.rows:
-        yield {
-            "epsilon": float(r.epsilon),
-            "attack": r.attack,
-            "scenario": r.scenario,
-            "repetition": r.repetition,
-            "tpr": r.tpr,
-            "fpr": r.fpr,
-            "advantage": r.advantage,
-            "member_acc": r.member_acc,
-            "nonmember_acc": r.nonmember_acc,
-            "validation_acc": r.validation_acc,
-            "sigma": r.sigma,
-            "realized_epsilon": float(r.realized_epsilon),
-        }
-
-
-def _summary_rows(result: experiments.CampaignResult):
-    for a in result.aggregates:
-        yield {
-            "epsilon": float(a.epsilon),
-            "attack": a.attack,
-            "scenario": a.scenario,
-            "mean_advantage": a.mean_advantage,
-            "ci_half_width": None if math.isnan(a.ci_half_width) else a.ci_half_width,
-            "repetitions": a.repetitions,
-        }
-
-
-def _game_trainer(resolved: config.ResolvedConfig, eps: float, sigma: float):
+def cmd_run(args, phases: _Phases) -> int:
+    doc = config.load_config(args.config)
+    resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     cfg = resolved.cfg
-    privacy = experiments._privacy_for(cfg, eps, sigma)
-
-    def trainer(members, rng):
-        rng = as_generator(rng)
-        n_classes = max(2, int(members.y.max()) + 1)
-        dims = (members.X.shape[1], *cfg.hidden_units, n_classes)
-        init = nn.init_model(dims, int(rng.integers(2**31)))
-        tcfg = replace(
-            cfg.train,
-            seed=int(rng.integers(2**31)),
-            batch_size=min(cfg.train.batch_size, len(members)),
-        )
-        return nn.train(init, members, tcfg, privacy)
-
-    return trainer
-
-
-def _run_games(resolved: config.ResolvedConfig, mat: config.Materialized):
-    cfg = resolved.cfg
-    eps = cfg.epsilon_grid[0]
-    if math.isinf(eps):
-        sigma = 0.0
-    else:
-        q = nn.sampling_rate(cfg.n_members, cfg.train)
-        steps = nn.training_steps(cfg.n_members, cfg.train)
-        sigma = dp.calibrate_sigma(eps, cfg.delta, q, steps)
-    trainer = _game_trainer(resolved, eps, sigma)
-    builder = attacks.average_threshold_decider
-    rows = []
-    successes = 0
-    for g in range(cfg.repetitions):
-        seed = subseed(cfg.seed, 40, g)
-        if resolved.experiment == "iid":
-            bit = experiments.exp_iid(builder, trainer, cfg.n_members, mat.union_pool, seed)
-        elif resolved.experiment == "alt":
-            bit = experiments.exp_alt(builder, trainer, cfg.n_members, mat.union_pool, seed)
-        elif resolved.experiment == "mm":
-            bit = experiments.exp_mm(builder, trainer, cfg.n_members, mat.pools, seed)
-        else:  # strong
-            s_tilde, z, z_prime = experiments.strong_challenge(
-                mat.pools, cfg.n_members, subseed(cfg.seed, 41, g)
-            )
-            bit = experiments.exp_strong(
-                attacks.strong_loss_attack, trainer, s_tilde, z, z_prime, seed
-            )
-        successes += bit
-        rows.append(
-            {
-                "experiment": resolved.experiment,
-                "repetition": g,
-                "epsilon": float(eps),
-                "success": bit,
-            }
-        )
-    return rows, successes / cfg.repetitions
-
-
-def cmd_run(args) -> int:
-    timings: dict[str, float] = {}
-    phase = "config"
-    try:
-        doc = config.load_config(args.config)
-        resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out) if args.out else Path("runs") / resolved.digest[:12]
-    try:
+    with phases("write"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        phase = "data"
-        t0 = time.perf_counter()
+    with phases("data"):
         mat = config.materialize(resolved)
-        timings["data"] = time.perf_counter() - t0
-        artifacts: list[str] = []
-        notes = [FINITE_POOL_CAVEAT]
-        summary: dict = {"digest": resolved.digest, "name": resolved.name}
-        if resolved.experiment == "batch_mm":
-            phase = "campaign"
-            t0 = time.perf_counter()
-            trace_rows: list[dict] = []
-            sink = None
-            if resolved.emit_traces:
-                if args.jobs > 1:
-                    raise MialabError("emit_traces requires --jobs 1")
-
-                def sink(eps, name, scenario, rep, outcome, losses):
-                    for tr in attacks.trace_rows(outcome, name, losses):
-                        tr.update(
-                            epsilon=float(eps), attack=name, scenario=scenario,
-                            repetition=rep,
-                        )
-                        trace_rows.append(tr)
-
+    artifacts: list[str] = []
+    notes = [FINITE_POOL_CAVEAT]
+    summary: dict = {"digest": resolved.digest, "name": resolved.name}
+    if resolved.experiment == "batch_mm":
+        with phases("campaign"):
             result = experiments.batch_mm_campaign(
-                resolved.cfg,
+                cfg,
                 pools=mat.pools,
                 pool_builder=mat.pool_builder,
                 jobs=args.jobs,
-                trace_sink=sink,
+                emit_traces=resolved.emit_traces,
             )
-            timings["campaign"] = time.perf_counter() - t0
-            phase = "write"
-            t0 = time.perf_counter()
-            _write_csv(out_dir / "results.csv", RESULT_COLUMNS, _result_rows(result))
-            artifacts.append("results.csv")
-            _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, _summary_rows(result))
-            artifacts.append("summary.csv")
+        with phases("write"):
+            _write_csv(out_dir / "results.csv", RESULT_COLUMNS, map(vars, result.rows))
+            _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, map(vars, result.aggregates))
+            artifacts += ["results.csv", "summary.csv"]
             if resolved.emit_traces:
-                _write_csv(out_dir / "traces.csv", TRACE_COLUMNS, trace_rows)
+                _write_csv(out_dir / "traces.csv", TRACE_COLUMNS, result.traces)
                 artifacts.append("traces.csv")
-            timings["write"] = time.perf_counter() - t0
-            notes.extend(result.notes)
-            summary["noise"] = {
-                _cell(float(e)): {"sigma": s, "realized_epsilon": _cell(float(r))}
-                for e, (s, r) in result.noise.items()
-            }
-            summary["rows"] = len(result.rows)
-        else:
-            phase = "games"
-            t0 = time.perf_counter()
-            rows, rate = _run_games(resolved, mat)
-            timings["games"] = time.perf_counter() - t0
-            phase = "write"
+        notes.extend(result.notes)
+        summary["noise"] = {
+            _cell(float(e)): {"sigma": s, "realized_epsilon": _cell(float(r)), "order": order}
+            for e, (s, r, order) in result.noise.items()
+        }
+        summary["rows"] = len(result.rows)
+    else:
+        with phases("games"):
+            bits = experiments.run_games(resolved.experiment, cfg, mat.pools, mat.union_pool)
+        eps = float(cfg.epsilon_grid[0])
+        rows = (
+            {"experiment": resolved.experiment, "repetition": g, "epsilon": eps, "success": bit}
+            for g, bit in enumerate(bits)
+        )
+        with phases("write"):
             _write_csv(out_dir / "games.csv", GAME_COLUMNS, rows)
             artifacts.append("games.csv")
-            summary["success_rate"] = rate
-        manifest = {
-            "schema_version": config.SCHEMA_VERSION,
-            "name": resolved.name,
-            "config_digest": resolved.digest,
-            "experiment": resolved.experiment,
-            "artifacts": artifacts + ["manifest.json"],
-            "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
-            "versions": {
-                "mialab": VERSION,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
-            "notes": notes,
-            "summary": summary,
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {', '.join(artifacts + ['manifest.json'])} to {out_dir}")
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MialabError as exc:
-        print(f"error [{phase}]: {exc}", file=sys.stderr)
-        return 1
+        summary["success_rate"] = sum(bits) / len(bits)
+    manifest = {
+        "schema_version": config.SCHEMA_VERSION,
+        "name": resolved.name,
+        "config_digest": resolved.digest,
+        "experiment": resolved.experiment,
+        "artifacts": artifacts + ["manifest.json"],
+        "timings_seconds": {k: round(v, 6) for k, v in phases.seconds.items()},
+        "versions": {
+            "mialab": VERSION,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "notes": notes,
+        "summary": summary,
+    }
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {', '.join(artifacts + ['manifest.json'])} to {out_dir}")
+    return 0
 
 
-def cmd_bounds(args) -> int:
-    try:
-        eps_values = []
-        for i, token in enumerate(args.epsilons.split(",")):
-            token = token.strip()
-            try:
-                eps = math.inf if token.lower() in ("inf", "infinity") else float(token)
-            except ValueError:
-                raise ConfigError(f"epsilons[{i}]", f"not a number: {token!r}") from None
-            if eps < 0 or math.isnan(eps):
-                raise ConfigError(f"epsilons[{i}]", f"epsilon must be >= 0, got {eps}")
-            eps_values.append(eps)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_bounds(args, phases: _Phases) -> int:
+    eps_values = []
+    for i, token in enumerate(args.epsilons.split(",")):
+        token = token.strip()
+        try:
+            eps = math.inf if token.lower() in ("inf", "infinity") else float(token)
+        except ValueError:
+            raise ConfigError(f"epsilons[{i}]", f"not a number: {token!r}") from None
+        if eps < 0 or math.isnan(eps):
+            raise ConfigError(f"epsilons[{i}]", f"epsilon must be >= 0, got {eps}")
+        eps_values.append(eps)
+    if not 0 <= args.delta <= 1:
+        raise ConfigError("--delta", f"must be in [0, 1], got {args.delta}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epsilon", "delta", "bound_name", "value"])
     for eps in eps_values:
@@ -285,32 +179,22 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_account(args) -> int:
-    try:
-        result = dp.account(args.q, args.sigma, args.steps, args.delta)
-    except MialabError as exc:
-        print(f"error [account]: {exc}", file=sys.stderr)
-        return 1
+def cmd_account(args, phases: _Phases) -> int:
+    result = dp.account(args.q, args.sigma, args.steps, args.delta)
     print(json.dumps({"epsilon": result.epsilon, "order": result.order}))
     return 0
 
 
-def cmd_split(args) -> int:
-    try:
-        doc = config.load_config(args.config)
-        resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
-        mat = config.materialize(resolved)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MialabError as exc:
-        print(f"error [data]: {exc}", file=sys.stderr)
-        return 1
+def cmd_split(args, phases: _Phases) -> int:
+    doc = config.load_config(args.config)
+    resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     info: dict = {"experiment": resolved.experiment}
-    pools = mat.pools
-    if pools is None and mat.pool_builder is not None:
-        pools = mat.pool_builder(subseed(resolved.cfg.seed, 1, 0))
-        info["note"] = "pools are regenerated per repetition; sizes shown for repetition 0"
+    with phases("data"):
+        mat = config.materialize(resolved)
+        pools = mat.pools
+        if pools is None and mat.pool_builder is not None:
+            pools = mat.pool_builder(subseed(resolved.cfg.seed, 1, 0))
+            info["note"] = "pools are regenerated per repetition; sizes shown for repetition 0"
     if pools is not None:
         info["pool_sizes"] = list(pools.sizes())
         info["k_member"] = pools.k_member
@@ -362,8 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Every failure the package or the file system
+    reports ends here: an invalid config or argument exits 2 with the field
+    named, any other failure exits 1 with the phase it happened in."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    phases = _Phases(args.command)
+    try:
+        return args.func(args, phases)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (MialabError, OSError) as exc:
+        print(f"error [{phases.current}]: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

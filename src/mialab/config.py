@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import experiments, nn
-from .dataio import Dataset, Rows, Schema, load_csv, preprocess
+from .dataio import Rows, Schema, load_csv, preprocess
 from .errors import ConfigError
 from .splits import MixturePools, attribute_bias_pools, cluster_split, source_split
 from .synthetic import GaussianComponent, halfspace_label, mixture_dataset, synthetic_mixture
@@ -320,7 +320,6 @@ def resolve(
         attack_names=tuple(attack_names),
         clip_norm=clip_norm,
         seed=seed,
-        split_spec=split_spec,
     )
     canonical = {
         "schema_version": SCHEMA_VERSION,
@@ -379,20 +378,15 @@ def _components_from_spec(data_spec: dict):
     return components, rule
 
 
-def _bias_builder(dataset: Dataset, value: str, p: float, n: int, seed) -> MixturePools:
-    return attribute_bias_pools(dataset, value, p, n, seed)
-
-
 @dataclass(frozen=True)
 class Materialized:
-    dataset: "Dataset | None"
     pools: "MixturePools | None"
     pool_builder: "Callable | None"
     union_pool: "Rows | None"
 
 
 def materialize(resolved: ResolvedConfig) -> Materialized:
-    """Produce the dataset and pools (or pool builder) a config describes."""
+    """Produce the pools (or pool builder) and the union pool a config describes."""
     cfg = resolved.cfg
     data_spec = resolved.data_spec
     dataset = None
@@ -436,7 +430,7 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
                     f"schema's split-attribute column is {actual.name!r}, not {declared!r}",
                 )
             pool_builder = functools.partial(
-                _bias_builder,
+                attribute_bias_pools,
                 dataset,
                 split_spec["value"],
                 float(split_spec["p"]),
@@ -453,6 +447,4 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
         union = base_pools.flatten()
     else:
         union = None
-    return Materialized(
-        dataset=dataset, pools=pools, pool_builder=pool_builder, union_pool=union
-    )
+    return Materialized(pools=pools, pool_builder=pool_builder, union_pool=union)

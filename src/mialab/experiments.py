@@ -10,6 +10,9 @@ Four single-draw games return one success bit each:
 * exp_alt: like exp_iid, but both challenge candidates are drawn before
   the membership bit decides which one the attack sees.
 
+run_games plays one of them repeatedly with the average-threshold attack
+(the strong-loss attack for exp_strong) at a single privacy level.
+
 batch_mm_campaign implements the batch methodology instead: train once per
 privacy level, evaluate every attack on all members and non-members, then
 re-partition the pooled samples (the IID counterfactual) and repeat, so
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -147,6 +150,47 @@ def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Sample, S
     return member_pool[idx[: n - 1]], member_pool[int(idx[n - 1])], z_prime
 
 
+def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | None",
+              union_pool: "Rows | None") -> list[int]:
+    """Play the named game ("iid", "alt", "mm" or "strong") cfg.repetitions
+    times at the grid's single epsilon; returns the success bit of each
+    round. iid and alt draw from union_pool, mm and strong from pools."""
+    if len(cfg.epsilon_grid) != 1:
+        raise MialabError(f"a game runs at one epsilon, got {len(cfg.epsilon_grid)}")
+    eps = cfg.epsilon_grid[0]
+    privacy = _privacy_for(cfg, eps, noise_for_grid(cfg)[eps][0])
+
+    def trainer(members: Rows, rng) -> nn.MlpModel:
+        rng = as_generator(rng)
+        n_classes = max(2, int(members.y.max()) + 1)
+        init_seed = int(rng.integers(2**31))
+        train_seed = int(rng.integers(2**31))
+        return _train_model(
+            cfg, members, (members.X.shape[1], *cfg.hidden_units, n_classes), init_seed,
+            train_seed, min(cfg.train.batch_size, len(members)), privacy,
+        )
+
+    builder = attacks.average_threshold_decider
+    bits = []
+    for g in range(cfg.repetitions):
+        seed = subseed(cfg.seed, 40, g)
+        if experiment == "iid":
+            bit = exp_iid(builder, trainer, cfg.n_members, union_pool, seed)
+        elif experiment == "alt":
+            bit = exp_alt(builder, trainer, cfg.n_members, union_pool, seed)
+        elif experiment == "mm":
+            bit = exp_mm(builder, trainer, cfg.n_members, pools, seed)
+        elif experiment == "strong":
+            s_tilde, z, z_prime = strong_challenge(
+                pools, cfg.n_members, subseed(cfg.seed, 41, g)
+            )
+            bit = exp_strong(attacks.strong_loss_attack, trainer, s_tilde, z, z_prime, seed)
+        else:
+            raise MialabError(f"unknown game {experiment!r}")
+        bits.append(bit)
+    return bits
+
+
 def two_proportion_z_test(successes_a: int, n_a: int,
                           successes_b: int, n_b: int) -> tuple[float, float]:
     """Two-sided two-proportion z-test; returns (z, p_value)."""
@@ -173,10 +217,6 @@ class ExperimentConfig:
     attack_names: tuple[str, ...] = ("average_threshold", "optimal_threshold")
     clip_norm: float = 1.0
     seed: int = 0
-    n_shadows: int = attacks.DEFAULT_N_SHADOWS
-    shadow_privacy_mimic: bool = True
-    n_classes: "int | None" = None
-    split_spec: "Mapping | None" = None
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -218,7 +258,6 @@ class Aggregate:
     mean_advantage: float
     ci_half_width: float  # NaN marks "not applicable" (single repetition)
     repetitions: int
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -227,6 +266,7 @@ class CampaignResult:
     aggregates: tuple[Aggregate, ...]
     noise: dict
     notes: tuple[str, ...] = ()
+    traces: tuple[dict, ...] = ()
 
     def aggregate(self, epsilon: float, attack: str, scenario: str) -> Aggregate:
         for agg in self.aggregates:
@@ -239,17 +279,19 @@ class CampaignResult:
 
 
 def noise_for_grid(cfg: ExperimentConfig) -> dict:
-    """Per-epsilon (noise multiplier, accounted epsilon); computed once per
-    campaign since the training-set size fixes the sampling rate."""
+    """Per-epsilon (noise multiplier, accounted epsilon, RDP order that
+    achieved it; None when non-private); computed once per campaign since
+    the training-set size fixes the sampling rate."""
     q = nn.sampling_rate(cfg.n_members, cfg.train)
     steps = nn.training_steps(cfg.n_members, cfg.train)
     out = {}
     for eps in cfg.epsilon_grid:
         if math.isinf(eps):
-            out[eps] = (0.0, math.inf)
+            out[eps] = (0.0, math.inf, None)
         else:
             sigma = dp.calibrate_sigma(eps, cfg.delta, q, steps)
-            out[eps] = (sigma, dp.account(q, sigma, steps, cfg.delta).epsilon)
+            accounted = dp.account(q, sigma, steps, cfg.delta)
+            out[eps] = (sigma, accounted.epsilon, accounted.order)
     return out
 
 
@@ -262,6 +304,13 @@ def _privacy_for(cfg: ExperimentConfig, eps: float, sigma: float) -> "dp.Privacy
         clip_norm=cfg.clip_norm,
         noise_multiplier=sigma,
     )
+
+
+def _train_model(cfg: ExperimentConfig, members: Rows, dims: Sequence[int], init_seed,
+                 train_seed: int, batch_size: int, privacy) -> nn.MlpModel:
+    init = nn.init_model(dims, init_seed)
+    tcfg = replace(cfg.train, seed=train_seed, batch_size=batch_size)
+    return nn.train(init, members, tcfg, privacy)
 
 
 def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
@@ -281,14 +330,11 @@ def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
     return Rows.concat([bias.reserve_with[wi], bias.reserve_without[wo]])
 
 
-def _infer_n_classes(pools: MixturePools) -> int:
-    return int(pools.flatten().y.max()) + 1
-
-
 def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
-                    pool_builder, noise: dict, rep: int, trace_sink=None):
+                    pool_builder, noise: dict, rep: int, emit_traces: bool):
     rows: list[CampaignRow] = []
     notes: list[str] = []
+    traces: list[dict] = []
     if pool_builder is not None:
         pools = pool_builder(subseed(cfg.seed, 1, rep))
     n, m = cfg.n_members, cfg.n_nonmembers
@@ -297,7 +343,7 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
     val_set = None
     if pools.bias is not None:
         val_set = biased_validation(pools.bias, math.ceil(n / 4), subseed(cfg.seed, 4, rep))
-    n_classes = cfg.n_classes if cfg.n_classes is not None else _infer_n_classes(pools)
+    n_classes = int(pools.flatten().y.max()) + 1
     dims = (base.members.X.shape[1], *cfg.hidden_units, n_classes)
     try:
         for si, (scenario, d) in enumerate(
@@ -311,11 +357,13 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
             )
             eval_rows = Rows.concat([d.members, d.nonmembers])
             for ei, eps in enumerate(cfg.epsilon_grid):
-                sigma, realized = noise[eps]
+                sigma, realized, _ = noise[eps]
                 privacy = _privacy_for(cfg, eps, sigma)
-                tcfg = replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei)))
-                init = nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei))
-                model = nn.train(init, d.members, tcfg, privacy)
+                model = _train_model(
+                    cfg, d.members, dims, subseed(cfg.seed, 6, rep, si, ei),
+                    _seed_int(subseed(cfg.seed, 5, rep, si, ei)), cfg.train.batch_size,
+                    privacy,
+                )
                 member_losses = nn.loglosses(model, d.members)
                 nonmember_losses = nn.loglosses(model, d.nonmembers)
                 member_acc = nn.accuracy(model, d.members)
@@ -343,8 +391,13 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
                             realized_epsilon=realized,
                         )
                     )
-                    if trace_sink is not None:
-                        trace_sink(eps, name, scenario, rep, outcome, eval_losses)
+                    if emit_traces:
+                        for tr in attacks.trace_rows(outcome, name, eval_losses):
+                            tr.update(
+                                epsilon=float(eps), attack=name, scenario=scenario,
+                                repetition=rep,
+                            )
+                            traces.append(tr)
 
                 for name in cfg.attack_names:
                     if name == "average_threshold":
@@ -357,10 +410,9 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
                             ensemble = attacks.train_shadow_ensemble(
                                 d.shadow_pool,
                                 dims,
-                                tcfg,
-                                privacy if cfg.shadow_privacy_mimic else None,
+                                cfg.train,
+                                privacy,
                                 seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
-                                n_shadows=cfg.n_shadows,
                                 shadow_train_size=n,
                             )
                             emit(name, attacks.shadow_attack(ensemble, model, eval_rows, truth))
@@ -370,10 +422,10 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
                             )
     except TrainingDiverged as exc:
         raise MialabError(f"rep {rep} {scenario} eps={eps}: {exc}") from exc
-    return rows, notes
+    return rows, notes, traces
 
 
-def _aggregate(rows: Sequence[CampaignRow], repetitions: int) -> tuple[Aggregate, ...]:
+def _aggregate(rows: Sequence[CampaignRow]) -> tuple[Aggregate, ...]:
     keys = []
     for row in rows:
         key = (row.epsilon, row.attack, row.scenario)
@@ -401,7 +453,6 @@ def _aggregate(rows: Sequence[CampaignRow], repetitions: int) -> tuple[Aggregate
                 mean_advantage=mean,
                 ci_half_width=hw,
                 repetitions=len(values),
-                values=values,
             )
         )
     return tuple(aggs)
@@ -412,14 +463,15 @@ def batch_mm_campaign(
     pools: "MixturePools | None" = None,
     pool_builder: "Callable | None" = None,
     jobs: int = 1,
-    trace_sink=None,
+    emit_traces: bool = False,
 ) -> CampaignResult:
     """Run the full advantage-estimation campaign.
 
     Pass fixed pools (cluster/source splits build them once) or a
     pool_builder callable taking a seed (attribute-bias pools are
     regenerated per repetition). Repetitions may run in parallel; results
-    are identical regardless of jobs.
+    are identical regardless of jobs. With emit_traces, the result also
+    carries one trace row per evaluated sample and attack.
     """
     if (pools is None) == (pool_builder is None):
         raise MialabError("pass exactly one of pools or pool_builder")
@@ -430,26 +482,25 @@ def batch_mm_campaign(
     noise = noise_for_grid(cfg)
     all_rows: list[CampaignRow] = []
     all_notes: list[str] = []
+    all_traces: list[dict] = []
+    args = (cfg, pools, pool_builder, noise)
     if jobs > 1:
-        if trace_sink is not None:
-            raise MialabError("per-sample traces require jobs=1")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_repetition, cfg, pools, pool_builder, noise, rep)
+                pool.submit(_run_repetition, *args, rep, emit_traces)
                 for rep in range(cfg.repetitions)
             ]
             results = [f.result() for f in futures]
     else:
-        results = [
-            _run_repetition(cfg, pools, pool_builder, noise, rep, trace_sink)
-            for rep in range(cfg.repetitions)
-        ]
-    for rows, notes in results:
+        results = [_run_repetition(*args, rep, emit_traces) for rep in range(cfg.repetitions)]
+    for rows, notes, traces in results:
         all_rows.extend(rows)
         all_notes.extend(notes)
+        all_traces.extend(traces)
     return CampaignResult(
         rows=tuple(all_rows),
-        aggregates=_aggregate(all_rows, cfg.repetitions),
+        aggregates=_aggregate(all_rows),
         noise=noise,
         notes=tuple(all_notes),
+        traces=tuple(all_traces),
     )

@@ -179,6 +179,20 @@ class TestShadowEnsemble:
         assert set(ensemble.attack_models) <= {0, 1}
         assert ensemble.fallback_model is not None
 
+    def test_every_model_keeps_debug_checks(self, monkeypatch):
+        seen = []
+        train = nn.train
+
+        def recording_train(init, members, cfg, privacy=None):
+            seen.append(cfg.debug_checks)
+            return train(init, members, cfg, privacy)
+
+        monkeypatch.setattr(nn, "train", recording_train)
+        cfg = nn.TrainConfig(epochs=2, batch_size=50, seed=0, debug_checks=True)
+        train_shadow_ensemble(shadow_setup().shadow_pool, (2, 8, 2), cfg, seed=3,
+                              shadow_train_size=20)
+        assert len(seen) >= 5 + 1 and all(seen)
+
     def test_pool_below_minimum_signals_skip(self):
         d = shadow_setup()
         with pytest.raises(ShadowPoolTooSmall, match="skipped"):

@@ -73,6 +73,11 @@ class TestBoundsCommand:
         code, _ = run_cli("bounds", "--epsilons", "1,-2")
         assert code == 2
 
+    def test_bad_delta_exits_two_naming_the_flag(self, capsys):
+        code, out = run_cli("bounds", "--epsilons", "1", "--delta", "2")
+        assert code == 2 and out == ""
+        assert "config error: --delta" in capsys.readouterr().err
+
 
 class TestAccountCommand:
     def test_matches_library(self):
@@ -100,6 +105,8 @@ class TestRunCommand:
         assert code == 0
         rows = list(csv.DictReader(open(out_dir / "results.csv")))
         assert len(rows) == 2 * 2 * 2 * 2  # reps x eps x attacks x scenarios
+        header = (out_dir / "summary.csv").read_text().splitlines()[0]
+        assert header == "epsilon,attack,scenario,mean_advantage,ci_half_width,repetitions"
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"results.csv", "summary.csv", "manifest.json"}
         assert any("without replacement" in n for n in manifest["notes"])
@@ -110,6 +117,14 @@ class TestRunCommand:
         code2, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "b"))
         assert code1 == code2 == 0
         assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
+
+    def test_out_under_a_regular_file_is_a_clean_runtime_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, synthetic_doc())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _ = run_cli("run", "--config", str(path), "--out", str(blocker / "o"))
+        assert code == 1
+        assert "error [write]:" in capsys.readouterr().err
 
     def test_unknown_attack_names_field(self, tmp_path, capsys):
         path = write_doc(tmp_path, synthetic_doc(attacks=["average_threshold", "mystery"]))
@@ -231,6 +246,8 @@ class TestRunCommand:
             "--delta", "1e-5",
         )
         assert json.loads(out)["epsilon"] == pytest.approx(float(row["realized_epsilon"]))
+        noise = json.loads((out_dir / "manifest.json").read_text())["summary"]["noise"]
+        assert noise["1.0"]["order"] == json.loads(out)["order"]
 
     def test_traces_artifact(self, tmp_path):
         doc = synthetic_doc(emit_traces=True, repetitions=1, epsilon_grid=[1.0])
@@ -265,6 +282,8 @@ class TestRunCommand:
         rows = list(csv.DictReader(open(out_dir / "games.csv")))
         assert len(rows) == 8
         assert set(r["success"] for r in rows) <= {"0", "1"}
+        timings = json.loads((out_dir / "manifest.json").read_text())["timings_seconds"]
+        assert set(timings) == {"data", "games", "write"}
 
     def test_game_experiment_rejects_multi_epsilon(self, tmp_path, capsys):
         doc = synthetic_doc(experiment="iid", epsilon_grid=[1.0, "inf"],
@@ -342,16 +361,20 @@ class TestCsvPipeline:
         # attribute column) to the worker processes.
         doc = json.loads(csv_config.read_text())
         doc["split"] = {"kind": "attribute_bias", "value": "east", "p": 0.8}
-        doc.update(n_members=40, n_nonmembers=40, attacks=["average_threshold", "shadow"])
+        doc.update(n_members=40, n_nonmembers=40, attacks=["average_threshold", "shadow"],
+                   emit_traces=True)
         path = write_doc(tmp_path, doc, "bias-shadow.json")
         for jobs in ("1", "2"):
             code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / jobs),
                               "--jobs", jobs)
             assert code == 0
+        for name in ("results.csv", "traces.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
         serial = (tmp_path / "1" / "results.csv").read_bytes()
-        assert serial == (tmp_path / "2" / "results.csv").read_bytes()
         rows = list(csv.DictReader(io.StringIO(serial.decode())))
         assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2
+        traces = list(csv.DictReader(open(tmp_path / "1" / "traces.csv")))
+        assert {r["repetition"] for r in traces} == {"0", "1"}
 
     def test_split_dry_run_reports_builder_note(self, csv_config, tmp_path):
         doc = json.loads(csv_config.read_text())
@@ -363,6 +386,17 @@ class TestCsvPipeline:
         info = json.loads(out)
         assert info["pool_sizes"] == [40, 40]
         assert "regenerated" in info["note"]
+
+    def test_split_dry_run_pool_too_small_is_a_clean_runtime_error(
+        self, csv_config, tmp_path, capsys
+    ):
+        doc = json.loads(csv_config.read_text())
+        doc["split"] = {"kind": "attribute_bias", "value": "east", "p": 0.8}
+        doc.update(n_members=200, n_nonmembers=200)  # 160 "east" members of 130
+        path = write_doc(tmp_path, doc, "bias-big.json")
+        code, out = run_cli("split", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "error [data]:" in capsys.readouterr().err
 
 
 class TestDigest:

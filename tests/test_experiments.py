@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mialab import attacks, nn
+from mialab import attacks, dp, nn
 from mialab.dataio import Rows, Sample
 from mialab.errors import MialabError, SplitError
 from mialab.experiments import (
@@ -285,9 +285,12 @@ class TestCampaign:
     def test_noise_for_grid_epsilon_handling(self):
         cfg = small_campaign_config(epsilon_grid=(1.0, math.inf))
         noise = noise_for_grid(cfg)
-        sigma, realized = noise[1.0]
+        sigma, realized, order = noise[1.0]
         assert sigma > 0 and 0.97 <= realized <= 1.0
-        assert noise[math.inf] == (0.0, math.inf)
+        q = nn.sampling_rate(cfg.n_members, cfg.train)
+        steps = nn.training_steps(cfg.n_members, cfg.train)
+        assert order == dp.account(q, sigma, steps, cfg.delta).order
+        assert noise[math.inf] == (0.0, math.inf, None)
 
     def test_requires_exactly_one_pool_source(self, blob_pools):
         cfg = small_campaign_config()
