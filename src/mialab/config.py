@@ -304,6 +304,10 @@ def resolve(
     emit_traces = doc.get("emit_traces", False)
     if not isinstance(emit_traces, bool):
         raise ConfigError("emit_traces", f"expected true/false, got {emit_traces!r}")
+    if emit_traces and experiment in GAME_KINDS:
+        raise ConfigError(
+            "emit_traces", f"traces are written by batch_mm campaigns only, not {experiment!r}"
+        )
     if experiment == "batch_mm" and train_cfg.batch_size > n_members:
         raise ConfigError(
             "train.batch_size",

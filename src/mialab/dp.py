@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AccountingError, CalibrationError
 from .rngs import as_generator
@@ -112,26 +111,88 @@ def noisy_mean(
     return total / expected_batch
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+_LOG_FACTORIALS: list[float] = []  # log(j!) at index j, extended on demand
 
 
-def _log_moment_int(q: float, sigma: float, alpha: int) -> float:
-    """log E[(mixture/base)^alpha] for the subsampled Gaussian at integer alpha."""
-    if q == 1.0:
-        return (alpha * alpha - alpha) / (2.0 * sigma * sigma)
-    log_q = math.log(q)
-    log_1q = math.log1p(-q)
-    terms = np.array(
-        [
-            _log_binom(alpha, i)
-            + i * log_q
-            + (alpha - i) * log_1q
-            + (i * i - i) / (2.0 * sigma * sigma)
-            for i in range(alpha + 1)
-        ]
+def _log_factorials(n: int) -> np.ndarray:
+    """log(j!) for j = 0..n."""
+    while len(_LOG_FACTORIALS) <= n:
+        _LOG_FACTORIALS.append(math.lgamma(len(_LOG_FACTORIALS) + 1))
+    return np.array(_LOG_FACTORIALS[: n + 1])
+
+
+def _logsumexp(a: np.ndarray, starts: Sequence[int] = (0,)) -> np.ndarray:
+    """scipy.special.logsumexp of each segment a[starts[k]:starts[k + 1]]
+    of a real 1-D array (the last segment runs to the end).
+
+    Bitwise equal to scipy: the same numpy operations in the same order,
+    with the maxima split out of the sum and the sum scaled by their
+    count. Elementwise steps run on all segments at once; each sum runs
+    over its own segment, since numpy's pairwise summation groups the
+    terms by the length of what it sums."""
+    bounds = [*starts, len(a)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.maximum.reduceat(a, starts)
+        a_max_each = np.repeat(a_max, np.diff(bounds))
+        ties = a == a_max_each
+        m = np.add.reduceat(ties, starts, dtype=a.dtype)
+        e = np.exp(np.where(ties, -np.inf, a) - a_max_each)
+        s = np.array([e[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        for k in np.flatnonzero(~np.isfinite(out)):
+            # scipy's fallback where the shifted form is not finite
+            out[k] = np.log(np.exp(a[bounds[k]:bounds[k + 1]]).sum(keepdims=True))[0]
+    return out
+
+
+def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> dict[int, float]:
+    """kappa(alpha) = log E[(mixture/base)^alpha] of the subsampled Gaussian
+    with q < 1, for each integer alpha >= 2, by the binomial expansion
+    sum_i C(alpha, i) q^i (1-q)^(alpha-i) exp((i^2 - i) / (2 sigma^2)).
+    The terms of all orders are laid end to end and built in one pass."""
+    log_fact = _log_factorials(max(alphas))
+    lengths = np.array(alphas) + 1
+    starts = np.cumsum(lengths) - lengths
+    alpha = np.repeat(lengths - 1, lengths)
+    i = np.arange(len(alpha)) - np.repeat(starts, lengths)
+    terms = (
+        (log_fact[alpha] - log_fact[i]) - log_fact[alpha - i]
+        + i * math.log(q)
+        + (alpha - i) * math.log1p(-q)
+        + (i * i - i) / (2.0 * sigma * sigma)
     )
-    return float(logsumexp(terms))
+    return dict(zip(alphas, _logsumexp(terms, starts).tolist()))
+
+
+def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float, ...]:
+    """rdp_sgm at each order, from one _log_moments pass."""
+    if sigma <= 0:
+        raise AccountingError(f"sigma must be > 0, got {sigma}")
+    if 2.0 * sigma * sigma == 0.0:
+        raise AccountingError(f"sigma={sigma} is too small: 2 sigma^2 underflows to 0")
+    if not 0 < q <= 1:
+        raise AccountingError(f"q must be in (0, 1], got {q}")
+    for order in orders:
+        if order <= 1:
+            raise AccountingError(f"order must be > 1, got {order}")
+    if q == 1.0:
+        return tuple(order / (2.0 * sigma * sigma) for order in orders)
+    # An integer order needs kappa there; a fractional one needs kappa at
+    # both neighbouring integers, where kappa(1) = 0.
+    floors = [math.floor(order) for order in orders]
+    needed = {lo for lo in floors if lo > 1}
+    needed.update(lo + 1 for lo, order in zip(floors, orders) if order != lo)
+    kappa = _log_moments(q, sigma, sorted(needed)) if needed else {}
+    values = []
+    for lo, order in zip(floors, orders):
+        if order == lo:
+            values.append(kappa[lo] / (order - 1.0))
+        else:
+            t = order - lo
+            kappa_lo = 0.0 if lo == 1 else kappa[lo]
+            values.append(((1.0 - t) * kappa_lo + t * kappa[lo + 1]) / (order - 1.0))
+    return tuple(values)
 
 
 def rdp_sgm(q: float, sigma: float, order: float) -> float:
@@ -142,31 +203,18 @@ def rdp_sgm(q: float, sigma: float, order: float) -> float:
     Integer orders use the binomial moment bound; fractional orders
     linearly interpolate the log-moment between the adjacent integers.
     """
-    if sigma <= 0:
-        raise AccountingError(f"sigma must be > 0, got {sigma}")
-    if not 0 < q <= 1:
-        raise AccountingError(f"q must be in (0, 1], got {q}")
-    if order <= 1:
-        raise AccountingError(f"order must be > 1, got {order}")
-    if q == 1.0:
-        return order / (2.0 * sigma * sigma)
-    if float(order).is_integer():
-        a = int(order)
-        return _log_moment_int(q, sigma, a) / (order - 1.0)
-    lo = math.floor(order)
-    hi = lo + 1
-    t = order - lo
-    kappa_lo = 0.0 if lo == 1 else _log_moment_int(q, sigma, lo)
-    kappa_hi = _log_moment_int(q, sigma, hi)
-    return ((1.0 - t) * kappa_lo + t * kappa_hi) / (order - 1.0)
+    return _rdp_values(q, sigma, (order,))[0]
 
 
 def rdp_profile(
     q: float, sigma: float, orders: Sequence[float] = DEFAULT_ORDERS
 ) -> RdpProfile:
+    """rdp_sgm at every order, with each integer log-moment the orders
+    need (integers, and both neighbours of each fractional order)
+    evaluated once."""
     return RdpProfile(
         orders=tuple(float(a) for a in orders),
-        rdp_values=tuple(rdp_sgm(q, sigma, a) for a in orders),
+        rdp_values=_rdp_values(q, sigma, orders),
     )
 
 
@@ -211,32 +259,31 @@ def calibrate_sigma(
     if not (math.isfinite(target_epsilon) and target_epsilon > 0):
         raise CalibrationError(f"target epsilon must be finite and > 0, got {target_epsilon}")
     lo, hi = bracket
-
-    def eps_at(sigma: float) -> float:
-        return account(q, sigma, steps, delta, orders).epsilon
-
-    if eps_at(hi) > target_epsilon:
+    # Every sigma is accounted once: eps_hi is the epsilon at the current hi.
+    eps_hi = account(q, hi, steps, delta, orders).epsilon
+    if eps_hi > target_epsilon:
         raise CalibrationError(
-            f"even sigma={hi} gives epsilon {eps_at(hi):.4g} > {target_epsilon}; "
+            f"even sigma={hi} gives epsilon {eps_hi:.4g} > {target_epsilon}; "
             "expand the bracket upwards"
         )
-    if eps_at(lo) <= target_epsilon:
+    eps_lo = account(q, lo, steps, delta, orders).epsilon
+    if eps_lo <= target_epsilon:
         raise CalibrationError(
-            f"sigma={lo} already gives epsilon {eps_at(lo):.4g} <= {target_epsilon}; "
+            f"sigma={lo} already gives epsilon {eps_lo:.4g} <= {target_epsilon}; "
             "expand the bracket downwards"
         )
     for _ in range(200):
-        if hi - lo <= resolution and eps_at(hi) >= 0.99 * target_epsilon:
+        if hi - lo <= resolution and eps_hi >= 0.99 * target_epsilon:
             break
         mid = 0.5 * (lo + hi)
-        if eps_at(mid) > target_epsilon:
+        eps_mid = account(q, mid, steps, delta, orders).epsilon
+        if eps_mid > target_epsilon:
             lo = mid
         else:
-            hi = mid
-    result = eps_at(hi)
-    if not 0.97 * target_epsilon <= result <= target_epsilon:
+            hi, eps_hi = mid, eps_mid
+    if not 0.97 * target_epsilon <= eps_hi <= target_epsilon:
         raise CalibrationError(
-            f"bisection stalled at sigma={hi} with epsilon {result:.6g} "
+            f"bisection stalled at sigma={hi} with epsilon {eps_hi:.6g} "
             f"for target {target_epsilon}"
         )
     return hi

@@ -481,7 +481,13 @@ def batch_mm_campaign(
         )
     noise = noise_for_grid(cfg)
     all_rows: list[CampaignRow] = []
-    all_notes: list[str] = []
+    top_order = max(dp.DEFAULT_ORDERS)
+    all_notes = [
+        f"eps={eps}: RDP order {order} is the largest order accounted; "
+        "a wider order grid may need less noise"
+        for eps, (_, _, order) in noise.items()
+        if order == top_order
+    ]
     all_traces: list[dict] = []
     args = (cfg, pools, pool_builder, noise)
     if jobs > 1:

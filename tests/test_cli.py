@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -284,6 +285,38 @@ class TestRunCommand:
         assert set(r["success"] for r in rows) <= {"0", "1"}
         timings = json.loads((out_dir / "manifest.json").read_text())["timings_seconds"]
         assert set(timings) == {"data", "games", "write"}
+
+    def test_game_experiment_rejects_emit_traces(self, tmp_path, capsys):
+        for experiment in config.GAME_KINDS:
+            doc = synthetic_doc(experiment=experiment, epsilon_grid=["inf"],
+                                attacks=["average_threshold"], emit_traces=True)
+            path = write_doc(tmp_path, doc)
+            out_dir = tmp_path / experiment
+            code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
+            assert code == 2
+            assert "config error: emit_traces:" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+    def test_order_at_grid_edge_is_noted(self, tmp_path):
+        # q = 1 and 5 steps: eps = 0.05 is best served past the largest order
+        # accounted, eps = 1 well inside the grid.
+        doc = synthetic_doc(epsilon_grid=[0.05, 1.0], repetitions=1)
+        path = write_doc(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        noise = manifest["summary"]["noise"]
+        top = max(dp.DEFAULT_ORDERS)
+        assert noise["0.05"]["order"] == top
+        assert noise["1.0"]["order"] < top
+        edge = [n for n in manifest["notes"] if "largest order accounted" in n]
+        assert edge == [
+            "eps=0.05: RDP order 256.0 is the largest order accounted; "
+            "a wider order grid may need less noise"
+        ]
+        # the benchmark counts skipped shadow attacks by this pattern
+        assert not re.match(r"^rep \d+ \S+ eps=\S+: shadow attack skipped", edge[0])
 
     def test_game_experiment_rejects_multi_epsilon(self, tmp_path, capsys):
         doc = synthetic_doc(experiment="iid", epsilon_grid=[1.0, "inf"],

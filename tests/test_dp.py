@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from mialab import dp
 from mialab.dp import (
     DEFAULT_ORDERS,
     PrivacyParams,
@@ -32,6 +34,69 @@ ORACLE_EPS = {
 }
 ORACLE_COMPOSE_Q002_S11_T5000 = 9.35415630521543
 ORACLE_CALIBRATED_SIGMA = 6.998158065953018  # eps=1, delta=1e-5, q=0.02, T=5000
+# calibrate_sigma(eps, 1e-5, q=0.4, steps=90) and account() at that sigma, as
+# produced by the per-order accountant that preceded the one-pass one:
+# eps -> (sigma, realized epsilon, order).
+FROZEN_EPS_SWEEP = {
+    0.05: ("0x1.3438e8ef47ae0p+9", "0x1.9999927cc4c3cp-5", 256.0),
+    0.1: ("0x1.6ef62b3d1eb86p+7", "0x1.99993b3150434p-4", 256.0),
+    0.2: ("0x1.6fe4325cccccep+6", "0x1.9998c5be1264cp-3", 128.0),
+    0.5: ("0x1.27b7512147ae2p+5", "0x1.fffee33550770p-2", 47.0),
+    1.0: ("0x1.2c118935c28f6p+4", "0x1.fffaf4dc4c242p-1", 24.0),
+    2.0: ("0x1.34a2d175c28f6p+3", "0x1.fff8fc1f44246p+0", 13.0),
+    5.0: ("0x1.0aef08851eb86p+2", "0x1.3ff46c6967810p+2", 6.0),
+    10.0: ("0x1.2db1293333334p+1", "0x1.3fecafb15d7b8p+3", 4.0),
+}
+
+
+# Test-only oracle: the accountant's earlier per-order log-moment, one
+# Python-list binomial expansion and one scipy logsumexp per integer order.
+def _log_binom(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _log_moment_int(q: float, sigma: float, alpha: int) -> float:
+    """log E[(mixture/base)^alpha] for the subsampled Gaussian at integer alpha."""
+    if q == 1.0:
+        return (alpha * alpha - alpha) / (2.0 * sigma * sigma)
+    log_q = math.log(q)
+    log_1q = math.log1p(-q)
+    terms = np.array(
+        [
+            _log_binom(alpha, i)
+            + i * log_q
+            + (alpha - i) * log_1q
+            + (i * i - i) / (2.0 * sigma * sigma)
+            for i in range(alpha + 1)
+        ]
+    )
+    return float(logsumexp(terms))
+
+
+def _oracle_rdp(q: float, sigma: float, order: float) -> float:
+    """The earlier rdp_sgm on top of the oracle log-moment."""
+    if q == 1.0:
+        return order / (2.0 * sigma * sigma)
+    if float(order).is_integer():
+        return _log_moment_int(q, sigma, int(order)) / (order - 1.0)
+    lo = math.floor(order)
+    t = order - lo
+    kappa_lo = 0.0 if lo == 1 else _log_moment_int(q, sigma, lo)
+    kappa_hi = _log_moment_int(q, sigma, lo + 1)
+    return ((1.0 - t) * kappa_lo + t * kappa_hi) / (order - 1.0)
+
+
+def _oracle_grid():
+    """(q, sigma) pairs: the corners of q near 0 and 1 by sigma 0.2 and
+    1000, and seeded draws in between (q uniform, sigma log-uniform)."""
+    rng = np.random.default_rng(20201023)
+    corners = [(q, s) for q in (1e-5, 0.999) for s in (0.2, 1000.0)]
+    qs = rng.uniform(1e-5, 0.999, 10)
+    sigmas = np.exp(rng.uniform(math.log(0.2), math.log(1000.0), 10))
+    return corners + [(float(q), float(s)) for q, s in zip(qs, sigmas)]
+
+
+CUSTOM_ORDERS = (1.01, 2.3, 300, 512, 300.5)
 
 
 class TestNoisyMean:
@@ -119,6 +184,69 @@ class TestRdpSgm:
             rdp_sgm(0.0, 1.0, 2.0)
         with pytest.raises(AccountingError):
             rdp_sgm(0.1, 0.0, 2.0)
+        for q in (0.1, 1.0):
+            with pytest.raises(AccountingError, match="underflows"):
+                rdp_sgm(q, 1e-170, 2.0)
+
+
+class TestOnePassAccountant:
+    """The vectorised accountant must reproduce the per-order one bit for bit."""
+
+    def test_rdp_profile_bitwise_equals_oracle(self):
+        orders = DEFAULT_ORDERS + CUSTOM_ORDERS
+        for q, sigma in _oracle_grid():
+            mine = rdp_profile(q, sigma, orders).rdp_values
+            assert mine == tuple(_oracle_rdp(q, sigma, a) for a in orders), (q, sigma)
+
+    def test_rdp_sgm_bitwise_equals_oracle(self):
+        for q, sigma in _oracle_grid()[::3]:
+            for order in (1.25, 2.0, 2.5, 17.0, 63.5, 128.0, 256.0) + CUSTOM_ORDERS:
+                assert rdp_sgm(q, sigma, order) == _oracle_rdp(q, sigma, order), (q, sigma, order)
+
+    def test_plain_gaussian_unchanged(self):
+        for order in (1.5, 2, 256.0):
+            assert rdp_sgm(1.0, 3.0, order) == _oracle_rdp(1.0, 3.0, order)
+
+    def test_logsumexp_bitwise_equals_scipy(self):
+        rng = np.random.default_rng(7)
+        vectors = []
+        for n in (1, 2, 3, 7, 8, 9, 64, 129, 257, 600):
+            a = rng.normal(scale=rng.choice([0.1, 10.0, 1e3]), size=n)
+            vectors.append(a)
+            tied = a.copy()
+            tied[rng.integers(0, n, size=max(1, n // 3))] = a.max()
+            vectors.append(tied)
+            holes = a.copy()
+            holes[rng.integers(0, n, size=max(1, n // 2))] = -np.inf
+            vectors.append(holes)
+        vectors += [np.full(5, 2.5), np.full(4, -np.inf), np.array([-np.inf, 1.0, -np.inf, 1.0])]
+        for a in vectors:
+            assert dp._logsumexp(a)[0] == logsumexp(a), a
+        starts = np.cumsum([0] + [len(a) for a in vectors[:-1]])
+        joined = dp._logsumexp(np.concatenate(vectors), starts)
+        assert joined.tolist() == [float(logsumexp(a)) for a in vectors]
+
+    def test_frozen_sigma_epsilon_and_order(self):
+        for eps, (sigma_hex, realized_hex, order) in FROZEN_EPS_SWEEP.items():
+            sigma = calibrate_sigma(eps, 1e-5, 0.4, 90)
+            assert sigma == float.fromhex(sigma_hex), eps
+            result = account(0.4, sigma, 90, 1e-5)
+            assert result.epsilon == float.fromhex(realized_hex), eps
+            assert result.order == order, eps
+
+    def test_calibration_accounts_each_sigma_once(self, monkeypatch):
+        sigmas = []
+        real_account = dp.account
+
+        def counting_account(q, sigma, *args, **kwargs):
+            sigmas.append(sigma)
+            return real_account(q, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "account", counting_account)
+        for eps in (0.05, 1.0, 10.0):
+            sigmas.clear()
+            calibrate_sigma(eps, 1e-5, 0.4, 90)
+            assert len(sigmas) == len(set(sigmas)) > 2
 
 
 class TestComposeAndConvert:
