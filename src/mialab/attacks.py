@@ -78,17 +78,20 @@ def optimal_threshold(
 ) -> tuple[float, AttackOutcome]:
     """Threshold attack with the advantage-maximizing threshold.
 
-    Sweeps midpoints between consecutive distinct pooled losses plus both
-    infinities; among maximizers the smallest threshold wins.
+    Sweeps midpoints between consecutive distinct pooled losses (the upper
+    loss where the two are adjacent floats) plus both infinities; among
+    maximizers the smallest threshold wins.
     """
     m = np.asarray(member_losses, dtype=np.float64)
     nm = np.asarray(nonmember_losses, dtype=np.float64)
     if m.size == 0 or nm.size == 0:
         raise MialabError("optimal_threshold needs losses on both sides")
     pooled = np.unique(np.concatenate([m, nm]))
-    candidates = np.concatenate(
-        [[-math.inf], (pooled[:-1] + pooled[1:]) / 2.0, [math.inf]]
-    )
+    lo, hi = pooled[:-1], pooled[1:]
+    mid = (lo + hi) / 2.0
+    # Between adjacent floats the midpoint rounds onto lo, which loss < tau
+    # cannot separate from hi; hi itself separates them.
+    candidates = np.concatenate([[-math.inf], np.where(mid > lo, mid, hi), [math.inf]])
     m_sorted = np.sort(m)
     nm_sorted = np.sort(nm)
     tpr = np.searchsorted(m_sorted, candidates, side="left") / m.size

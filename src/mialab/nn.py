@@ -1,5 +1,6 @@
 """Fully connected ReLU classifier trained by Adam, with an optional
-differentially private path (per-example clipping + Gaussian noise).
+differentially private path (per-example clipping by ghost norms +
+Gaussian noise).
 
 Everything operates on immutable MlpModel values. Parameters flatten in a
 fixed canonical order (per layer: weight matrix row-major, then bias
@@ -20,7 +21,6 @@ from .errors import MialabError, TrainingDiverged
 from .rngs import as_generator
 
 PROB_FLOOR = 1e-30
-_GRAD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -157,23 +157,48 @@ def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
     return -np.log(p_true)
 
 
-def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
-                       l2_coefficient: float) -> np.ndarray:
-    """Per-example gradients of (logloss + l2/2 * ||weights||^2), flattened
-    in canonical order; shape (batch, n_params)."""
-    B = X.shape[0]
-    pre, acts = _forward_states(model, X)
-    probs = _softmax(acts[-1])
-    delta = probs.copy()
-    delta[np.arange(B), y] -= 1.0
+def _backprop(model: MlpModel, pre: list, delta: np.ndarray) -> list:
+    """Errors at each layer's pre-activation, given the output layer's
+    error delta (one row per example)."""
     deltas = [None] * model.n_layers
     deltas[-1] = delta
     for i in range(model.n_layers - 2, -1, -1):
         deltas[i] = (deltas[i + 1] @ model.weights[i + 1].T) * (pre[i] > 0)
-    out = np.empty((B, model.flatten().size))
+    return deltas
+
+
+def _errors(model: MlpModel, X: np.ndarray, y: np.ndarray):
+    """Forward pass plus the per-example logloss errors at every layer.
+    Returns (activations, probs, deltas); activations[i] is layer i's input."""
+    pre, acts = _forward_states(model, X)
+    probs = _softmax(acts[-1])
+    delta = probs.copy()
+    delta[np.arange(X.shape[0]), y] -= 1.0
+    return acts, probs, _backprop(model, pre, delta)
+
+
+def _mean_loss(model: MlpModel, probs: np.ndarray, y: np.ndarray,
+               l2_coefficient: float) -> float:
+    """Mean logloss of the rows plus l2/2 * ||weights||^2."""
+    p_true = np.clip(probs[np.arange(y.size), y], PROB_FLOOR, None)
+    loss = float(-np.log(p_true).mean())
+    if l2_coefficient:
+        for W in model.weights:
+            loss += 0.5 * l2_coefficient * float(np.sum(W * W))
+    return loss
+
+
+def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
+                       l2_coefficient: float) -> np.ndarray:
+    """Per-example gradients of (logloss + l2/2 * ||weights||^2), flattened
+    in canonical order; shape (batch, n_params). The reference for the
+    ghost-norm clipping in train."""
+    B = X.shape[0]
+    acts, _, deltas = _errors(model, X, y)
+    out = np.empty((B, model.n_params))
     pos = 0
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        gw = np.einsum("bi,bj->bij", acts[i], deltas[i]).reshape(B, -1)
+        gw = np.einsum("bi,bj->bij", acts[i], deltas[i]).reshape(B, W.size)
         if l2_coefficient:
             gw += l2_coefficient * W.ravel()
         out[:, pos : pos + W.size] = gw
@@ -196,24 +221,70 @@ def _mean_grad_and_loss(model: MlpModel, X: np.ndarray, y: np.ndarray,
     B = X.shape[0]
     pre, acts = _forward_states(model, X)
     probs = _softmax(acts[-1])
-    p_true = np.clip(probs[np.arange(B), y], PROB_FLOOR, None)
-    loss = float(-np.log(p_true).mean())
+    loss = _mean_loss(model, probs, y, l2_coefficient)
     delta = probs
     delta[np.arange(B), y] -= 1.0
     delta /= B
-    deltas = [None] * model.n_layers
-    deltas[-1] = delta
-    for i in range(model.n_layers - 2, -1, -1):
-        deltas[i] = (deltas[i + 1] @ model.weights[i + 1].T) * (pre[i] > 0)
+    deltas = _backprop(model, pre, delta)
     parts = []
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         gw = acts[i].T @ deltas[i]
         if l2_coefficient:
             gw = gw + l2_coefficient * W
-            loss += 0.5 * l2_coefficient * float(np.sum(W * W))
         parts.append(gw.ravel())
         parts.append(deltas[i].sum(axis=0))
     return np.concatenate(parts), loss
+
+
+def _ghost_norms(model: MlpModel, acts: list, deltas: list,
+                 l2_coefficient: float) -> np.ndarray:
+    """Per-example gradient norms from layer inputs and errors alone.
+
+    Example i's weight gradient in a dense layer is a_i d_i^T + l2 W, whose
+    squared norm is |a_i|^2 |d_i|^2 + 2 l2 a_i^T W d_i + l2^2 |W|^2; its bias
+    gradient adds |d_i|^2 (Goodfellow, arXiv:1510.01799).
+    """
+    sq = np.zeros(deltas[0].shape[0])
+    for a, d, W in zip(acts, deltas, model.weights):
+        dd = np.einsum("ij,ij->i", d, d)
+        sq += np.einsum("ij,ij->i", a, a) * dd + dd
+        if l2_coefficient:
+            sq += 2.0 * l2_coefficient * np.einsum("ij,ij->i", a @ W, d)
+            sq += l2_coefficient * l2_coefficient * float(np.sum(W * W))
+    # rounding in the cross term can push an exact 0 just below it; NaN stays NaN
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _clipped_sum(model: MlpModel, acts: list, deltas: list, scale: np.ndarray,
+                 l2_coefficient: float) -> np.ndarray:
+    """Sum over examples of scale_i * (example i's gradient), flattened in
+    canonical order, without forming any per-example gradient."""
+    parts = []
+    for a, d, W in zip(acts, deltas, model.weights):
+        sd = d * scale[:, None]
+        gw = a.T @ sd
+        if l2_coefficient:
+            gw += (l2_coefficient * float(scale.sum())) * W
+        parts.append(gw.ravel())
+        parts.append(sd.sum(axis=0))
+    return np.concatenate(parts)
+
+
+def _check_clipping(model: MlpModel, X: np.ndarray, y: np.ndarray, l2_coefficient: float,
+                    norms: np.ndarray, scale: np.ndarray, clip_norm: float, step: int) -> None:
+    """debug_checks: the ghost norms must match the explicit per-example
+    gradients, and every clipped gradient must lie within the clip norm."""
+    grads = _per_example_grads(model, X, y, l2_coefficient)
+    ref = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+    if not np.all(np.abs(norms - ref) <= 1e-9 * ref):
+        worst = int(np.argmax(np.abs(norms - ref)))
+        raise AssertionError(
+            f"ghost norm {norms[worst]:.17g} disagrees with per-example gradient "
+            f"norm {ref[worst]:.17g} at step {step}"
+        )
+    post = ref * scale
+    if not np.all(post <= clip_norm * (1 + 1e-9)):
+        raise AssertionError(f"clipping violated at step {step}: max norm {post.max()}")
 
 
 def training_steps(n: int, cfg: TrainConfig) -> int:
@@ -254,7 +325,12 @@ def train(
     pass per epoch. With privacy: each step draws a Poisson batch at rate
     batch_size/n, clips every per-example gradient to the clip norm, sums,
     adds Gaussian noise of std noise_multiplier * clip_norm per coordinate,
-    divides by the expected batch size, and applies the Adam update.
+    divides by the expected batch size, and applies the Adam update. The
+    per-example norms and the clipped sum come from each layer's inputs and
+    errors (ghost norms), so no per-example gradient is built; debug_checks
+    compares them with the explicit per-example gradients.
+    loss_callback(step, loss) receives each step's mean regularized batch
+    loss (in DP training, for non-empty Poisson batches only).
     Deterministic given cfg.seed.
     """
     if not members:
@@ -287,24 +363,19 @@ def train(
     q = sampling_rate(n, cfg)
     expected_batch = q * n
     for step in range(steps):
-        mask = rng.random(n) < q
-        idx = np.flatnonzero(mask)
-        clipped_sum = np.zeros(params.size)
-        for start in range(0, idx.size, _GRAD_CHUNK):
-            sel = idx[start : start + _GRAD_CHUNK]
-            grads = _per_example_grads(model, X[sel], y[sel], cfg.l2_coefficient)
-            norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-            if not np.all(np.isfinite(norms)):
-                raise TrainingDiverged(step, float(norms.max()), "per-example gradient norm")
-            scale = np.minimum(1.0, privacy.clip_norm / np.maximum(norms, 1e-300))
-            grads *= scale[:, None]
-            if cfg.debug_checks:
-                post = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-                if not np.all(post <= privacy.clip_norm * (1 + 1e-9)):
-                    raise AssertionError(
-                        f"clipping violated at step {step}: max norm {post.max()}"
-                    )
-            clipped_sum += grads.sum(axis=0)
+        idx = np.flatnonzero(rng.random(n) < q)
+        Xb, yb = X[idx], y[idx]
+        acts, probs, deltas = _errors(model, Xb, yb)
+        norms = _ghost_norms(model, acts, deltas, cfg.l2_coefficient)
+        if not np.all(np.isfinite(norms)):
+            raise TrainingDiverged(step, float(norms.max()), "per-example gradient norm")
+        scale = np.minimum(1.0, privacy.clip_norm / np.maximum(norms, 1e-300))
+        if cfg.debug_checks:
+            _check_clipping(model, Xb, yb, cfg.l2_coefficient, norms, scale,
+                            privacy.clip_norm, step)
+        if loss_callback is not None and idx.size:
+            loss_callback(step, _mean_loss(model, probs, yb, cfg.l2_coefficient))
+        clipped_sum = _clipped_sum(model, acts, deltas, scale, cfg.l2_coefficient)
         grad = dp.noisy_mean(
             clipped_sum, privacy.clip_norm, privacy.noise_multiplier, expected_batch, rng
         )

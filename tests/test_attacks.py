@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mialab import nn
@@ -114,11 +114,22 @@ class TestOptimalThreshold:
         # every tau in (0, 1] achieves advantage 1; the swept midpoints give 0.5
         assert tau == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0, float(np.nextafter(1.0, 2.0))), (0.0, 5e-324)], ids=["one", "subnormal"]
+    )
+    def test_adjacent_floats_separate(self, lo, hi):
+        # the midpoint of adjacent floats rounds onto the lower one
+        tau, outcome = optimal_threshold([lo], [hi])
+        assert outcome.advantage == 1.0
+        assert lo < tau <= hi
+
     @given(
         m=st.lists(st.floats(min_value=0, max_value=5, allow_nan=False), min_size=1, max_size=50),
         nm=st.lists(st.floats(min_value=0, max_value=5, allow_nan=False), min_size=1, max_size=50),
     )
     @settings(max_examples=100, deadline=None)
+    @example(m=[1.0], nm=[float(np.nextafter(1.0, 2.0))])
+    @example(m=[0.0], nm=[5e-324])
     def test_matches_brute_force(self, m, nm):
         _, outcome = optimal_threshold(m, nm)
         _, best = brute_force_best_threshold(m, nm)

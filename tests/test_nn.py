@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mialab import dp
+from mialab import dp, nn
 from mialab.dataio import Rows, Sample
 from mialab.errors import MialabError, TrainingDiverged
 from mialab.nn import (
@@ -159,6 +159,98 @@ class TestPerExampleGrad:
         g1 = per_example_grad(model, Sample([1.0], 0), l2_coefficient=0.1)
         g2 = per_example_grad(model, Sample([1.0], 0), l2_coefficient=0.2)
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-15)
+
+
+class TestGhostClipping:
+    """The ghost-norm step against the explicit per-example gradients."""
+
+    @staticmethod
+    def ghost(model, X, y, l2, clip_norm):
+        acts, _, deltas = nn._errors(model, X, y)
+        norms = nn._ghost_norms(model, acts, deltas, l2)
+        scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+        return norms, nn._clipped_sum(model, acts, deltas, scale, l2)
+
+    @pytest.mark.parametrize("batch", [0, 1, 64, 65, 200])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("dims", [(5, 2), (5, 8, 2), (5, 16, 16, 16, 2)])
+    def test_matches_per_example_oracle(self, dims, l2, batch):
+        rng = np.random.default_rng(batch + 7 * len(dims))
+        model = init_model(dims, seed=len(dims))
+        X = rng.normal(size=(batch, dims[0]))
+        y = rng.integers(0, dims[-1], size=batch)
+        grads = nn._per_example_grads(model, X, y, l2)
+        ref = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+        if batch:
+            clips = {"none": 2.0 * ref.max(), "some": float(np.median(ref)),
+                     "all": 0.5 * ref.min()}
+        else:
+            clips = {"empty": 1.0}
+        for case, clip_norm in clips.items():
+            scale = np.minimum(1.0, clip_norm / ref)
+            # clipping at the median norm clips the rows above it
+            expected_rows = {"none": 0, "some": batch // 2, "all": batch, "empty": 0}[case]
+            assert int(np.sum(scale < 1.0)) == expected_rows, case
+            norms, clipped = self.ghost(model, X, y, l2, clip_norm)
+            assert norms.shape == (batch,) and clipped.shape == (model.n_params,)
+            np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=0, err_msg=case)
+            expected = (grads * scale[:, None]).sum(axis=0)
+            tol = 1e-12 * np.abs(expected).max() if batch else 0.0
+            np.testing.assert_allclose(clipped, expected, rtol=0, atol=tol, err_msg=case)
+
+    def test_empty_poisson_batch_is_a_pure_noise_step(self, monkeypatch):
+        # q = 1/20: about a third of the 40 Poisson batches are empty
+        sums = []
+        noisy_mean = dp.noisy_mean
+
+        def recording(gradient_sum, *args):
+            sums.append(np.array(gradient_sum))
+            return noisy_mean(gradient_sum, *args)
+
+        monkeypatch.setattr(nn.dp, "noisy_mean", recording)
+        samples = separable_samples(10)
+        cfg = TrainConfig(epochs=2, batch_size=1, seed=5, debug_checks=True)
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0, clip_norm=1.0)
+        init = init_model((2, 8, 2), seed=0)
+        losses = {}
+        train(init, samples, cfg, privacy, loss_callback=losses.__setitem__)
+        # every step is noised, an empty batch's with an exactly zero sum
+        assert len(sums) == nn.training_steps(len(samples), cfg)
+        empty = [step for step, g in enumerate(sums) if not np.any(g)]
+        assert empty and all(sums[step].shape == (init.n_params,) for step in empty)
+        # the loss is reported for exactly the non-empty batches
+        assert sorted(losses) == [s for s in range(len(sums)) if s not in empty]
+
+    def test_dp_loss_matches_plain_loss(self):
+        # sigma = 0, no clipping and q = 1: both paths take the same steps
+        samples = separable_samples(25)
+        cfg = TrainConfig(epochs=8, batch_size=len(samples), seed=8)
+        init = init_model((2, 16, 2), seed=1)
+        plain, private = [], []
+        train(init, samples, cfg, loss_callback=lambda s, loss: plain.append((s, loss)))
+        train(
+            init,
+            samples,
+            cfg,
+            dp.PrivacyParams(epsilon=math.inf, noise_multiplier=0.0, clip_norm=math.inf),
+            loss_callback=lambda s, loss: private.append((s, loss)),
+        )
+        assert [s for s, _ in private] == [s for s, _ in plain] == list(range(8))
+        np.testing.assert_allclose([v for _, v in private], [v for _, v in plain], rtol=1e-12)
+        assert private[-1][1] < private[0][1]
+
+    def test_debug_check_rejects_wrong_norms(self):
+        rng = np.random.default_rng(3)
+        model = init_model((4, 8, 2), seed=0)
+        X, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
+        acts, _, deltas = nn._errors(model, X, y)
+        norms = nn._ghost_norms(model, acts, deltas, 1e-3)
+        scale = np.minimum(1.0, 0.1 / norms)
+        nn._check_clipping(model, X, y, 1e-3, norms, scale, 0.1, step=0)
+        with pytest.raises(AssertionError, match="ghost norm .* at step 4"):
+            nn._check_clipping(model, X, y, 1e-3, norms * (1 + 1e-7), scale, 0.1, step=4)
+        with pytest.raises(AssertionError, match="clipping violated"):
+            nn._check_clipping(model, X, y, 1e-3, norms, scale * 1.01, 0.1, step=0)
 
 
 class TestTrain:
