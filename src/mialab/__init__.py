@@ -1,10 +1,11 @@
 """Membership-inference experiment lab.
 
-Pieces: tabular preprocessing into a numeric sample space (dataio),
-dependency-inducing member/non-member pools (splits, synthetic), a ReLU
-classifier with optional DP-Adam training (nn), privacy accounting (dp),
-black-box attacks (attacks), advantage bounds (bounds), membership games
-and the batch campaign (experiments), and a config-driven CLI (cli).
+Pieces: tabular preprocessing into Rows, the one array store of samples
+(dataio), dependency-inducing member/non-member pools (splits, synthetic),
+a ReLU classifier with optional DP-Adam training (nn), privacy accounting
+(dp), black-box attacks (attacks), advantage bounds (bounds), membership
+games whose challenge is a row of a pool and the batch campaign
+(experiments), and a config-driven CLI (cli).
 """
 
 from .attacks import (
@@ -17,7 +18,7 @@ from .attacks import (
     train_shadow_ensemble,
 )
 from .bounds import bound_erlingsson, bound_new, bound_yeom, tradeoff_feasible
-from .dataio import Column, Dataset, Rows, Sample, Schema, TabularEncoder, load_csv, preprocess
+from .dataio import Column, Dataset, Rows, Schema, TabularEncoder, load_csv, preprocess
 from .dp import (
     AccountResult,
     PrivacyParams,
@@ -51,7 +52,6 @@ from .experiments import (
     exp_strong,
     run_games,
     strong_challenge,
-    two_proportion_z_test,
 )
 from .nn import (
     MlpModel,
@@ -59,9 +59,7 @@ from .nn import (
     accuracy,
     forward,
     init_model,
-    logloss,
     loglosses,
-    per_example_grad,
     train,
 )
 from .splits import (

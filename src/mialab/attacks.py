@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .dataio import Rows, Sample
+from .dataio import Rows
 from .errors import MialabError, ShadowPoolTooSmall
 from .rngs import as_generator, subseed
 
@@ -199,21 +199,22 @@ def shadow_attack(
     return AttackOutcome.from_decisions(decisions, truth)
 
 
-def strong_loss_attack(model: nn.MlpModel, z: Sample, z_prime: Sample, s_tilde) -> int:
-    """Strong-adversary guess: the candidate with the lower loss is the one
-    that was trained on (bit 0 means z)."""
-    return MEMBER if nn.logloss(model, z) < nn.logloss(model, z_prime) else NONMEMBER
+def strong_loss_attack(model: nn.MlpModel, candidates: Rows) -> int:
+    """Strong-adversary guess between the two candidate rows: the one with
+    the lower loss is the one that was trained on (bit 0 means row 0)."""
+    losses = nn.loglosses(model, candidates)
+    return MEMBER if losses[0] < losses[1] else NONMEMBER
 
 
 def average_threshold_decider(
     model: nn.MlpModel, members: Rows
-) -> Callable[[Sample], int]:
-    """Single-sample decision function for the membership games: member
-    exactly when the sample's loss is below the mean training loss."""
+) -> Callable[[Rows], np.ndarray]:
+    """Decision function for the membership games: one bit per row, member
+    exactly when the row's loss is below the mean training loss."""
     tau = float(nn.loglosses(model, members).mean())
 
-    def decide(z: Sample) -> int:
-        return MEMBER if nn.logloss(model, z) < tau else NONMEMBER
+    def decide(rows: Rows) -> np.ndarray:
+        return threshold_decisions(nn.loglosses(model, rows), tau)
 
     return decide
 

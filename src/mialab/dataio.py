@@ -97,47 +97,13 @@ class Schema:
         }
 
 
-class Sample:
-    """One data point: an encoded feature vector, a class index, and the
-    raw split-attribute value (kept out of the features on purpose)."""
-
-    __slots__ = ("features", "label", "attribute")
-
-    def __init__(self, features, label: int, attribute: "str | None" = None):
-        arr = np.array(features, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise PreprocessError(f"sample features must be a vector, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
-        object.__setattr__(self, "label", int(label))
-        object.__setattr__(self, "attribute", attribute)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sample is immutable")
-
-    def __reduce__(self):
-        return (Sample, (np.array(self.features), self.label, self.attribute))
-
-    def key(self) -> tuple:
-        return (self.features.tobytes(), self.label)
-
-    def __eq__(self, other):
-        return isinstance(other, Sample) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"Sample(label={self.label}, dim={self.features.shape[0]}, attribute={self.attribute!r})"
-
-
 class Rows:
     """An immutable set of samples held as arrays: features X (n x d,
     float64), labels y (n, int64) and the raw split-attribute values (an
     object array, or None when no row carries one).
 
-    rows[i] and iteration yield Sample values; rows[idx] with a slice or an
-    index array yields a Rows in that row order.
+    rows[idx] with a slice, an index array or a boolean mask yields a Rows
+    in that row order; one row is rows[[i]]. A Rows is not iterable.
     """
 
     __slots__ = ("X", "y", "attribute")
@@ -159,19 +125,6 @@ class Rows:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def stack(cls, samples) -> "Rows":
-        """The rows of a Sample sequence, in order (a Rows passes through)."""
-        if isinstance(samples, Rows):
-            return samples
-        samples = list(samples)
-        attrs = [s.attribute for s in samples]
-        return cls(
-            np.array([s.features for s in samples]),
-            [s.label for s in samples],
-            None if all(a is None for a in attrs) else attrs,
-        )
-
-    @classmethod
     def concat(cls, parts: "Sequence[Rows]") -> "Rows":
         """All rows of the parts, in order."""
         attribute = None
@@ -186,7 +139,8 @@ class Rows:
 
     def keys(self) -> np.ndarray:
         """The distinct row keys, sorted: one opaque value per distinct
-        (feature bits, label) pair, equal exactly when Sample.key() is."""
+        (feature bits, label) pair, so two rows share a key exactly when
+        their features are bitwise equal and their labels match."""
         packed = np.column_stack([self.X.view(np.int64), self.y])
         keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
         keys.sort()
@@ -198,13 +152,13 @@ class Rows:
         return self.y.shape[0]
 
     def __getitem__(self, index):
-        attribute = None if self.attribute is None else self.attribute[index]
         if isinstance(index, (int, np.integer)):
-            return Sample(self.X[index], self.y[index], attribute)
+            raise TypeError(f"Rows takes a slice, an index array or a mask; "
+                            f"for one row use rows[[{index}]]")
+        attribute = None if self.attribute is None else self.attribute[index]
         return Rows(self.X[index], self.y[index], attribute)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    __iter__ = None
 
     def __setattr__(self, name, value):
         raise AttributeError("Rows is immutable")

@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import attacks, dp, nn
-from .dataio import Rows, Sample
+from .dataio import Rows
 from .errors import MialabError, ShadowPoolTooSmall, SplitError, TrainingDiverged
 from .rngs import as_generator, subseed
 from .splits import BiasInfo, MixturePools, draw, iid_counterfactual
@@ -42,9 +42,10 @@ SCENARIO_IID = "IID"
 
 KNOWN_ATTACKS = ("average_threshold", "optimal_threshold", "shadow")
 
-# Trainer: (members, seed) -> model. AttackBuilder: (model, members) -> decide(z).
+# Trainer: (members, seed) -> model. AttackBuilder: (model, members) ->
+# decide(rows), one decision bit per row.
 Trainer = Callable[[Rows, object], nn.MlpModel]
-AttackBuilder = Callable[[nn.MlpModel, Rows], Callable[[Sample], int]]
+AttackBuilder = Callable[[nn.MlpModel, Rows], Callable[[Rows], np.ndarray]]
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -58,24 +59,22 @@ def _complement(pool: Rows, idx: np.ndarray) -> Rows:
     return pool[rest]
 
 
-def exp_strong(attack, trainer: Trainer, s_tilde: "Rows | Sequence[Sample]",
-               z: Sample, z_prime: Sample, seed) -> int:
-    """One round of the strong-adversary game. The attack receives
-    (model, z, z_prime, s_tilde) and outputs the bit it believes was used."""
-    if z == z_prime:
-        raise MialabError("z and z_prime must differ")
+def exp_strong(attack, trainer: Trainer, s_tilde: Rows, candidates: Rows, seed) -> int:
+    """One round of the strong-adversary game over two candidate rows z, z'.
+    The attack receives (model, candidates) and outputs the bit it believes
+    was used (0 means z)."""
+    if len(candidates) != 2 or len(candidates.keys()) != 2:
+        raise MialabError("the strong game needs two candidate rows that differ")
     rng = as_generator(subseed(seed, 11) if isinstance(seed, int) else seed)
     b = int(rng.integers(2))
-    members = Rows.stack([*s_tilde, z if b == 0 else z_prime])
+    members = Rows.concat([s_tilde, candidates[[b]]])
     model = trainer(members, rng)
-    return int(attack(model, z, z_prime, s_tilde) == b)
+    return int(attack(model, candidates) == b)
 
 
-def exp_iid(attack_builder: AttackBuilder, trainer: Trainer, n: int,
-            pool: "Rows | Sequence[Sample]", seed) -> int:
+def exp_iid(attack_builder: AttackBuilder, trainer: Trainer, n: int, pool: Rows, seed) -> int:
     """One round of the IID game over a finite pool (drawn without
     replacement)."""
-    pool = Rows.stack(pool)
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
     rng = as_generator(subseed(seed, 12) if isinstance(seed, int) else seed)
@@ -84,12 +83,12 @@ def exp_iid(attack_builder: AttackBuilder, trainer: Trainer, n: int,
     model = trainer(members, rng)
     b = int(rng.integers(2))
     if b == 0:
-        z = members[int(rng.integers(n))]
+        z = members[[int(rng.integers(n))]]
     else:
         rest = _complement(pool, idx)
-        z = rest[int(rng.integers(len(rest)))]
+        z = rest[[int(rng.integers(len(rest)))]]
     decide = attack_builder(model, members)
-    return int(decide(z) == b)
+    return int(decide(z)[0] == b)
 
 
 def exp_mm(attack_builder: AttackBuilder, trainer: Trainer, n: int,
@@ -106,48 +105,47 @@ def exp_mm(attack_builder: AttackBuilder, trainer: Trainer, n: int,
     model = trainer(members, rng)
     b = int(rng.integers(2))
     if b == 0:
-        z = members[int(rng.integers(n))]
+        z = members[[int(rng.integers(n))]]
     else:
         others = [j for j in range(pools.n_pools) if j != k]
         k_prime = others[int(rng.integers(len(others)))]
         other_pool = pools.pools[k_prime]
         if not other_pool:
             raise SplitError(f"pool {k_prime} is empty")
-        z = other_pool[int(rng.integers(len(other_pool)))]
+        z = other_pool[[int(rng.integers(len(other_pool)))]]
     decide = attack_builder(model, members)
-    return int(decide(z) == b)
+    return int(decide(z)[0] == b)
 
 
-def exp_alt(attack_builder: AttackBuilder, trainer: Trainer, n: int,
-            pool: "Rows | Sequence[Sample]", seed) -> int:
+def exp_alt(attack_builder: AttackBuilder, trainer: Trainer, n: int, pool: Rows, seed) -> int:
     """One round of the alternative game: draw both the member candidate
     and the fresh candidate first, then flip the bit."""
-    pool = Rows.stack(pool)
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
     rng = as_generator(subseed(seed, 14) if isinstance(seed, int) else seed)
     idx = rng.choice(len(pool), size=n, replace=False)
     members = pool[idx]
     model = trainer(members, rng)
-    z = members[int(rng.integers(n))]
+    z = members[[int(rng.integers(n))]]
     rest = _complement(pool, idx)
-    z_prime = rest[int(rng.integers(len(rest)))]
+    z_prime = rest[[int(rng.integers(len(rest)))]]
     b = int(rng.integers(2))
     decide = attack_builder(model, members)
-    return int(decide(z if b == 0 else z_prime) == b)
+    return int(decide(z if b == 0 else z_prime)[0] == b)
 
 
-def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Sample, Sample]:
-    """The strong game's draw: n - 1 known members and the candidate z from
-    the member pool, and the alternative z_prime from the other pools."""
+def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Rows]:
+    """The strong game's draw: (s_tilde, candidates). s_tilde holds n - 1
+    known members from the member pool; candidates holds z, from the same
+    pool, then z' from the other pools."""
     rng = as_generator(seed)
     member_pool = pools.pools[pools.k_member]
     if len(member_pool) < n + 1:
         raise MialabError("member pool too small for the strong game")
     idx = rng.choice(len(member_pool), size=n + 1, replace=False)
     others = Rows.concat([p for k, p in enumerate(pools.pools) if k != pools.k_member])
-    z_prime = others[int(rng.integers(len(others)))]
-    return member_pool[idx[: n - 1]], member_pool[int(idx[n - 1])], z_prime
+    z_prime = others[[int(rng.integers(len(others)))]]
+    return member_pool[idx[: n - 1]], Rows.concat([member_pool[idx[n - 1 : n]], z_prime])
 
 
 def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | None",
@@ -181,28 +179,12 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
         elif experiment == "mm":
             bit = exp_mm(builder, trainer, cfg.n_members, pools, seed)
         elif experiment == "strong":
-            s_tilde, z, z_prime = strong_challenge(
-                pools, cfg.n_members, subseed(cfg.seed, 41, g)
-            )
-            bit = exp_strong(attacks.strong_loss_attack, trainer, s_tilde, z, z_prime, seed)
+            s_tilde, candidates = strong_challenge(pools, cfg.n_members, subseed(cfg.seed, 41, g))
+            bit = exp_strong(attacks.strong_loss_attack, trainer, s_tilde, candidates, seed)
         else:
             raise MialabError(f"unknown game {experiment!r}")
         bits.append(bit)
     return bits
-
-
-def two_proportion_z_test(successes_a: int, n_a: int,
-                          successes_b: int, n_b: int) -> tuple[float, float]:
-    """Two-sided two-proportion z-test; returns (z, p_value)."""
-    if min(n_a, n_b) < 1:
-        raise MialabError("both sample sizes must be positive")
-    pa, pb = successes_a / n_a, successes_b / n_b
-    pooled = (successes_a + successes_b) / (n_a + n_b)
-    denom = math.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
-    if denom == 0.0:
-        return 0.0, 1.0
-    z = (pa - pb) / denom
-    return z, math.erfc(abs(z) / math.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -441,7 +423,7 @@ def _aggregate(rows: Sequence[CampaignRow]) -> tuple[Aggregate, ...]:
         mean = float(np.mean(values))
         if len(values) > 1:
             sd = float(np.std(values, ddof=1))
-            t_crit = float(stats.t.ppf(0.975, len(values) - 1))
+            t_crit = float(special.stdtrit(len(values) - 1, 0.975))
             hw = t_crit * sd / math.sqrt(len(values))
         else:
             hw = math.nan

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dp
-from .dataio import Rows, Sample
+from .dataio import Rows
 from .errors import MialabError, TrainingDiverged
 from .rngs import as_generator
 
@@ -130,25 +130,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def forward(model: MlpModel, features) -> np.ndarray:
-    """Class probability vector(s); accepts a single feature vector or a
-    batch of rows."""
-    X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+def forward(model: MlpModel, X) -> np.ndarray:
+    """Class probability vectors, one row per row of the (n, d) matrix X."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise MialabError(f"features must be an (n, d) matrix, got shape {X.shape}")
     if X.shape[1] != model.layer_dims[0]:
         raise MialabError(
             f"feature width {X.shape[1]} does not match input dim {model.layer_dims[0]}"
         )
     _, acts = _forward_states(model, X)
-    probs = _softmax(acts[-1])
-    return probs[0] if single else probs
-
-
-def logloss(model: MlpModel, sample: Sample) -> float:
-    probs = forward(model, sample.features)
-    return -math.log(max(float(probs[sample.label]), PROB_FLOOR))
+    return _softmax(acts[-1])
 
 
 def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
@@ -191,8 +183,8 @@ def _mean_loss(model: MlpModel, probs: np.ndarray, y: np.ndarray,
 def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
                        l2_coefficient: float) -> np.ndarray:
     """Per-example gradients of (logloss + l2/2 * ||weights||^2), flattened
-    in canonical order; shape (batch, n_params). The reference for the
-    ghost-norm clipping in train."""
+    in canonical order; shape (batch, n_params). The oracle for the
+    ghost-norm clipping in train and for the finite-difference check."""
     B = X.shape[0]
     acts, _, deltas = _errors(model, X, y)
     out = np.empty((B, model.n_params))
@@ -206,14 +198,6 @@ def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
         out[:, pos : pos + b.size] = deltas[i]
         pos += b.size
     return out
-
-
-def per_example_grad(model: MlpModel, sample: Sample, l2_coefficient: float) -> np.ndarray:
-    """Gradient of this sample's regularized loss with respect to all
-    parameters, flattened in canonical order."""
-    return _per_example_grads(
-        model, sample.features[None, :], np.array([sample.label]), l2_coefficient
-    )[0]
 
 
 def _mean_grad_and_loss(model: MlpModel, X: np.ndarray, y: np.ndarray,

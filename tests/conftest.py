@@ -59,3 +59,8 @@ def constant_pools():
 
 def samples_from_array(X, y, attributes=None):
     return Rows(X, y, attributes)
+
+
+def row_keys(rows):
+    """Each row's (feature bytes, label) pair, in row order."""
+    return [(rows.X[i].tobytes(), int(rows.y[i])) for i in range(len(rows))]

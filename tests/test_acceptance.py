@@ -17,12 +17,13 @@ import pytest
 
 from mialab import attacks, bounds, config, dp, experiments, nn, synthetic
 from mialab.cli import main as cli_main
-from mialab.dataio import Sample
+from mialab.dataio import Rows
 from mialab.rngs import as_generator, subseed
 from mialab.synthetic import GaussianComponent
 
 from reference_accountant import reference_epsilon
 from test_dp import ORACLE_EPS
+from test_experiments import two_proportion_z_test
 
 DELTA = 1e-5
 
@@ -106,13 +107,14 @@ def test_criterion_3_gradient_correctness():
     worst = 0.0
     probes = 0
     for s in range(10):
-        sample = Sample(rng.normal(size=4), int(rng.integers(2)))
-        analytic = nn.per_example_grad(model, sample, l2)
+        x, label = rng.normal(size=4), int(rng.integers(2))
+        row = Rows(x[None], [label])
+        analytic = nn._per_example_grads(model, x[None], np.array([label]), l2)[0]
 
         def loss_at(vec):
             m = nn.MlpModel.unflatten(model.layer_dims, vec)
             reg = 0.5 * l2 * sum(float(np.sum(W * W)) for W in m.weights)
-            return nn.logloss(m, sample) + reg
+            return nn.loglosses(m, row)[0] + reg
 
         for j in rng.choice(flat.size, size=10, replace=False):
             e = np.zeros_like(flat)
@@ -296,7 +298,7 @@ def test_criterion_9_alternative_game_equivalence():
     )
     samples = synthetic.mixture_dataset(comps, 150, seed=3).samples
     order = np.random.default_rng(2).permutation(len(samples))
-    pool = tuple(samples[i] for i in order)
+    pool = samples[order]
     tcfg = nn.TrainConfig(epochs=10, batch_size=100, seed=0)
 
     def trainer(members, rng):
@@ -316,7 +318,7 @@ def test_criterion_9_alternative_game_equivalence():
         experiments.exp_alt(builder, trainer, 100, pool, subseed(777, 51, g))
         for g in range(n_games)
     )
-    z, p = experiments.two_proportion_z_test(iid_wins, n_games, alt_wins, n_games)
+    z, p = two_proportion_z_test(iid_wins, n_games, alt_wins, n_games)
     elapsed = time.perf_counter() - t0
     report(
         9,

@@ -18,7 +18,7 @@ from mialab.attacks import (
     trace_rows,
     train_shadow_ensemble,
 )
-from mialab.dataio import Rows, Sample
+from mialab.dataio import Rows
 from mialab.errors import MialabError, ShadowPoolTooSmall
 from mialab.splits import draw
 
@@ -270,13 +270,12 @@ class TestShadowEnsemble:
         ensemble = train_shadow_ensemble(
             d.shadow_pool, (2, 8, 2), self.CFG, seed=3, shadow_train_size=20
         )
-        stray = Sample([0.5, 0.5], 1)
         pruned_models = {0: ensemble.attack_models[0]} if 0 in ensemble.attack_models else {}
         from dataclasses import replace
 
         pruned = replace(ensemble, attack_models=pruned_models)
         outcome = shadow_attack(
-            pruned, nn.init_model((2, 8, 2), 0), Rows.stack([stray, Sample([0.1, 0.1], 0)]),
+            pruned, nn.init_model((2, 8, 2), 0), Rows([[0.5, 0.5], [0.1, 0.1]], [1, 0]),
             [0, 1],
         )
         assert outcome.decisions.shape == (2,)
@@ -286,15 +285,14 @@ class TestGameHelpers:
     def test_average_threshold_decider(self):
         model = constant_model()
         decide = average_threshold_decider(model, Rows([[4.0], [-4.0]], [0, 0]))
-        assert decide(Sample([8.0], 0)) == MEMBER
-        assert decide(Sample([-8.0], 0)) == NONMEMBER
+        assert decide(Rows([[8.0]], [0])).tolist() == [MEMBER]
+        assert decide(Rows([[-8.0]], [0])).tolist() == [NONMEMBER]
+        assert decide(Rows([[8.0], [-8.0]], [0, 0])).tolist() == [MEMBER, NONMEMBER]
 
     def test_strong_loss_attack_prefers_lower_loss(self):
         model = constant_model()
-        z_trained = Sample([6.0], 0)
-        z_other = Sample([-6.0], 0)
-        assert strong_loss_attack(model, z_trained, z_other, []) == 0
-        assert strong_loss_attack(model, z_other, z_trained, []) == 1
+        assert strong_loss_attack(model, Rows([[6.0], [-6.0]], [0, 0])) == 0
+        assert strong_loss_attack(model, Rows([[-6.0], [6.0]], [0, 0])) == 1
 
 
 class TestTraceExport:

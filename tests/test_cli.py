@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mialab
 from mialab import bounds, config, dp
 from mialab.cli import main
 
@@ -474,3 +479,14 @@ class TestDigest:
         code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "train.batch_size" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(mialab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, mialab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,6 @@ from mialab.dataio import (
     Column,
     Dataset,
     Rows,
-    Sample,
     Schema,
     TabularEncoder,
     load_csv,
@@ -16,7 +15,7 @@ from mialab.dataio import (
 from mialab.errors import CsvParseError, MialabError, PreprocessError, SchemaError
 from mialab.synthetic import GaussianComponent, halfspace_label, mixture_samples, synthetic_mixture
 
-from conftest import make_raw
+from conftest import make_raw, row_keys
 
 COLS = ("age", "color", "outcome")
 
@@ -161,7 +160,7 @@ class TestPreprocess:
                        ("x", "group", "outcome"))
         ds = preprocess(raw, attr_schema, seed=0)
         assert ds.feature_width == 1
-        assert [s.attribute for s in ds.samples] == ["g1", "g2"]
+        assert ds.samples.attribute.tolist() == ["g1", "g2"]
 
     def test_all_missing_column_errors(self, basic_schema):
         raw = make_raw([(None, "a", "yes"), (None, "b", "no")], COLS)
@@ -187,9 +186,10 @@ class TestPreprocess:
             ),
             label_classes=2,
         )
+        X, y = ds.samples.X, ds.samples.y
         encoded_raw = [
-            {**{f"f{i}": repr(float(s.features[i])) for i in range(width)}, "label": str(s.label)}
-            for s in ds.samples
+            {**{f"f{i}": repr(float(X[j, i])) for i in range(width)}, "label": str(y[j])}
+            for j in range(len(ds.samples))
         ]
         again = preprocess(encoded_raw, encoded_schema, seed=3)
         np.testing.assert_allclose(again.samples.X, ds.samples.X)
@@ -210,11 +210,10 @@ class TestPreprocess:
         )
         raw = [{"a": str(values[i]), "y": labels[i]} for i in range(n)]
         ds = preprocess(raw, schema, seed=1)
-        keys = {s.key() for s in ds.samples}
+        keys = set(row_keys(ds.samples))
         assert len(keys) == len(ds.samples)
         assert len(ds.samples) <= n
-        widths = {s.features.shape[0] for s in ds.samples}
-        assert widths == {ds.feature_width}
+        assert ds.samples.X.shape == (len(ds.samples), ds.feature_width)
 
 
 class TestDatasetInvariants:
@@ -223,39 +222,38 @@ class TestDatasetInvariants:
             columns=(Column("a", "numeric"), Column("y", "numeric", "label")),
             label_classes=2,
         )
-        s = Sample([1.0], 0)
         with pytest.raises(PreprocessError, match="duplicate"):
-            Dataset(schema=schema, samples=Rows.stack([s, Sample([1.0], 0)]))
+            Dataset(schema=schema, samples=Rows([[1.0], [1.0]], [0, 0]))
 
     def test_rejects_empty(self, basic_schema):
         with pytest.raises(PreprocessError, match="empty"):
             Dataset(schema=basic_schema, samples=Rows(np.empty((0, 2)), []))
-
-    def test_sample_immutable_and_hashable(self):
-        s = Sample([1.0, 2.0], 1, "g")
-        with pytest.raises(AttributeError):
-            s.label = 0
-        with pytest.raises(ValueError):
-            s.features[0] = 3.0
-        assert s == Sample([1.0, 2.0], 1, "other-attr")
-        assert hash(s) == hash(Sample([1.0, 2.0], 1))
 
 
 class TestRows:
     def rows(self):
         return Rows([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [0, 1, 0], ["a", "b", "c"])
 
-    def test_integer_index_yields_sample(self):
-        s = self.rows()[np.int64(1)]
-        assert isinstance(s, Sample)
-        assert s == Sample([2.0, 3.0], 1) and s.attribute == "b"
+    def test_integer_index_is_refused(self):
+        for index in (1, np.int64(1)):
+            with pytest.raises(TypeError, match=r"rows\[\[1\]\]"):
+                self.rows()[index]
+        one = self.rows()[[1]]
+        assert one == Rows([[2.0, 3.0]], [1], ["b"])
+
+    def test_not_iterable(self):
+        with pytest.raises(TypeError):
+            iter(self.rows())
+        with pytest.raises(TypeError):
+            list(self.rows())
 
     def test_index_array_keeps_order(self):
         picked = self.rows()[np.array([2, 0])]
         assert isinstance(picked, Rows)
         assert picked.X.tolist() == [[4.0, 5.0], [0.0, 1.0]]
         assert picked.attribute.tolist() == ["c", "a"]
-        assert [s.label for s in self.rows()[1:]] == [1, 0]
+        assert self.rows()[1:].y.tolist() == [1, 0]
+        assert self.rows()[np.array([False, True, True])] == self.rows()[1:]
 
     def test_read_only_after_pickle_round_trip(self):
         import pickle
@@ -268,17 +266,16 @@ class TestRows:
         with pytest.raises(AttributeError):
             again.X = np.zeros((3, 2))
 
-    def test_stack_and_concat(self):
-        samples = [Sample([1.0], 0, "g"), Sample([2.0], 1)]
-        stacked = Rows.stack(samples)
-        assert Rows.stack(stacked) is stacked
-        assert list(stacked) == samples
-        both = Rows.concat([stacked, Rows([[3.0]], [0])])
+    def test_concat(self):
+        parts = [Rows([[1.0]], [0], ["g"]), Rows([[2.0]], [1])]
+        both = Rows.concat([*parts, Rows([[3.0]], [0])])
+        assert both.X.tolist() == [[1.0], [2.0], [3.0]] and both.y.tolist() == [0, 1, 0]
         assert both.attribute.tolist() == ["g", None, None]
 
-    def test_keys_follow_sample_key(self):
-        rows = Rows([[0.0], [-0.0], [0.0]], [1, 1, 1])
-        assert len(rows.keys()) == len({s.key() for s in rows}) == 2
+    def test_keys_follow_feature_bits_and_label(self):
+        rows = Rows([[0.0], [-0.0], [0.0], [0.0]], [1, 1, 1, 0])
+        row_keys = {(rows.X[i].tobytes(), int(rows.y[i])) for i in range(len(rows))}
+        assert len(rows.keys()) == len(row_keys) == 3
 
 
 class TestSyntheticMixture:
@@ -297,7 +294,8 @@ class TestSyntheticMixture:
         ]
         a = synthetic_mixture(comps, 7, seed=42)
         b = synthetic_mixture(comps, 7, seed=42)
-        assert all(x == y for pa, pb in zip(a.pools, b.pools) for x, y in zip(pa, pb))
+        assert len(a.pools) == len(b.pools)
+        assert all(row_keys(pa) == row_keys(pb) for pa, pb in zip(a.pools, b.pools))
 
     def test_zero_variance_pool_is_constant(self):
         comps = [
@@ -305,16 +303,14 @@ class TestSyntheticMixture:
             GaussianComponent(mean=(3.0, 4.0), cov=0.0, label=1),
         ]
         pools = synthetic_mixture(comps, 6, seed=3)
-        first = pools.pools[0][0]
-        assert all(s == first for s in pools.pools[0])
-        np.testing.assert_allclose(first.features, [1.0, 2.0])
+        assert len(set(row_keys(pools.pools[0]))) == 1
+        np.testing.assert_allclose(pools.pools[0].X[0], [1.0, 2.0])
 
     def test_label_rule(self):
         comps = [GaussianComponent(mean=(0.0, 0.0), cov=1.0)] * 2
         pools = mixture_samples(comps, 50, seed=8, label_rule=halfspace_label([1.0, 0.0]))
         for pool in pools:
-            for s in pool:
-                assert s.label == int(s.features[0] > 0)
+            assert pool.y.tolist() == (pool.X[:, 0] > 0).astype(int).tolist()
 
     def test_nonpositive_count_errors(self):
         with pytest.raises(MialabError):

@@ -3,23 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from mialab import attacks, dp, nn
-from mialab.dataio import Rows, Sample
+from mialab import attacks, config, dp, nn
+from mialab.dataio import Rows
 from mialab.errors import MialabError, SplitError
 from mialab.experiments import (
+    CampaignRow,
     ExperimentConfig,
     batch_mm_campaign,
     exp_alt,
     exp_iid,
     exp_mm,
     exp_strong,
+    _aggregate,
     noise_for_grid,
+    run_games,
     strong_challenge,
-    two_proportion_z_test,
 )
 from mialab.rngs import as_generator, subseed
 from mialab.splits import MixturePools
 from mialab.synthetic import GaussianComponent, mixture_dataset
+
+from conftest import row_keys
 
 FIXED_MODEL = nn.init_model((2, 4, 2), seed=0)
 
@@ -31,8 +35,8 @@ def fixed_trainer(members, rng):
 def real_trainer_factory(epochs=20, hidden=(32,), privacy=None):
     def trainer(members, rng):
         rng = as_generator(rng)
-        width = members[0].features.shape[0]
-        classes = max(2, max(s.label for s in members) + 1)
+        width = members.X.shape[1]
+        classes = max(2, int(members.y.max()) + 1)
         init = nn.init_model((width, *hidden, classes), int(rng.integers(2**31)))
         cfg = nn.TrainConfig(
             epochs=epochs, batch_size=min(100, len(members)),
@@ -44,7 +48,7 @@ def real_trainer_factory(epochs=20, hidden=(32,), privacy=None):
 
 
 def constant_attack_builder(model, members):
-    return lambda z: attacks.MEMBER
+    return lambda rows: np.full(len(rows), attacks.MEMBER)
 
 
 def optimal_vs_pool_builder(pool):
@@ -52,10 +56,8 @@ def optimal_vs_pool_builder(pool):
     attacker knows the sampling distribution)."""
 
     def build(model, members):
-        tau, _ = attacks.optimal_threshold(
-            nn.loglosses(model, members), nn.loglosses(model, Rows.stack(pool))
-        )
-        return lambda z: attacks.MEMBER if nn.logloss(model, z) < tau else attacks.NONMEMBER
+        tau, _ = attacks.optimal_threshold(nn.loglosses(model, members), nn.loglosses(model, pool))
+        return lambda rows: attacks.threshold_decisions(nn.loglosses(model, rows), tau)
 
     return build
 
@@ -68,7 +70,7 @@ def overlap_pool():
     )
     samples = mixture_dataset(comps, 120, seed=4).samples
     order = np.random.default_rng(0).permutation(len(samples))
-    return tuple(samples[i] for i in order)
+    return samples[order]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ def hard_pool():
     )
     samples = mixture_dataset(comps, 100, seed=4).samples
     order = np.random.default_rng(1).permutation(len(samples))
-    return tuple(samples[i] for i in order)
+    return samples[order]
 
 
 class TestGamesBasics:
@@ -94,49 +96,50 @@ class TestGamesBasics:
             assert np.mean(bits) == pytest.approx(0.5, abs=0.08)
 
     def test_constant_attack_half_success_strong(self, overlap_pool):
-        z, z_prime = overlap_pool[0], overlap_pool[1]
-        s_tilde = list(overlap_pool[2:12])
+        candidates, s_tilde = overlap_pool[:2], overlap_pool[2:12]
         bits = [
-            exp_strong(lambda *a: 0, fixed_trainer, s_tilde, z, z_prime, seed)
+            exp_strong(lambda *a: 0, fixed_trainer, s_tilde, candidates, seed)
             for seed in range(400)
         ]
         assert np.mean(bits) == pytest.approx(0.5, abs=0.08)
 
     def test_oracle_attack_always_wins_strong(self):
         # an attack that reads the bit off the training set contents
-        z = Sample([1.0, 0.0], 0)
-        z_prime = Sample([0.0, 1.0], 1)
-        s_tilde = [Sample([float(i), 2.0], i % 2) for i in range(9)]
+        candidates = Rows([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        s_tilde = Rows([[float(i), 2.0] for i in range(9)], [i % 2 for i in range(9)])
         trained_with = {}
 
         def spying_trainer(members, rng):
-            trained_with["z"] = any(s == z for s in members)
+            is_z = (members.X == [1.0, 0.0]).all(axis=1) & (members.y == 0)
+            trained_with["z"] = bool(is_z.any())
             return FIXED_MODEL
 
-        def oracle_attack(model, a, b, s):
+        def oracle_attack(model, candidates):
             return 0 if trained_with["z"] else 1
 
         wins = [
-            exp_strong(oracle_attack, spying_trainer, s_tilde, z, z_prime, seed)
+            exp_strong(oracle_attack, spying_trainer, s_tilde, candidates, seed)
             for seed in range(50)
         ]
         assert wins == [1] * 50
 
     def test_strong_challenge_draw(self, blob_pools):
-        s_tilde, z, z_prime = strong_challenge(blob_pools, 20, seed=4)
-        member_keys = {s.key() for s in blob_pools.pools[0]}
-        assert len(s_tilde) == 19 and z.key() not in {s.key() for s in s_tilde}
-        assert {s.key() for s in s_tilde} | {z.key()} <= member_keys
-        assert z_prime.key() in {s.key() for s in blob_pools.pools[1]}
+        s_tilde, candidates = strong_challenge(blob_pools, 20, seed=4)
+        z, z_prime = row_keys(candidates)
+        member_keys = set(row_keys(blob_pools.pools[0]))
+        assert len(s_tilde) == 19 and len(candidates) == 2
+        assert z not in row_keys(s_tilde)
+        assert set(row_keys(s_tilde)) | {z} <= member_keys
+        assert z_prime in row_keys(blob_pools.pools[1])
         again = strong_challenge(blob_pools, 20, seed=4)
-        assert again[0] == s_tilde and again[1] == z and again[2] == z_prime
+        assert again[0] == s_tilde and again[1] == candidates
         with pytest.raises(MialabError, match="too small"):
             strong_challenge(blob_pools, len(blob_pools.pools[0]), seed=4)
 
     def test_strong_rejects_equal_candidates(self):
-        z = Sample([1.0], 0)
         with pytest.raises(MialabError, match="differ"):
-            exp_strong(lambda *a: 0, fixed_trainer, [], z, Sample([1.0], 0), seed=0)
+            exp_strong(lambda *a: 0, fixed_trainer, Rows(np.empty((0, 1)), []),
+                       Rows([[1.0], [1.0]], [0, 0]), seed=0)
 
     def test_seeded_games_deterministic(self, overlap_pool, blob_pools):
         for game in (exp_iid, exp_alt):
@@ -146,11 +149,10 @@ class TestGamesBasics:
         a = exp_mm(constant_attack_builder, fixed_trainer, 20, blob_pools, 123)
         b = exp_mm(constant_attack_builder, fixed_trainer, 20, blob_pools, 123)
         assert a == b
-        z, z_prime = overlap_pool[0], overlap_pool[1]
-        s_tilde = list(overlap_pool[2:12])
-        attack = lambda model, x, y, s: 0
-        a = exp_strong(attack, fixed_trainer, s_tilde, z, z_prime, 123)
-        b = exp_strong(attack, fixed_trainer, s_tilde, z, z_prime, 123)
+        candidates, s_tilde = overlap_pool[:2], overlap_pool[2:12]
+        attack = lambda model, candidates: 0
+        a = exp_strong(attack, fixed_trainer, s_tilde, candidates, 123)
+        b = exp_strong(attack, fixed_trainer, s_tilde, candidates, 123)
         assert a == b
 
     def test_pool_too_small_errors(self, overlap_pool):
@@ -162,6 +164,40 @@ class TestGamesBasics:
     def test_mm_pool_too_small_errors(self, constant_pools):
         with pytest.raises(SplitError):
             exp_mm(constant_attack_builder, fixed_trainer, 1000, constant_pools, 0)
+
+
+# The reference game config: two Gaussian blobs, 40 members, eps = 1.
+GAME_DOC = {
+    "schema_version": 1, "n_members": 40, "epsilon_grid": [1.0], "repetitions": 12,
+    "seed": 7, "attacks": ["average_threshold"],
+    "train": {"hidden_units": [8], "epochs": 5, "batch_size": 20},
+    "data": {
+        "kind": "synthetic_mixture",
+        "components": [
+            {"mean": [0.0, 0.0], "cov": 0.5, "label": 0},
+            {"mean": [2.0, 2.0], "cov": 0.5, "label": 1},
+        ],
+        "n_per_component": 200,
+    },
+    "split": {"kind": "mixture"},
+}
+
+# Success bits of the 12 rounds of each game at GAME_DOC, as games.csv
+# records them.
+PINNED_GAME_BITS = {
+    "iid": [0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1],
+    "alt": [0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1],
+    "mm": [0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1],
+    "strong": [1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_GAME_BITS))
+def test_game_bits_pinned(experiment):
+    resolved = config.resolve({**GAME_DOC, "experiment": experiment})
+    mat = config.materialize(resolved)
+    bits = run_games(experiment, resolved.cfg, mat.pools, mat.union_pool)
+    assert bits == PINNED_GAME_BITS[experiment]
 
 
 class TestGamesDerived:
@@ -194,7 +230,7 @@ class TestGamesDerived:
         # then matches the IID game statistically.
         half = len(overlap_pool) // 2
         pools = MixturePools(
-            pools=(Rows.stack(overlap_pool[:half]), Rows.stack(overlap_pool[half:]))
+            pools=(overlap_pool[:half], overlap_pool[half:])
         )
         trainer = real_trainer_factory(epochs=5, hidden=(8,))
         builder = optimal_vs_pool_builder(overlap_pool)
@@ -207,6 +243,20 @@ class TestGamesDerived:
         ]
         _, p = two_proportion_z_test(sum(mm_bits), 250, sum(iid_bits), 250)
         assert p > 0.01
+
+
+def two_proportion_z_test(successes_a: int, n_a: int,
+                          successes_b: int, n_b: int) -> tuple[float, float]:
+    """Two-sided two-proportion z-test; returns (z, p_value)."""
+    if min(n_a, n_b) < 1:
+        raise MialabError("both sample sizes must be positive")
+    pa, pb = successes_a / n_a, successes_b / n_b
+    pooled = (successes_a + successes_b) / (n_a + n_b)
+    denom = math.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+    if denom == 0.0:
+        return 0.0, 1.0
+    z = (pa - pb) / denom
+    return z, math.erfc(abs(z) / math.sqrt(2))
 
 
 class TestZTest:
@@ -238,6 +288,21 @@ def small_campaign_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def test_ci_half_width_is_student_t():
+    from scipy import stats
+
+    values = [0.1, 0.25, -0.05, 0.4, 0.3]
+    for k in range(2, len(values) + 1):
+        rows = [
+            CampaignRow(1.0, "a", "IID", r, 0.0, 0.0, v, 0.0, 0.0, None, 1.0, 1.0)
+            for r, v in enumerate(values[:k])
+        ]
+        (agg,) = _aggregate(rows)
+        sd = float(np.std(values[:k], ddof=1))
+        expected = float(stats.t.ppf(0.975, k - 1)) * sd / math.sqrt(k)
+        assert agg.ci_half_width == expected and agg.repetitions == k
+
+
 class TestCampaign:
     def test_row_counting_contract(self, blob_pools):
         cfg = small_campaign_config()
@@ -259,7 +324,7 @@ class TestCampaign:
     def test_identical_pools_match_counterfactual_statistics(self, overlap_pool):
         half = len(overlap_pool) // 2
         pools = MixturePools(
-            pools=(Rows.stack(overlap_pool[:half]), Rows.stack(overlap_pool[half:]))
+            pools=(overlap_pool[:half], overlap_pool[half:])
         )
         cfg = small_campaign_config(
             repetitions=6, epsilon_grid=(math.inf,),
@@ -304,16 +369,13 @@ class TestCampaign:
         from mialab.splits import attribute_bias_pools
 
         rng = np.random.default_rng(3)
-        samples = []
-        for i in range(400):
-            group = "v" if i % 2 == 0 else "w"
-            samples.append(Sample(rng.normal(size=2), i % 2, group))
-        data = Dataset(schema=attr_schema, samples=Rows.stack(samples))
+        samples = Rows(rng.normal(size=(400, 2)), np.arange(400) % 2, ["v", "w"] * 200)
+        data = Dataset(schema=attr_schema, samples=samples)
         seen = []
 
         def builder(seed):
             pools = attribute_bias_pools(data, "v", 0.8, 60, seed)
-            seen.append(tuple(s.key() for s in pools.pools[0]))
+            seen.append(pools.pools[0].X.tobytes() + pools.pools[0].y.tobytes())
             return pools
 
         cfg = small_campaign_config(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mialab import dp, nn
-from mialab.dataio import Rows, Sample
+from mialab.dataio import Rows
 from mialab.errors import MialabError, TrainingDiverged
 from mialab.nn import (
     MlpModel,
@@ -14,9 +14,7 @@ from mialab.nn import (
     accuracy,
     forward,
     init_model,
-    logloss,
     loglosses,
-    per_example_grad,
     train,
 )
 
@@ -64,31 +62,36 @@ class TestInit:
 class TestForward:
     def test_zero_model_two_classes(self):
         model = MlpModel((4, 2), (np.zeros((4, 2)),), (np.zeros(2),))
-        np.testing.assert_allclose(forward(model, np.ones(4)), [0.5, 0.5])
+        np.testing.assert_allclose(forward(model, np.ones((1, 4))), [[0.5, 0.5]])
 
     def test_zero_model_uniform_over_k(self):
         model = MlpModel((3, 5), (np.zeros((3, 5)),), (np.zeros(5),))
-        np.testing.assert_allclose(forward(model, np.ones(3)), np.full(5, 0.2))
+        np.testing.assert_allclose(forward(model, np.ones((1, 3))), np.full((1, 5), 0.2))
 
     def test_extreme_logits_no_overflow(self):
         model = MlpModel(
             (1, 2), (np.array([[1000.0, 0.0]]),), (np.zeros(2),)
         )
-        probs = forward(model, np.array([1.0]))
+        probs = forward(model, np.array([[1.0]]))[0]
         assert probs[0] == pytest.approx(1.0)
         assert np.all(np.isfinite(probs))
 
     def test_width_mismatch_errors(self):
         model = init_model((4, 2), seed=0)
         with pytest.raises(MialabError, match="width"):
-            forward(model, np.ones(3))
+            forward(model, np.ones((1, 3)))
+
+    def test_vector_input_errors(self):
+        model = init_model((4, 2), seed=0)
+        with pytest.raises(MialabError, match=r"\(n, d\) matrix"):
+            forward(model, np.ones(4))
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_probabilities_sum_to_one(self, features):
         model = init_model((3, 8, 4), seed=11)
-        probs = forward(model, np.array(features))
-        assert abs(probs.sum() - 1.0) < 1e-9
+        probs = forward(model, np.array([features]))
+        assert probs.shape == (1, 4) and abs(probs.sum() - 1.0) < 1e-9
 
 
 class TestLogloss:
@@ -96,35 +99,39 @@ class TestLogloss:
         model = MlpModel(
             (1, 2), (np.array([[60.0, -60.0]]),), (np.zeros(2),)
         )
-        assert logloss(model, Sample([1.0], 0)) == pytest.approx(0.0, abs=1e-12)
+        assert loglosses(model, Rows([[1.0]], [0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_prediction_ln2(self):
         model = MlpModel((2, 2), (np.zeros((2, 2)),), (np.zeros(2),))
-        assert logloss(model, Sample([1.0, 0.0], 1)) == pytest.approx(math.log(2))
+        assert loglosses(model, Rows([[1.0, 0.0]], [1]))[0] == pytest.approx(math.log(2))
 
     def test_exp_minus_one_probability(self):
         # logits chosen so p(true class) = 1/e exactly
         p = 1 / math.e
         logit = math.log(p / (1 - p))
         model = MlpModel((1, 2), (np.array([[logit, 0.0]]),), (np.zeros(2),))
-        assert logloss(model, Sample([1.0], 0)) == pytest.approx(1.0)
+        assert loglosses(model, Rows([[1.0]], [0]))[0] == pytest.approx(1.0)
 
     def test_loglosses_matches_scalar(self):
         model = init_model((2, 6, 2), seed=3)
         samples = separable_samples(5)
         batch = loglosses(model, samples)
-        singles = [logloss(model, s) for s in samples]
+        singles = [loglosses(model, samples[[i]])[0] for i in range(len(samples))]
         np.testing.assert_allclose(batch, singles)
 
 
 class TestPerExampleGrad:
-    def finite_difference(self, model, sample, l2, step=1e-5):
+    @staticmethod
+    def grad(model, row, l2):
+        return nn._per_example_grads(model, row.X, row.y, l2)[0]
+
+    def finite_difference(self, model, row, l2, step=1e-5):
         flat = model.flatten()
 
         def loss_at(v):
             m = MlpModel.unflatten(model.layer_dims, v)
             reg = 0.5 * l2 * sum(float(np.sum(W * W)) for W in m.weights)
-            return logloss(m, sample) + reg
+            return loglosses(m, row)[0] + reg
 
         grad = np.empty_like(flat)
         for j in range(flat.size):
@@ -136,9 +143,9 @@ class TestPerExampleGrad:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(5)
         model = init_model((4, 8, 8, 2), seed=1)
-        sample = Sample(rng.normal(size=4), 1)
-        analytic = per_example_grad(model, sample, 1e-3)
-        numeric = self.finite_difference(model, sample, 1e-3)
+        row = Rows(rng.normal(size=(1, 4)), [1])
+        analytic = self.grad(model, row, 1e-3)
+        numeric = self.finite_difference(model, row, 1e-3)
         mask = (np.abs(analytic) > 1e-6) | (np.abs(numeric) > 1e-6)
         rel = np.abs(analytic - numeric)[mask] / np.maximum(
             np.abs(numeric[mask]), np.abs(analytic[mask])
@@ -149,15 +156,15 @@ class TestPerExampleGrad:
         model = MlpModel(
             (1, 2), (np.array([[60.0, -60.0]]),), (np.zeros(2),)
         )
-        g = per_example_grad(model, Sample([1.0], 0), l2_coefficient=0.0)
+        g = self.grad(model, Rows([[1.0]], [0]), l2=0.0)
         assert np.abs(g).max() < 1e-12
 
     def test_l2_component_scales_linearly(self):
         model = MlpModel(
             (1, 2), (np.array([[60.0, -60.0]]),), (np.zeros(2),)
         )
-        g1 = per_example_grad(model, Sample([1.0], 0), l2_coefficient=0.1)
-        g2 = per_example_grad(model, Sample([1.0], 0), l2_coefficient=0.2)
+        g1 = self.grad(model, Rows([[1.0]], [0]), l2=0.1)
+        g2 = self.grad(model, Rows([[1.0]], [0]), l2=0.2)
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-15)
 
 

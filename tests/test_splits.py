@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mialab.dataio import Rows, Sample
+from mialab.dataio import Rows
 from mialab.errors import SplitError
 from mialab.splits import (
     MixturePools,
@@ -18,7 +18,7 @@ from mialab.splits import (
 )
 from mialab.synthetic import GaussianComponent, mixture_dataset
 
-from conftest import samples_from_array
+from conftest import row_keys, samples_from_array
 
 
 def brute_force_two_partition_sse(points):
@@ -118,11 +118,11 @@ class TestClusterSplit:
         pools = cluster_split(data, seed=1)
         assert pools.sizes() == (120, 120)
         for pool in pools.pools:
-            labels = {s.label for s in pool}
+            labels = set(pool.y.tolist())
             assert labels == {0, 1}
         # canonical pool 1 holds the small-first-coordinate modes
-        assert all(s.features[0] < 3.0 for s in pools.pools[0])
-        assert all(s.features[0] > 3.0 for s in pools.pools[1])
+        assert np.all(pools.pools[0].X[:, 0] < 3.0)
+        assert np.all(pools.pools[1].X[:, 0] > 3.0)
 
     def test_class_with_single_point_errors(self):
         samples = samples_from_array(
@@ -143,12 +143,10 @@ class TestClusterSplit:
 
 
 def attr_samples(n_with, n_without, offset=0):
-    out = []
-    for i in range(n_with):
-        out.append(Sample([float(offset + i), 0.0], i % 2, "v"))
-    for i in range(n_without):
-        out.append(Sample([float(offset + i), 1.0], i % 2, "w"))
-    return out
+    X = [[float(offset + i), 0.0] for i in range(n_with)]
+    X += [[float(offset + i), 1.0] for i in range(n_without)]
+    y = [i % 2 for i in range(n_with)] + [i % 2 for i in range(n_without)]
+    return Rows(np.reshape(X, (-1, 2)), y, ["v"] * n_with + ["w"] * n_without)
 
 
 @pytest.fixture
@@ -157,7 +155,7 @@ def attr_dataset(attr_schema):
 
     from mialab.dataio import Dataset
 
-    samples = Rows.stack(attr_samples(300, 300))
+    samples = attr_samples(300, 300)
     return Dataset(schema=attr_schema, samples=samples, provenance="test")
 
 
@@ -169,20 +167,20 @@ class TestAttributeBias:
         pools = attribute_bias_pools(attr_dataset, "v", p, n, seed=0)
         d1 = pools.pools[0]
         assert len(d1) == n
-        assert sum(1 for s in d1 if s.attribute == "v") == expect_with
+        assert np.sum(d1.attribute == "v") == expect_with
 
     def test_nonmember_pool_balanced(self, attr_dataset):
         pools = attribute_bias_pools(attr_dataset, "v", 0.8, 101, seed=0)
         d2 = pools.pools[1]
-        assert sum(1 for s in d2 if s.attribute == "v") == 50
-        assert sum(1 for s in d2 if s.attribute != "v") == 51
+        assert np.sum(d2.attribute == "v") == 50
+        assert np.sum(d2.attribute != "v") == 51
 
     def test_shadow_reserve_capped_per_value(self, attr_dataset):
         n = 100
         pools = attribute_bias_pools(attr_dataset, "v", 0.5, n, seed=0)
         by_value = {
-            "v": sum(1 for s in pools.shadow_reserve if s.attribute == "v"),
-            "w": sum(1 for s in pools.shadow_reserve if s.attribute != "v"),
+            "v": np.sum(pools.shadow_reserve.attribute == "v"),
+            "w": np.sum(pools.shadow_reserve.attribute != "v"),
         }
         assert by_value["v"] <= n and by_value["w"] <= n
 
@@ -192,8 +190,8 @@ class TestAttributeBias:
 
     def test_pools_disjoint(self, attr_dataset):
         pools = attribute_bias_pools(attr_dataset, "v", 0.7, 120, seed=3)
-        keys0 = {s.key() for s in pools.pools[0]}
-        keys1 = {s.key() for s in pools.pools[1]}
+        keys0 = set(row_keys(pools.pools[0]))
+        keys1 = set(row_keys(pools.pools[1]))
         assert not keys0 & keys1
 
 
@@ -209,22 +207,23 @@ class TestSourceSplit:
     def test_all_rows_same_value_errors(self, attr_schema):
         from mialab.dataio import Dataset
 
-        data = Dataset(schema=attr_schema, samples=Rows.stack(attr_samples(10, 0)))
+        data = Dataset(schema=attr_schema, samples=attr_samples(10, 0))
         with pytest.raises(SplitError, match="non-member pool empty"):
             source_split(data, "v")
 
     def test_one_source_versus_union_of_rest(self, attr_schema):
         from mialab.dataio import Dataset
 
-        samples = Rows.stack(
-            Sample([float(i), float(h)], i % 2, f"hospital-{h}")
-            for h in range(4)
-            for i in range(10 + h)
+        cells = [(h, i) for h in range(4) for i in range(10 + h)]
+        samples = Rows(
+            [[float(i), float(h)] for h, i in cells],
+            [i % 2 for _, i in cells],
+            [f"hospital-{h}" for h, _ in cells],
         )
         data = Dataset(schema=attr_schema, samples=samples)
         pools = source_split(data, "hospital-2")
         assert pools.sizes() == (12, 10 + 11 + 13)
-        assert {s.attribute for s in pools.pools[1]} == {
+        assert set(pools.pools[1].attribute.tolist()) == {
             "hospital-0", "hospital-1", "hospital-3"
         }
 
@@ -238,16 +237,16 @@ class TestDraw:
 
     def test_disjointness(self, blob_pools):
         d = draw(blob_pools, 150, 150, seed=2)
-        members = {s.key() for s in d.members}
-        nonmembers = {s.key() for s in d.nonmembers}
-        shadow = {s.key() for s in d.shadow_pool}
+        members = set(row_keys(d.members))
+        nonmembers = set(row_keys(d.nonmembers))
+        shadow = set(row_keys(d.shadow_pool))
         assert not members & nonmembers
         assert not members & shadow
         assert not nonmembers & shadow
 
     def test_full_pool_draw(self, blob_pools):
         d = draw(blob_pools, 300, 10, seed=3)
-        assert {s.key() for s in d.members} == {s.key() for s in blob_pools.pools[0]}
+        assert set(row_keys(d.members)) == set(row_keys(blob_pools.pools[0]))
 
     def test_insufficient_pool_errors(self, blob_pools):
         with pytest.raises(SplitError, match="need"):
@@ -269,8 +268,8 @@ class TestIidCounterfactual:
         d = draw(blob_pools, 60, 40, seed=4)
         c = iid_counterfactual(d, seed=5)
         assert len(c.members) == 60 and len(c.nonmembers) == 40
-        before = sorted(s.key() for s in list(d.members) + list(d.nonmembers))
-        after = sorted(s.key() for s in list(c.members) + list(c.nonmembers))
+        before = sorted(row_keys(d.members) + row_keys(d.nonmembers))
+        after = sorted(row_keys(c.members) + row_keys(c.nonmembers))
         assert before == after
 
     def test_seeded_rerun_identical(self, blob_pools):
@@ -282,12 +281,12 @@ class TestIidCounterfactual:
         # land in the new member set.
         n, m = 60, 40
         d = draw(blob_pools, n, m, seed=4)
-        member_keys = {s.key() for s in d.members}
+        member_keys = set(row_keys(d.members))
         fractions = []
         for seed in range(1000):
             c = iid_counterfactual(d, seed=seed)
             fractions.append(
-                sum(1 for s in c.members if s.key() in member_keys) / n
+                sum(1 for k in row_keys(c.members) if k in member_keys) / n
             )
         assert np.mean(fractions) == pytest.approx(n / (n + m), abs=0.02)
 
@@ -295,15 +294,14 @@ class TestIidCounterfactual:
 class TestMixturePoolsInvariants:
     def test_needs_two_pools(self):
         with pytest.raises(SplitError, match="at least 2"):
-            MixturePools(pools=(Rows.stack([Sample([1.0], 0)]),))
+            MixturePools(pools=(Rows([[1.0]], [0]),))
 
     def test_rejects_shared_samples(self):
-        s = Sample([1.0], 0)
         with pytest.raises(SplitError, match="share"):
-            MixturePools(pools=(Rows.stack([s]), Rows.stack([Sample([1.0], 0)])))
+            MixturePools(pools=(Rows([[1.0]], [0]), Rows([[1.0]], [0])))
 
     def test_k_member_range(self):
-        pools = (Rows.stack([Sample([1.0], 0)]), Rows.stack([Sample([2.0], 1)]))
+        pools = (Rows([[1.0]], [0]), Rows([[2.0]], [1]))
         with pytest.raises(SplitError, match="out of range"):
             MixturePools(pools=pools, k_member=2)
 
