@@ -18,7 +18,7 @@ from .attacks import (
     train_shadow_ensemble,
 )
 from .bounds import bound_erlingsson, bound_new, bound_yeom, tradeoff_feasible
-from .dataio import Column, Dataset, Rows, Schema, TabularEncoder, load_csv, preprocess
+from .dataio import Column, Dataset, Rows, Schema, load_csv, preprocess
 from .dp import (
     AccountResult,
     PrivacyParams,

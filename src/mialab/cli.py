@@ -86,6 +86,8 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def cmd_run(args, phases: _Phases) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"must be >= 1, got {args.jobs}")
     doc = config.load_config(args.config)
     resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     cfg = resolved.cfg
@@ -180,6 +182,14 @@ def cmd_bounds(args, phases: _Phases) -> int:
 
 
 def cmd_account(args, phases: _Phases) -> int:
+    for flag, ok, want in (
+        ("--q", 0 < args.q <= 1, "in (0, 1]"),
+        ("--sigma", 0 < args.sigma < math.inf, "finite and > 0"),
+        ("--steps", args.steps >= 1, ">= 1"),
+        ("--delta", 0 < args.delta < 1, "in (0, 1)"),
+    ):
+        if not ok:
+            raise ConfigError(flag, f"must be {want}, got {getattr(args, flag[2:])}")
     result = dp.account(args.q, args.sigma, args.steps, args.delta)
     print(json.dumps({"epsilon": result.epsilon, "order": result.order}))
     return 0

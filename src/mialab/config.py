@@ -398,9 +398,7 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
     if data_spec["kind"] == "csv":
         schema = Schema.from_json_file(data_spec["schema"])
         raw = load_csv(data_spec["path"], schema)
-        dataset = preprocess(
-            raw, schema, data_spec.get("preprocess_seed", 0), provenance=str(data_spec["path"])
-        )
+        dataset = preprocess(raw, schema, data_spec.get("preprocess_seed", 0))
     else:
         components, rule = _components_from_spec(data_spec)
         n_per = data_spec["n_per_component"]

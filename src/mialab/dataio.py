@@ -2,15 +2,18 @@
 
 CSV files are comma separated with a header row; an empty string marks a
 missing cell. A schema assigns every column a kind (numeric/categorical)
-and a role (feature/label/split-attribute/ignored). Preprocessing imputes
-missing cells, one-hot encodes categorical features, min-max scales numeric
-features to [0, 1], and drops duplicate rows keeping one random copy.
+and a role (feature/label/split-attribute/ignored). Preprocessing is one
+pass over the columns: it imputes missing cells, one-hot encodes
+categorical features, min-max scales numeric features to [0, 1], and
+drops duplicate rows keeping one random copy. Errors name the CSV line,
+counting the header as line 1.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -89,12 +92,6 @@ class Schema:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path.name}: invalid JSON: {exc}") from exc
         return cls.from_json(doc)
-
-    def to_json(self) -> dict:
-        return {
-            "columns": [{"name": c.name, "kind": c.kind, "role": c.role} for c in self.columns],
-            "label_classes": self.label_classes,
-        }
 
 
 class Rows:
@@ -187,7 +184,6 @@ class Rows:
 class Dataset:
     schema: Schema
     samples: Rows
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.samples:
@@ -207,7 +203,8 @@ class Dataset:
 def load_csv(path: "str | Path", schema: Schema) -> RawTable:
     """Read a CSV file whose header matches the schema's column names.
 
-    Missing cells (empty strings) come back as None. Row order is preserved.
+    Missing cells (empty strings) come back as None. Row i of the result is
+    line i + 2 of the file: blank lines are allowed only at its end.
     """
     path = Path(path)
     if not path.is_file():
@@ -231,10 +228,14 @@ def load_csv(path: "str | Path", schema: Schema) -> RawTable:
             raise SchemaError(f"{path.name}: unknown column(s) {unknown}")
         if missing:
             raise SchemaError(f"{path.name}: header is missing column(s) {missing}")
+        blank = None
         try:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
+                    blank = blank or lineno
                     continue
+                if blank:
+                    raise CsvParseError("blank line inside the table", row=blank)
                 if len(row) != len(header):
                     raise CsvParseError(
                         f"expected {len(header)} cells, got {len(row)}", row=lineno
@@ -247,161 +248,88 @@ def load_csv(path: "str | Path", schema: Schema) -> RawTable:
     return rows
 
 
-def _parse_numeric(value: str, column: str, row: int) -> float:
+def _parse_numeric(value: str, column: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise PreprocessError(
-            f"column {column!r}, row {row}: cannot parse {value!r} as a number"
+            f"column {column!r}, line {line}: cannot parse {value!r} as a number"
         ) from None
+    if not math.isfinite(number):
+        raise PreprocessError(f"column {column!r}, line {line}: {value!r} is not finite")
+    return number
 
 
-def _mode_first_seen(values: Sequence[str]) -> str:
-    # Ties broken by first appearance, for determinism.
+def _filled_with_mode(cells: list, column: str) -> list[str]:
+    """The cells with missing ones set to the column mode; ties go to the
+    value seen first, for determinism."""
     counts: dict[str, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    for v in cells:
+        if v is not None:
+            counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        raise PreprocessError(f"column {column!r}: all values are missing")
     best = max(counts.values())
-    return next(v for v in counts if counts[v] == best)
+    mode = next(v for v in counts if counts[v] == best)
+    return [mode if v is None else v for v in cells]
 
 
-class TabularEncoder:
-    """Fit/transform encoder from raw CSV rows to numeric arrays.
-
-    fit() learns imputation values (column mean or mode), min/max ranges,
-    one-hot category vocabularies, and the label index mapping. transform()
-    applies them, returning (features, labels, attributes). Unknown
-    categories or labels at transform time are rejected.
-    """
-
-    def __init__(self, schema: Schema):
-        self.schema = schema
-        self._fitted = False
-
-    def fit(self, raw: RawTable) -> "TabularEncoder":
-        if not raw:
-            raise PreprocessError("cannot fit on an empty table")
-        self.numeric_stats_: dict[str, tuple[float, float, float]] = {}
-        self.categories_: dict[str, list[str]] = {}
-        self.modes_: dict[str, str] = {}
-        for col in self.schema.feature_columns:
-            observed = [r[col.name] for r in raw if r[col.name] is not None]
-            if not observed:
-                raise PreprocessError(f"column {col.name!r}: all values are missing")
-            if col.kind == "numeric":
-                values = [
-                    _parse_numeric(v, col.name, i)
-                    for i, v in enumerate(
-                        (r[col.name] for r in raw if r[col.name] is not None), start=1
-                    )
-                ]
-                self.numeric_stats_[col.name] = (
-                    float(np.mean(values)),
-                    float(min(values)),
-                    float(max(values)),
-                )
-            else:
-                self.categories_[col.name] = sorted(set(observed))
-                self.modes_[col.name] = _mode_first_seen(observed)
-        label_col = self.schema.label_column
-        observed_labels = [r[label_col.name] for r in raw if r[label_col.name] is not None]
-        if len(observed_labels) != len(raw):
-            raise PreprocessError(f"label column {label_col.name!r} has missing values")
-        if label_col.kind == "numeric":
-            distinct = sorted({float(v) for v in observed_labels})
-            self.label_map_ = {repr(v): i for i, v in enumerate(distinct)}
-            self._label_key = lambda v: repr(float(v))
-        else:
-            distinct = sorted(set(observed_labels))
-            self.label_map_ = {v: i for i, v in enumerate(distinct)}
-            self._label_key = lambda v: v
-        if len(self.label_map_) > self.schema.label_classes:
-            raise PreprocessError(
-                f"found {len(self.label_map_)} distinct labels, schema allows "
-                f"{self.schema.label_classes}"
-            )
-        split_col = self.schema.split_attribute_column
-        if split_col is not None:
-            observed = [r[split_col.name] for r in raw if r[split_col.name] is not None]
-            if not observed:
-                raise PreprocessError(f"column {split_col.name!r}: all values are missing")
-            self.modes_[split_col.name] = _mode_first_seen(observed)
-        self.feature_names_ = self._output_names()
-        self._fitted = True
-        return self
-
-    def _output_names(self) -> list[str]:
-        names = []
-        for col in self.schema.feature_columns:
-            if col.kind == "numeric":
-                names.append(col.name)
-            else:
-                names.extend(f"{col.name}={v}" for v in self.categories_[col.name])
-        return names
-
-    @property
-    def width(self) -> int:
-        return len(self.feature_names_)
-
-    def transform(self, raw: RawTable) -> tuple[np.ndarray, np.ndarray, list]:
-        if not self._fitted:
-            raise PreprocessError("encoder is not fitted")
-        n = len(raw)
-        X = np.zeros((n, self.width))
-        y = np.zeros(n, dtype=np.int64)
-        attrs: list = [None] * n
-        split_col = self.schema.split_attribute_column
-        label_col = self.schema.label_column
-        for i, row in enumerate(raw):
-            pos = 0
-            for col in self.schema.feature_columns:
-                cell = row[col.name]
-                if col.kind == "numeric":
-                    mean, lo, hi = self.numeric_stats_[col.name]
-                    v = mean if cell is None else _parse_numeric(cell, col.name, i + 1)
-                    X[i, pos] = 0.0 if hi == lo else (v - lo) / (hi - lo)
-                    pos += 1
-                else:
-                    cats = self.categories_[col.name]
-                    v = self.modes_[col.name] if cell is None else cell
-                    if v not in cats:
-                        raise PreprocessError(
-                            f"column {col.name!r}, row {i + 1}: unseen category {v!r}"
-                        )
-                    X[i, pos + cats.index(v)] = 1.0
-                    pos += len(cats)
-            cell = row[label_col.name]
-            if cell is None:
-                raise PreprocessError(f"label column, row {i + 1}: missing value")
-            key = self._label_key(cell)
-            if key not in self.label_map_:
-                raise PreprocessError(f"label column, row {i + 1}: unseen label {cell!r}")
-            y[i] = self.label_map_[key]
-            if split_col is not None:
-                cell = row[split_col.name]
-                attrs[i] = self.modes_[split_col.name] if cell is None else cell
-        return X, y, attrs
-
-    def fit_transform(self, raw: RawTable) -> tuple[np.ndarray, np.ndarray, list]:
-        return self.fit(raw).transform(raw)
+def _numeric_feature(cells: list, column: str) -> np.ndarray:
+    """One min-max scaled column; missing cells get the column mean."""
+    present = [i for i, v in enumerate(cells) if v is not None]
+    if not present:
+        raise PreprocessError(f"column {column!r}: all values are missing")
+    values = [_parse_numeric(cells[i], column, i + 2) for i in present]
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return np.zeros((len(cells), 1))
+    scaled = np.full(len(cells), float(np.mean(values)))
+    scaled[present] = values
+    return ((scaled - lo) / (hi - lo))[:, None]
 
 
-def preprocess(raw: RawTable, schema: Schema, seed: int, provenance: str = "") -> Dataset:
-    """Encode a raw table into a Dataset.
+def _one_hot(cells: list, column: str) -> np.ndarray:
+    """Indicator columns, one per distinct value in sorted order; missing
+    cells get the column mode."""
+    filled = _filled_with_mode(cells, column)
+    index = {v: j for j, v in enumerate(sorted(set(filled)))}
+    block = np.zeros((len(cells), len(index)))
+    block[np.arange(len(cells)), [index[v] for v in filled]] = 1.0
+    return block
+
+
+def preprocess(raw: RawTable, schema: Schema, seed: int) -> Dataset:
+    """Encode a raw table into a Dataset, one column at a time.
 
     Numeric missing cells get the column mean, categorical ones the column
     mode; categorical features are one-hot encoded and numeric features
-    min-max scaled to [0, 1] (constant columns map to 0). Duplicate
-    (features, label) rows collapse to a single copy chosen uniformly at
-    random with the given seed. The split-attribute column is carried as
-    per-sample metadata and never enters the features.
+    min-max scaled to [0, 1] (constant columns map to 0). Labels map to
+    their index in sorted order. Duplicate (features, label) rows collapse
+    to a single copy chosen uniformly at random with the given seed. The
+    split-attribute column is carried as per-sample metadata and never
+    enters the features. Errors name the column and the CSV line: row i of
+    the table is line i + 2, as load_csv reads it.
     """
     if not raw:
         raise PreprocessError("cannot preprocess an empty table")
     if not schema.feature_columns:
         raise PreprocessError("zero-width feature space: schema has no feature columns")
-    encoder = TabularEncoder(schema)
-    X, y, attrs = encoder.fit_transform(raw)
+    X = np.hstack([
+        (_numeric_feature if c.kind == "numeric" else _one_hot)([r[c.name] for r in raw], c.name)
+        for c in schema.feature_columns
+    ])
+    label = schema.label_column
+    cells = [row[label.name] for row in raw]
+    if None in cells:
+        line = cells.index(None) + 2
+        raise PreprocessError(f"label column {label.name!r}, line {line}: missing value")
+    if label.kind == "numeric":
+        cells = [_parse_numeric(v, label.name, i + 2) for i, v in enumerate(cells)]
+    classes = {v: i for i, v in enumerate(sorted(set(cells)))}
+    if len(classes) > schema.label_classes:
+        raise PreprocessError(f"found {len(classes)} distinct labels, "
+                              f"schema allows {schema.label_classes}")
+    y = np.array([classes[v] for v in cells], dtype=np.int64)
     rng = np.random.default_rng(seed)
     groups: dict[tuple, list[int]] = {}
     for i in range(len(raw)):
@@ -409,8 +337,9 @@ def preprocess(raw: RawTable, schema: Schema, seed: int, provenance: str = "") -
     survivors = sorted(
         idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0] for idx in groups.values()
     )
+    split = schema.split_attribute_column
     attribute = None
-    if schema.split_attribute_column is not None:
+    if split is not None:
+        attrs = _filled_with_mode([row[split.name] for row in raw], split.name)
         attribute = np.array(attrs, dtype=object)[survivors]
-    samples = Rows(X[survivors], y[survivors], attribute)
-    return Dataset(schema=schema, samples=samples, provenance=provenance)
+    return Dataset(schema=schema, samples=Rows(X[survivors], y[survivors], attribute))

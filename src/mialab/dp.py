@@ -32,6 +32,10 @@ DEFAULT_ORDERS: tuple[float, ...] = (
     256.0,
 )
 
+# calibrate_sigma's bisection bracket and stopping width.
+_SIGMA_MIN, _SIGMA_MAX = 1e-2, 1e3
+_SIGMA_RESOLUTION = 1e-3
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -251,29 +255,28 @@ def calibrate_sigma(
     q: float,
     steps: int,
     orders: Sequence[float] = DEFAULT_ORDERS,
-    bracket: tuple[float, float] = (1e-2, 1e3),
-    resolution: float = 1e-3,
 ) -> float:
     """Smallest noise multiplier whose accounted epsilon lands within 1%
-    below the target, found by bisection on the given bracket."""
+    below the target, found by bisection on the sigma bracket
+    [_SIGMA_MIN, _SIGMA_MAX] down to a width of _SIGMA_RESOLUTION."""
     if not (math.isfinite(target_epsilon) and target_epsilon > 0):
         raise CalibrationError(f"target epsilon must be finite and > 0, got {target_epsilon}")
-    lo, hi = bracket
+    lo, hi = _SIGMA_MIN, _SIGMA_MAX
     # Every sigma is accounted once: eps_hi is the epsilon at the current hi.
     eps_hi = account(q, hi, steps, delta, orders).epsilon
     if eps_hi > target_epsilon:
         raise CalibrationError(
             f"even sigma={hi} gives epsilon {eps_hi:.4g} > {target_epsilon}; "
-            "expand the bracket upwards"
+            "the target lies above the sigma bracket"
         )
     eps_lo = account(q, lo, steps, delta, orders).epsilon
     if eps_lo <= target_epsilon:
         raise CalibrationError(
             f"sigma={lo} already gives epsilon {eps_lo:.4g} <= {target_epsilon}; "
-            "expand the bracket downwards"
+            "the target lies below the sigma bracket"
         )
     for _ in range(200):
-        if hi - lo <= resolution and eps_hi >= 0.99 * target_epsilon:
+        if hi - lo <= _SIGMA_RESOLUTION and eps_hi >= 0.99 * target_epsilon:
             break
         mid = 0.5 * (lo + hi)
         eps_mid = account(q, mid, steps, delta, orders).epsilon

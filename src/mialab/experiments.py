@@ -52,6 +52,12 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _n_classes(pool: Rows) -> int:
+    """Output width of every model trained on draws from the pool: one unit
+    per label up to its largest, and never fewer than two."""
+    return max(2, int(pool.y.max()) + 1)
+
+
 def _complement(pool: Rows, idx: np.ndarray) -> Rows:
     """The pool's rows outside idx, in pool order."""
     rest = np.ones(len(pool), dtype=bool)
@@ -155,12 +161,14 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
     round. iid and alt draw from union_pool, mm and strong from pools."""
     if len(cfg.epsilon_grid) != 1:
         raise MialabError(f"a game runs at one epsilon, got {len(cfg.epsilon_grid)}")
+    if experiment not in ("iid", "alt", "mm", "strong"):
+        raise MialabError(f"unknown game {experiment!r}")
     eps = cfg.epsilon_grid[0]
     privacy = _privacy_for(cfg, eps, noise_for_grid(cfg)[eps][0])
+    n_classes = _n_classes(union_pool if experiment in ("iid", "alt") else pools.flatten())
 
     def trainer(members: Rows, rng) -> nn.MlpModel:
         rng = as_generator(rng)
-        n_classes = max(2, int(members.y.max()) + 1)
         init_seed = int(rng.integers(2**31))
         train_seed = int(rng.integers(2**31))
         return _train_model(
@@ -178,11 +186,9 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
             bit = exp_alt(builder, trainer, cfg.n_members, union_pool, seed)
         elif experiment == "mm":
             bit = exp_mm(builder, trainer, cfg.n_members, pools, seed)
-        elif experiment == "strong":
+        else:
             s_tilde, candidates = strong_challenge(pools, cfg.n_members, subseed(cfg.seed, 41, g))
             bit = exp_strong(attacks.strong_loss_attack, trainer, s_tilde, candidates, seed)
-        else:
-            raise MialabError(f"unknown game {experiment!r}")
         bits.append(bit)
     return bits
 
@@ -325,8 +331,7 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
     val_set = None
     if pools.bias is not None:
         val_set = biased_validation(pools.bias, math.ceil(n / 4), subseed(cfg.seed, 4, rep))
-    n_classes = int(pools.flatten().y.max()) + 1
-    dims = (base.members.X.shape[1], *cfg.hidden_units, n_classes)
+    dims = (base.members.X.shape[1], *cfg.hidden_units, _n_classes(pools.flatten()))
     try:
         for si, (scenario, d) in enumerate(
             ((SCENARIO_DEPENDENT, base), (SCENARIO_IID, counterfactual))

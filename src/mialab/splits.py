@@ -11,7 +11,7 @@ destroy the dependency between the two sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,13 +63,7 @@ class MixturePools:
         return tuple(len(p) for p in self.pools)
 
     def with_member(self, k_member: int) -> "MixturePools":
-        return MixturePools(
-            pools=self.pools,
-            k_member=k_member,
-            labels_of_pools=self.labels_of_pools,
-            shadow_reserve=self.shadow_reserve,
-            bias=self.bias,
-        )
+        return replace(self, k_member=k_member)
 
     def flatten(self) -> Rows:
         return Rows.concat(self.pools)
@@ -109,11 +103,11 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
+def _lloyd(points: np.ndarray, centroids: np.ndarray):
     k = centroids.shape[0]
     labels = None
     history = []
-    for it in range(max_iter):
+    for it in range(_KMEANS_MAX_ITER):
         dist2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dist2, axis=1)
         history.append(float(dist2[np.arange(len(points)), new_labels].sum()))
@@ -173,13 +167,16 @@ def _exact_two_means(pts: np.ndarray) -> KmeansResult:
 
 
 _EXACT_TWO_MEANS_LIMIT = 16
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300
 
 
-def kmeans(points, k: int, seed, n_init: int = 10, max_iter: int = 300) -> KmeansResult:
+def kmeans(points, k: int, seed) -> KmeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs n_init independent seeded initializations and keeps the lowest
-    within-cluster SSE. Iterates to an assignment fixed point or max_iter.
+    Runs _KMEANS_RESTARTS independent seeded initializations and keeps the
+    lowest within-cluster SSE. Iterates to an assignment fixed point or
+    _KMEANS_MAX_ITER.
     k=2 instances with at most 16 distinct points are solved exactly by
     enumeration instead.
     """
@@ -197,9 +194,9 @@ def kmeans(points, k: int, seed, n_init: int = 10, max_iter: int = 300) -> Kmean
         return _exact_two_means(pts)
     rng = as_generator(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(_KMEANS_RESTARTS):
         centroids = _plusplus_init(pts, k, rng)
-        labels, centroids, sse, history, n_iter = _lloyd(pts, centroids, max_iter)
+        labels, centroids, sse, history, n_iter = _lloyd(pts, centroids)
         if best is None or sse < best.sse:
             best = KmeansResult(labels, centroids, sse, history, n_iter)
     return best
@@ -311,15 +308,11 @@ def source_split(data: Dataset, member_value: str) -> MixturePools:
     )
 
 
-def draw(
-    pools: MixturePools,
-    n_members: int,
-    n_nonmembers: int,
-    seed,
-    shadow_cap: "int | None" = None,
-) -> SplitDraw:
+def draw(pools: MixturePools, n_members: int, n_nonmembers: int, seed) -> SplitDraw:
     """Sample members from the member pool and non-members from the union
-    of the other pools, both uniformly without replacement."""
+    of the other pools, both uniformly without replacement. The shadow pool
+    is the pools' shadow reserve or, without one, up to n_members leftover
+    rows of every pool."""
     rng = as_generator(seed)
     member_pool = pools.pools[pools.k_member]
     others = Rows.concat([pool for k, pool in enumerate(pools.pools) if k != pools.k_member])
@@ -336,7 +329,6 @@ def draw(
     if pools.shadow_reserve is not None:
         shadow = pools.shadow_reserve
     else:
-        cap = n_members if shadow_cap is None else shadow_cap
         left_member = np.ones(len(member_pool), dtype=bool)
         left_member[m_idx] = False
         left_other = np.ones(len(others), dtype=bool)
@@ -350,7 +342,7 @@ def draw(
                 left = pool[left_other[offset : offset + len(pool)]]
                 offset += len(pool)
             order = rng.permutation(len(left))
-            parts.append(left[order[:cap]])
+            parts.append(left[order[:n_members]])
         shadow = Rows.concat(parts)
     return SplitDraw(members=member_pool[m_idx], nonmembers=others[nm_idx], shadow_pool=shadow)
 

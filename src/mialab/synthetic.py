@@ -84,13 +84,12 @@ def synthetic_mixture(
     n_per_component: int,
     seed,
     label_rule: "Callable | None" = None,
-    k_member: int = 0,
 ) -> MixturePools:
-    """Disjoint sample pools, one per mixture component."""
+    """Disjoint sample pools, one per mixture component; pool 0 holds the
+    members."""
     pools = mixture_samples(components, n_per_component, seed, label_rule)
     return MixturePools(
         pools=tuple(pools),
-        k_member=k_member,
         labels_of_pools=tuple(f"component-{k}" for k in range(len(pools))),
     )
 
@@ -100,7 +99,6 @@ def mixture_dataset(
     n_per_component: int,
     seed,
     label_rule: "Callable | None" = None,
-    provenance: str = "synthetic-mixture",
 ) -> Dataset:
     """All components flattened into one dataset with a generated schema."""
     pools = mixture_samples(components, n_per_component, seed, label_rule)
@@ -112,4 +110,4 @@ def mixture_dataset(
         ),
         label_classes=max(2, len(np.unique(samples.y))),
     )
-    return Dataset(schema=schema, samples=samples, provenance=provenance)
+    return Dataset(schema=schema, samples=samples)

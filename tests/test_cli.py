@@ -102,6 +102,17 @@ class TestAccountCommand:
         _, out2 = run_cli("account", "--q", "0.02", "--sigma", "4.0", "--steps", "100")
         assert json.loads(out2)["epsilon"] < json.loads(out1)["epsilon"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "2"), ("--q", "0"), ("--q", "nan"), ("--sigma", "-1"), ("--sigma", "0"),
+        ("--sigma", "inf"), ("--steps", "0"), ("--delta", "3"), ("--delta", "0"),
+    ])
+    def test_bad_flag_exits_two_naming_it(self, capsys, flag, value):
+        argv = {"--q": "0.02", "--sigma": "1.0", "--steps": "100", "--delta": "1e-5"}
+        argv[flag] = value
+        code, out = run_cli("account", *[token for pair in argv.items() for token in pair])
+        assert code == 2 and out == ""
+        assert f"config error: {flag}: must be" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_minimal_config_row_count(self, tmp_path):
@@ -131,6 +142,37 @@ class TestRunCommand:
         code, _ = run_cli("run", "--config", str(path), "--out", str(blocker / "o"))
         assert code == 1
         assert "error [write]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exits_two_before_writing(self, tmp_path, capsys, jobs):
+        path = write_doc(tmp_path, synthetic_doc())
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"),
+                          "--jobs", jobs)
+        assert code == 2
+        assert "config error: --jobs: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_numeric_label_is_a_data_error_naming_column_and_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,y\n1,0\n2,1\n3,x\n4,1\n")
+        schema_path = tmp_path / "d.schema.json"
+        schema_path.write_text(json.dumps({
+            "columns": [
+                {"name": "a", "kind": "numeric"},
+                {"name": "y", "kind": "numeric", "role": "label"},
+            ],
+            "label_classes": 2,
+        }))
+        doc = synthetic_doc(
+            n_members=2, n_nonmembers=2,
+            train={"hidden_units": [4], "epochs": 2, "batch_size": 2},
+            data={"kind": "csv", "path": str(csv_path), "schema": str(schema_path)},
+            split={"kind": "source", "member_value": "a"},
+        )
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)),
+                          "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "error [data]: column 'y', line 4: cannot parse 'x'" in capsys.readouterr().err
 
     def test_unknown_attack_names_field(self, tmp_path, capsys):
         path = write_doc(tmp_path, synthetic_doc(attacks=["average_threshold", "mystery"]))

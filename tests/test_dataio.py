@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from mialab.dataio import (
     Dataset,
     Rows,
     Schema,
-    TabularEncoder,
     load_csv,
     preprocess,
 )
@@ -55,10 +57,6 @@ class TestSchema:
                 label_classes=2,
             )
 
-    def test_json_roundtrip(self, basic_schema):
-        again = Schema.from_json(basic_schema.to_json())
-        assert again == basic_schema
-
 
 class TestLoadCsv:
     def test_three_rows_pass_through(self, tmp_path, basic_schema):
@@ -91,6 +89,16 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="no such file"):
             load_csv(tmp_path / "absent.csv", basic_schema)
 
+    def test_trailing_blank_lines_skipped(self, tmp_path, basic_schema):
+        path = write_csv(tmp_path, "age,color,outcome\n1,red,yes\n2,blue,no\n\n\n")
+        assert len(load_csv(path, basic_schema)) == 2
+
+    def test_blank_line_inside_the_table_is_refused(self, tmp_path, basic_schema):
+        # Row i must stay line i + 2, so that preprocessing errors name the line.
+        path = write_csv(tmp_path, "age,color,outcome\n1,red,yes\n\n2,blue,no\n")
+        with pytest.raises(CsvParseError, match="row 3: blank line"):
+            load_csv(path, basic_schema)
+
     def test_bom_header_tolerated(self, tmp_path, basic_schema):
         path = tmp_path / "bom.csv"
         path.write_bytes("age,color,outcome\n1,red,yes\n".encode("utf-8-sig"))
@@ -103,15 +111,13 @@ class TestPreprocess:
         raw = make_raw(
             [("1", "a", "yes"), (None, "b", "no"), ("3", "a", "yes")], COLS
         )
-        enc = TabularEncoder(basic_schema).fit(raw)
-        assert enc.numeric_stats_["age"][0] == pytest.approx(2.0)
-        X, _, _ = enc.transform(raw)
+        X = preprocess(raw, basic_schema, seed=0).samples.X
         # column scaled to [0,1]; imputed mean 2 sits halfway between 1 and 3
-        assert X[1, 0] == pytest.approx(0.5)
+        assert X[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_one_hot_definition(self, basic_schema):
         raw = make_raw([("1", "A", "yes"), ("2", "B", "no")], COLS)
-        X, _, _ = TabularEncoder(basic_schema).fit_transform(raw)
+        X = preprocess(raw, basic_schema, seed=0).samples.X
         assert X[0, 1:].tolist() == [1.0, 0.0]
         assert X[1, 1:].tolist() == [0.0, 1.0]
 
@@ -119,8 +125,16 @@ class TestPreprocess:
         raw = make_raw(
             [("1", "B", "yes"), ("2", "A", "no"), ("3", None, "yes")], COLS
         )
-        enc = TabularEncoder(basic_schema).fit(raw)
-        assert enc.modes_["color"] == "B"
+        X = preprocess(raw, basic_schema, seed=0).samples.X
+        # one-hot columns are A, B in sorted order; the missing cell gets B
+        assert X[2, 1:].tolist() == [0.0, 1.0]
+
+    def test_numeric_labels_compare_as_numbers(self):
+        schema = Schema(
+            columns=(Column("a", "numeric"), Column("y", "numeric", "label")), label_classes=2
+        )
+        raw = make_raw([("1", "0"), ("2", "-0"), ("3", "1.0"), ("4", "1")], ("a", "y"))
+        assert preprocess(raw, schema, seed=0).samples.y.tolist() == [0, 0, 1, 1]
 
     def test_duplicates_collapse_to_one(self, basic_schema):
         raw = make_raw([("1", "a", "yes")] * 2 + [("2", "b", "no")], COLS)
@@ -214,6 +228,92 @@ class TestPreprocess:
         assert len(keys) == len(ds.samples)
         assert len(ds.samples) <= n
         assert ds.samples.X.shape == (len(ds.samples), ds.feature_width)
+
+
+# A small mixed table: missing cells in every column kind, exact duplicate
+# rows, a constant numeric column, a split attribute, and two label columns
+# (categorical `cls`, numeric `num`) of which each schema ignores one.
+MIXED_CSV = (
+    "a,k,color,group,cls,num,note\n"
+    "1.5,7,red,A,yes,0,r1\n"
+    ",7,blue,B,no,1,r2\n"
+    "3.0,7,,A,yes,2,r3\n"
+    "1.5,7,red,B,yes,0,r4\n"
+    "4.25,7,green,,no,1,r5\n"
+    ",7,blue,C,no,1,r6\n"
+    "-2,7,red,C,yes,2,r7\n"
+    "3.0,7,green,A,no,0,r8\n"
+    "1.5,7,red,C,yes,0,r9\n"
+    ",7,blue,A,no,1,r10\n"
+)
+
+
+def mixed_schema(label):
+    other = {"cls": "num", "num": "cls"}[label]
+    return Schema(
+        columns=(
+            Column("a", "numeric"),
+            Column("k", "numeric"),
+            Column("color", "categorical"),
+            Column("group", "categorical", "split-attribute"),
+            Column(label, "categorical" if label == "cls" else "numeric", "label"),
+            Column(other, "numeric", "ignored"),
+            Column("note", "categorical", "ignored"),
+        ),
+        label_classes=3,
+    )
+
+
+# sha256 of X, y and the JSON list of attribute values at seed 5, captured
+# from the fit/transform encoder this column-wise pass replaced.
+PINNED_MIXED = {
+    "cls": ("4d173909a4595d73d67358fb145fcafec6f5b02366319a90507990d89f9c3266",
+            "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde",
+            "e4e14e10f5f2f29d55f793cfd551393cb46f3c78efe4c3862f4f6d1227ad6648"),
+    "num": ("4d173909a4595d73d67358fb145fcafec6f5b02366319a90507990d89f9c3266",
+            "51d681bf20d0b1548c5445e3b936841674e4b4e69c298a580df68f7f169fefdc",
+            "e4e14e10f5f2f29d55f793cfd551393cb46f3c78efe4c3862f4f6d1227ad6648"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_MIXED))
+def test_mixed_table_encoding_pinned(tmp_path, label):
+    schema = mixed_schema(label)
+    rows = preprocess(load_csv(write_csv(tmp_path, MIXED_CSV), schema), schema, seed=5).samples
+    digests = tuple(
+        hashlib.sha256(blob).hexdigest()
+        for blob in (rows.X.tobytes(), rows.y.tobytes(),
+                     json.dumps(rows.attribute.tolist()).encode())
+    )
+    assert rows.X.shape == (6, 5)
+    assert digests == PINNED_MIXED[label]
+
+
+class TestPreprocessErrors:
+    def test_parse_error_names_the_csv_line(self, tmp_path, basic_schema):
+        # The missing cell on line 3 still counts: the bad cell is on line 4.
+        path = write_csv(tmp_path, "age,color,outcome\n1,a,yes\n,b,no\nabc,a,yes\n")
+        with pytest.raises(PreprocessError, match=r"column 'age', line 4: cannot parse 'abc'"):
+            preprocess(load_csv(path, basic_schema), basic_schema, seed=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_column_and_line(self, tmp_path, basic_schema, cell):
+        path = write_csv(tmp_path, f"age,color,outcome\n1,a,yes\n{cell},b,no\n")
+        with pytest.raises(PreprocessError, match=r"column 'age', line 3: .* is not finite"):
+            preprocess(load_csv(path, basic_schema), basic_schema, seed=0)
+
+    def test_bad_numeric_label_names_column_and_line(self):
+        schema = Schema(
+            columns=(Column("a", "numeric"), Column("y", "numeric", "label")), label_classes=2
+        )
+        raw = make_raw([("1", "0"), ("2", "1"), ("3", "one")], ("a", "y"))
+        with pytest.raises(PreprocessError, match=r"column 'y', line 4: cannot parse 'one'"):
+            preprocess(raw, schema, seed=0)
+
+    def test_missing_label_names_the_line(self, basic_schema):
+        raw = make_raw([("1", "a", "yes"), ("2", "b", None)], COLS)
+        with pytest.raises(PreprocessError, match=r"label column 'outcome', line 3"):
+            preprocess(raw, basic_schema, seed=0)
 
 
 class TestDatasetInvariants:

@@ -21,7 +21,7 @@ from mialab.experiments import (
 )
 from mialab.rngs import as_generator, subseed
 from mialab.splits import MixturePools
-from mialab.synthetic import GaussianComponent, mixture_dataset
+from mialab.synthetic import GaussianComponent, mixture_dataset, synthetic_mixture
 
 from conftest import row_keys
 
@@ -198,6 +198,49 @@ def test_game_bits_pinned(experiment):
     mat = config.materialize(resolved)
     bits = run_games(experiment, resolved.cfg, mat.pools, mat.union_pool)
     assert bits == PINNED_GAME_BITS[experiment]
+
+
+def record_output_widths(monkeypatch):
+    """Collect the output width of every model nn.init_model builds."""
+    widths = []
+    real = nn.init_model
+
+    def init_model(dims, seed):
+        widths.append(dims[-1])
+        return real(dims, seed)
+
+    monkeypatch.setattr(nn, "init_model", init_model)
+    return widths
+
+
+@pytest.mark.parametrize("experiment", ["mm", "strong", "iid"])
+def test_games_size_models_by_the_labels_of_their_pools(monkeypatch, experiment):
+    # Three components labelled 0/1/2: a member set of one component must
+    # still score a challenge of label 2, so every model has three outputs.
+    components = [
+        {"mean": [3.0 * k, 0.0], "cov": 0.5, "label": k} for k in range(3)
+    ]
+    doc = {**GAME_DOC, "experiment": experiment, "repetitions": 4,
+           "data": {**GAME_DOC["data"], "components": components}}
+    resolved = config.resolve(doc)
+    mat = config.materialize(resolved)
+    widths = record_output_widths(monkeypatch)
+    bits = run_games(experiment, resolved.cfg, mat.pools, mat.union_pool)
+    assert len(bits) == 4 and set(bits) <= {0, 1}
+    assert widths and set(widths) == {3}
+
+
+def test_campaign_on_one_label_trains_two_outputs(monkeypatch):
+    comps = (
+        GaussianComponent(mean=(0.0, 0.0), cov=0.5, label=0),
+        GaussianComponent(mean=(2.0, 2.0), cov=0.5, label=0),
+    )
+    pools = synthetic_mixture(comps, 100, seed=4)
+    widths = record_output_widths(monkeypatch)
+    cfg = small_campaign_config(repetitions=1, epsilon_grid=(math.inf,))
+    result = batch_mm_campaign(cfg, pools=pools)
+    assert set(widths) == {2}
+    assert len(result.rows) == 4
 
 
 class TestGamesDerived:

@@ -156,7 +156,7 @@ def attr_dataset(attr_schema):
     from mialab.dataio import Dataset
 
     samples = attr_samples(300, 300)
-    return Dataset(schema=attr_schema, samples=samples, provenance="test")
+    return Dataset(schema=attr_schema, samples=samples)
 
 
 class TestAttributeBias:
