@@ -19,17 +19,7 @@ from .attacks import (
 )
 from .bounds import bound_erlingsson, bound_new, bound_yeom, tradeoff_feasible
 from .dataio import Column, Dataset, Rows, Schema, load_csv, preprocess
-from .dp import (
-    AccountResult,
-    PrivacyParams,
-    RdpProfile,
-    account,
-    calibrate_sigma,
-    compose_and_convert,
-    noisy_mean,
-    rdp_profile,
-    rdp_sgm,
-)
+from .dp import AccountResult, PrivacyParams, account, calibrate_sigma, noisy_mean
 from .errors import (
     AccountingError,
     CalibrationError,

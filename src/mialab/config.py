@@ -164,8 +164,9 @@ def _validate_data(doc: dict) -> dict:
     kind = data["kind"]
     if kind == "csv":
         _check_keys(data, _DATA_CSV_KEYS, "data")
-        _need(data, "path", "data")
-        _need(data, "schema", "data")
+        for key in ("path", "schema"):
+            if not isinstance(_need(data, key, "data"), str):
+                raise ConfigError(f"data.{key}", f"expected a file path, got {data[key]!r}")
         if "preprocess_seed" in data:
             _as_int(data["preprocess_seed"], "data.preprocess_seed", 0)
     elif kind == "synthetic_mixture":
@@ -178,23 +179,30 @@ def _validate_data(doc: dict) -> dict:
             mean = _need(comp, "mean", f"data.components[{i}]")
             if not isinstance(mean, list) or not mean:
                 raise ConfigError(f"data.components[{i}].mean", "expected a non-empty list")
+            if len(mean) != len(comps[0]["mean"]):
+                raise ConfigError(
+                    f"data.components[{i}].mean",
+                    f"expected {len(comps[0]['mean'])} entries, as in components[0], "
+                    f"got {len(mean)}",
+                )
             if "label" in comp:
                 _as_int(comp["label"], f"data.components[{i}].label", 0)
-            try:
-                GaussianComponent(
-                    mean=tuple(float(v) for v in mean),
-                    cov=comp.get("cov", 1.0),
-                    label=comp.get("label"),
-                ).covariance()
-            except Exception as exc:
-                raise ConfigError(f"data.components[{i}]", str(exc)) from exc
         _as_int(_need(data, "n_per_component", "data"), "data.n_per_component", 1)
         if "label_rule" in data:
             rule = data["label_rule"]
             _check_keys(rule, _LABEL_RULE_KEYS, "data.label_rule")
             if rule.get("kind") != "halfspace":
                 raise ConfigError("data.label_rule.kind", f"unknown rule {rule.get('kind')!r}")
-            _need(rule, "weights", "data.label_rule")
+            weights = _need(rule, "weights", "data.label_rule")
+            dim = len(comps[0]["mean"])
+            if not isinstance(weights, list) or len(weights) != dim:
+                raise ConfigError(
+                    "data.label_rule.weights", f"expected a list of {dim} numbers, got {weights!r}"
+                )
+            for j, w in enumerate(weights):
+                _as_number(w, f"data.label_rule.weights[{j}]")
+            if "bias" in rule:
+                _as_number(rule["bias"], "data.label_rule.bias")
         else:
             missing = [i for i, c in enumerate(comps) if "label" not in c]
             if missing:
@@ -202,12 +210,13 @@ def _validate_data(doc: dict) -> dict:
                     f"data.components[{missing[0]}].label",
                     "required when no label_rule is given",
                 )
+        _components_from_spec(data)
     else:
         raise ConfigError("data.kind", f"unknown kind {kind!r}")
     return data
 
 
-def _validate_split(doc: dict) -> "dict | None":
+def _validate_split(doc: dict, data_kind: str) -> "dict | None":
     split = doc.get("split")
     if split is None:
         return None
@@ -226,6 +235,8 @@ def _validate_split(doc: dict) -> "dict | None":
         _need(split, "member_value", "split")
     elif kind == "cluster" and "k" in split:
         _as_int(split["k"], "split.k", 2)
+    elif kind == "mixture" and data_kind != "synthetic_mixture":
+        raise ConfigError("split.kind", "'mixture' needs synthetic_mixture data")
     if "k_member" in split:
         _as_int(split["k_member"], "split.k_member", 0)
     return split
@@ -280,7 +291,7 @@ def resolve(
         raise ConfigError("privacy.clip_norm", f"must be > 0, got {clip_norm}")
     train_cfg, hidden_units, train_canonical = _resolve_train(doc, profile)
     data_spec = _validate_data(doc)
-    split_spec = _validate_split(doc)
+    split_spec = _validate_split(doc, data_spec["kind"])
     if experiment in ("batch_mm", "mm", "strong"):
         if split_spec is None and data_spec["kind"] != "synthetic_mixture":
             raise ConfigError("split", f"experiment {experiment!r} needs a split block")
@@ -367,14 +378,20 @@ def load_config(path: "str | Path") -> dict:
 
 
 def _components_from_spec(data_spec: dict):
-    components = [
-        GaussianComponent(
-            mean=tuple(float(v) for v in comp["mean"]),
-            cov=comp.get("cov", 1.0),
-            label=comp.get("label"),
-        )
-        for comp in data_spec["components"]
-    ]
+    """The mixture components and label rule of a synthetic_mixture data
+    block; a component that cannot be built raises ConfigError naming it."""
+    components = []
+    for i, comp in enumerate(data_spec["components"]):
+        try:
+            component = GaussianComponent(
+                mean=tuple(float(v) for v in comp["mean"]),
+                cov=comp.get("cov", 1.0),
+                label=comp.get("label"),
+            )
+            component.covariance()
+        except Exception as exc:
+            raise ConfigError(f"data.components[{i}]", str(exc)) from exc
+        components.append(component)
     rule = None
     if "label_rule" in data_spec:
         spec = data_spec["label_rule"]
@@ -412,16 +429,12 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
     if split_spec is not None:
         kind = split_spec["kind"]
         if kind == "mixture":
-            if base_pools is None:
-                raise ConfigError("split.kind", "'mixture' needs synthetic_mixture data")
             pools = base_pools
         elif kind == "cluster":
             pools = cluster_split(dataset, cfg.seed, k=split_spec.get("k", 2))
         elif kind == "source":
             pools = source_split(dataset, split_spec["member_value"])
         elif kind == "attribute_bias":
-            if dataset is None:
-                raise ConfigError("split.kind", "'attribute_bias' needs a dataset")
             declared = split_spec.get("attribute")
             actual = dataset.schema.split_attribute_column
             if actual is None:

@@ -204,7 +204,8 @@ def load_csv(path: "str | Path", schema: Schema) -> RawTable:
     """Read a CSV file whose header matches the schema's column names.
 
     Missing cells (empty strings) come back as None. Row i of the result is
-    line i + 2 of the file: blank lines are allowed only at its end.
+    line i + 2 of the file: blank lines are allowed only at its end, and a
+    record may not span lines.
     """
     path = Path(path)
     if not path.is_file():
@@ -231,6 +232,9 @@ def load_csv(path: "str | Path", schema: Schema) -> RawTable:
         blank = None
         try:
             for lineno, row in enumerate(reader, start=2):
+                if reader.line_num != lineno:
+                    raise CsvParseError("a quoted cell spans lines; a record must be one line",
+                                        row=lineno)
                 if not row:
                     blank = blank or lineno
                     continue

@@ -1,9 +1,9 @@
 """Differential-privacy mechanics for noisy gradient training.
 
-Implements Gaussian noising of summed clipped gradients, a Renyi-DP
-accountant for the Poisson-subsampled Gaussian mechanism, conversion of a
-composed RDP profile to (epsilon, delta), and calibration of the noise
-multiplier to a target epsilon.
+Implements Gaussian noising of summed clipped gradients, a one-call
+Renyi-DP accountant for the Poisson-subsampled Gaussian mechanism that
+converts the composed RDP to (epsilon, delta), and calibration of the
+noise multiplier to a target epsilon.
 
 The subsampled-Gaussian divergence at integer orders uses the binomial
 moment expansion; fractional orders interpolate the log-moment function
@@ -66,24 +66,6 @@ class PrivacyParams:
                 "guarantee is weaker than recommended",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class RdpProfile:
-    """Per-order Renyi divergences of a single mechanism invocation."""
-
-    orders: tuple[float, ...]
-    rdp_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.orders) != len(self.rdp_values):
-            raise AccountingError("orders and rdp_values must have the same length")
-        if not self.orders:
-            raise AccountingError("empty RDP profile")
-        if any(a <= 1 for a in self.orders):
-            raise AccountingError("all orders must be > 1")
-        if any(v < 0 for v in self.rdp_values):
-            raise AccountingError("RDP values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -170,7 +152,8 @@ def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> dict[int, flo
 
 
 def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float, ...]:
-    """rdp_sgm at each order, from one _log_moments pass."""
+    """Renyi divergence of one subsampled-Gaussian step at each order, from
+    one _log_moments pass over the integer orders they need."""
     if sigma <= 0:
         raise AccountingError(f"sigma must be > 0, got {sigma}")
     if 2.0 * sigma * sigma == 0.0:
@@ -199,54 +182,27 @@ def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float,
     return tuple(values)
 
 
-def rdp_sgm(q: float, sigma: float, order: float) -> float:
-    """Renyi divergence of one step of the Poisson-subsampled Gaussian
-    mechanism with sampling rate q and noise multiplier sigma.
-
-    q = 1 gives the plain Gaussian mechanism value order / (2 sigma^2).
-    Integer orders use the binomial moment bound; fractional orders
-    linearly interpolate the log-moment between the adjacent integers.
-    """
-    return _rdp_values(q, sigma, (order,))[0]
-
-
-def rdp_profile(
-    q: float, sigma: float, orders: Sequence[float] = DEFAULT_ORDERS
-) -> RdpProfile:
-    """rdp_sgm at every order, with each integer log-moment the orders
-    need (integers, and both neighbours of each fractional order)
-    evaluated once."""
-    return RdpProfile(
-        orders=tuple(float(a) for a in orders),
-        rdp_values=_rdp_values(q, sigma, orders),
-    )
-
-
-def compose_and_convert(profile: RdpProfile, steps: int, delta: float) -> AccountResult:
-    """Compose `steps` identical mechanism invocations and convert the RDP
-    profile to an epsilon at the given delta.
-
-    epsilon = min over orders of steps * rdp(order) + log(1/delta) / (order - 1).
-    """
+def account(q: float, sigma: float, steps: int, delta: float,
+            orders: Sequence[float] = DEFAULT_ORDERS) -> AccountResult:
+    """Epsilon at delta after `steps` steps of the Poisson-subsampled Gaussian
+    mechanism (rate q, noise multiplier sigma), and the order achieving it:
+    min over orders of steps * rdp(order) + log(1/delta) / (order - 1)."""
+    values = _rdp_values(q, sigma, orders)
+    if not values:
+        raise AccountingError("empty RDP order grid")
+    if any(v < 0 for v in values):
+        raise AccountingError("RDP values must be non-negative")
     if not 0 < delta < 1:
         raise AccountingError(f"delta must be in (0, 1), got {delta}")
     if steps < 1:
         raise AccountingError(f"steps must be >= 1, got {steps}")
     log_inv_delta = math.log(1.0 / delta)
-    best_eps = math.inf
-    best_order = profile.orders[0]
-    for order, value in zip(profile.orders, profile.rdp_values):
+    best_eps, best_order = math.inf, float(orders[0])
+    for order, value in zip(orders, values):
         eps = steps * value + log_inv_delta / (order - 1.0)
         if eps < best_eps:
-            best_eps = eps
-            best_order = order
+            best_eps, best_order = eps, float(order)
     return AccountResult(epsilon=best_eps, order=best_order)
-
-
-def account(q: float, sigma: float, steps: int, delta: float,
-            orders: Sequence[float] = DEFAULT_ORDERS) -> AccountResult:
-    """One-call accountant for a full training run."""
-    return compose_and_convert(rdp_profile(q, sigma, orders), steps, delta)
 
 
 def calibrate_sigma(

@@ -146,9 +146,9 @@ def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Rows]:
     pool, then z' from the other pools."""
     rng = as_generator(seed)
     member_pool = pools.pools[pools.k_member]
-    if len(member_pool) < n + 1:
+    if len(member_pool) < n:
         raise MialabError("member pool too small for the strong game")
-    idx = rng.choice(len(member_pool), size=n + 1, replace=False)
+    idx = rng.choice(len(member_pool), size=n, replace=False)
     others = Rows.concat([p for k, p in enumerate(pools.pools) if k != pools.k_member])
     z_prime = others[[int(rng.integers(len(others)))]]
     return member_pool[idx[: n - 1]], Rows.concat([member_pool[idx[n - 1 : n]], z_prime])

@@ -248,6 +248,30 @@ class TestRunCommand:
         code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "mixture" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, data", [
+        ("data.label_rule.weights", {"label_rule": {"kind": "halfspace", "weights": ["a", 1]}}),
+        ("data.label_rule.weights", {"label_rule": {"kind": "halfspace", "weights": [1, 0, 1]}}),
+        ("data.label_rule.bias",
+         {"label_rule": {"kind": "halfspace", "weights": [1, 0], "bias": "0.5"}}),
+        ("data.components[1].mean", {"components": [
+            {"mean": [0.0, 0.0], "label": 0}, {"mean": [2.0, 2.0, 2.0], "label": 1}]}),
+        ("data.path", {"kind": "csv", "path": 3, "schema": "s.json"}),
+        ("data.schema", {"kind": "csv", "path": "d.csv", "schema": 3}),
+    ])
+    def test_bad_data_field_exits_two_before_writing(self, tmp_path, capsys, field, data):
+        doc = synthetic_doc()
+        if data.get("kind") == "csv":
+            doc["data"] = data
+            doc["split"] = {"kind": "source", "member_value": "a"}
+        else:
+            doc["data"].update(data)
+        path = write_doc(tmp_path, doc)
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_attribute_name_rejected(self, tmp_path, capsys):
         import numpy as np

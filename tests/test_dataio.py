@@ -99,6 +99,11 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="row 3: blank line"):
             load_csv(path, basic_schema)
 
+    def test_record_spanning_lines_is_refused_at_its_first_line(self, tmp_path, basic_schema):
+        path = write_csv(tmp_path, 'age,color,outcome\n1,"multi\nline",yes\n2,blue\n')
+        with pytest.raises(CsvParseError, match="row 2: a quoted cell spans lines"):
+            load_csv(path, basic_schema)
+
     def test_bom_header_tolerated(self, tmp_path, basic_schema):
         path = tmp_path / "bom.csv"
         path.write_bytes("age,color,outcome\n1,red,yes\n".encode("utf-8-sig"))

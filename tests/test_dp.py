@@ -5,17 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from mialab import dp
-from mialab.dp import (
-    DEFAULT_ORDERS,
-    PrivacyParams,
-    RdpProfile,
-    account,
-    calibrate_sigma,
-    compose_and_convert,
-    noisy_mean,
-    rdp_profile,
-    rdp_sgm,
-)
+from mialab.dp import DEFAULT_ORDERS, PrivacyParams, account, calibrate_sigma, noisy_mean
 from mialab.errors import AccountingError, CalibrationError
 
 from reference_accountant import quadrature_rdp, reference_epsilon, reference_rdp
@@ -97,6 +87,11 @@ def _oracle_grid():
 
 
 CUSTOM_ORDERS = (1.01, 2.3, 300, 512, 300.5)
+
+
+def rdp_sgm(q, sigma, order):
+    """The accountant's Renyi divergence of one step at a single order."""
+    return dp._rdp_values(q, sigma, (order,))[0]
 
 
 class TestNoisyMean:
@@ -195,7 +190,7 @@ class TestOnePassAccountant:
     def test_rdp_profile_bitwise_equals_oracle(self):
         orders = DEFAULT_ORDERS + CUSTOM_ORDERS
         for q, sigma in _oracle_grid():
-            mine = rdp_profile(q, sigma, orders).rdp_values
+            mine = dp._rdp_values(q, sigma, orders)
             assert mine == tuple(_oracle_rdp(q, sigma, a) for a in orders), (q, sigma)
 
     def test_rdp_sgm_bitwise_equals_oracle(self):
@@ -251,16 +246,14 @@ class TestOnePassAccountant:
 
 class TestComposeAndConvert:
     def test_single_order_formula(self):
-        profile = RdpProfile(orders=(8.0,), rdp_values=(0.0,))
-        result = compose_and_convert(profile, steps=1, delta=1e-5)
-        assert result.epsilon == pytest.approx(math.log(1e5) / 7)
+        result = account(0.02, 1.5, 1, 1e-5, orders=(8.0,))
+        assert result.epsilon == rdp_sgm(0.02, 1.5, 8.0) + math.log(1e5) / 7
         assert result.order == 8.0
 
     def test_doubling_steps_never_decreases_epsilon(self):
-        profile = rdp_profile(0.02, 1.1)
         for t in (1, 10, 100, 1000):
-            a = compose_and_convert(profile, t, 1e-5).epsilon
-            b = compose_and_convert(profile, 2 * t, 1e-5).epsilon
+            a = account(0.02, 1.1, t, 1e-5).epsilon
+            b = account(0.02, 1.1, 2 * t, 1e-5).epsilon
             assert b >= a
 
     def test_compose_oracle_within_two_percent(self):
@@ -280,14 +273,23 @@ class TestComposeAndConvert:
                     assert mine >= ref - 1e-9
 
     def test_monotone_in_delta(self):
-        profile = rdp_profile(0.02, 1.5)
-        eps_small = compose_and_convert(profile, 100, 1e-7).epsilon
-        eps_large = compose_and_convert(profile, 100, 1e-3).epsilon
+        eps_small = account(0.02, 1.5, 100, 1e-7).epsilon
+        eps_large = account(0.02, 1.5, 100, 1e-3).epsilon
         assert eps_small > eps_large
 
     def test_empty_profile_rejected(self):
         with pytest.raises(AccountingError, match="empty"):
-            RdpProfile(orders=(), rdp_values=())
+            account(0.02, 1.5, 100, 1e-5, orders=())
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.02, 1.5, 100, 0.0), "delta must"),
+        ((0.02, 1.5, 100, 1.0), "delta must"),
+        ((0.02, 1.5, 0, 1e-5), "steps must"),
+        ((0.0, 1.5, 0, 0.0), "q must"),  # the mechanism's inputs are checked first
+    ])
+    def test_bad_inputs_rejected(self, args, message):
+        with pytest.raises(AccountingError, match=message):
+            account(*args)
 
 
 class TestCalibrateSigma:

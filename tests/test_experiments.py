@@ -133,8 +133,11 @@ class TestGamesBasics:
         assert z_prime in row_keys(blob_pools.pools[1])
         again = strong_challenge(blob_pools, 20, seed=4)
         assert again[0] == s_tilde and again[1] == candidates
+        n = len(blob_pools.pools[0])
+        s_tilde, candidates = strong_challenge(blob_pools, n, seed=4)
+        assert len(s_tilde) == n - 1 and row_keys(candidates)[0] not in row_keys(s_tilde)
         with pytest.raises(MialabError, match="too small"):
-            strong_challenge(blob_pools, len(blob_pools.pools[0]), seed=4)
+            strong_challenge(blob_pools, n + 1, seed=4)
 
     def test_strong_rejects_equal_candidates(self):
         with pytest.raises(MialabError, match="differ"):
@@ -188,7 +191,7 @@ PINNED_GAME_BITS = {
     "iid": [0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1],
     "alt": [0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1],
     "mm": [0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1],
-    "strong": [1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0],
+    "strong": [1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0],
 }
 
 
@@ -198,6 +201,16 @@ def test_game_bits_pinned(experiment):
     mat = config.materialize(resolved)
     bits = run_games(experiment, resolved.cfg, mat.pools, mat.union_pool)
     assert bits == PINNED_GAME_BITS[experiment]
+
+
+def test_strong_game_plays_on_an_n_row_member_pool():
+    # n - 1 known members plus z: a member pool of exactly n rows suffices.
+    resolved = config.resolve({**GAME_DOC, "experiment": "strong", "n_members": 200,
+                               "repetitions": 2})
+    mat = config.materialize(resolved)
+    assert len(mat.pools.pools[mat.pools.k_member]) == 200
+    bits = run_games("strong", resolved.cfg, mat.pools, mat.union_pool)
+    assert len(bits) == 2 and set(bits) <= {0, 1}
 
 
 def record_output_widths(monkeypatch):

@@ -13,8 +13,7 @@ PUBLIC_NAMES = [
     # nn
     "MlpModel", "TrainConfig", "accuracy", "forward", "init_model", "loglosses", "train",
     # dp
-    "AccountResult", "PrivacyParams", "RdpProfile", "account", "calibrate_sigma",
-    "compose_and_convert", "noisy_mean", "rdp_profile", "rdp_sgm",
+    "AccountResult", "PrivacyParams", "account", "calibrate_sigma", "noisy_mean",
     # attacks and bounds
     "AttackOutcome", "ShadowEnsemble", "advantage", "average_threshold", "optimal_threshold",
     "shadow_attack", "train_shadow_ensemble",
