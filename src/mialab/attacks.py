@@ -106,9 +106,22 @@ def optimal_threshold(
 
 @dataclass(frozen=True)
 class ShadowEnsemble:
-    shadow_models: tuple[nn.MlpModel, ...]
     attack_models: dict
-    fallback_model: nn.MlpModel
+    fallback_model: "nn.MlpModel | None"
+
+
+def _train_by_batch_size(jobs: list) -> list:
+    """Train non-private (init, members, cfg) jobs whose configs differ at
+    most in batch size, one lockstep group per batch size; models come back
+    in job order."""
+    groups: dict = {}
+    for k, (_, _, cfg) in enumerate(jobs):
+        groups.setdefault(cfg.batch_size, []).append(k)
+    models = [None] * len(jobs)
+    for ks in groups.values():
+        for k, model in zip(ks, nn.train_replicas(*zip(*(jobs[k] for k in ks)))):
+            models[k] = model
+    return models
 
 
 def train_shadow_ensemble(
@@ -120,13 +133,16 @@ def train_shadow_ensemble(
     shadow_train_size: "int | None" = None,
 ) -> ShadowEnsemble:
     """Train DEFAULT_N_SHADOWS shadow models on in/out halves of the shadow
-    pool, then one attack model per class (plus a pooled fallback) mapping
-    the target's probability vector to a member/non-member decision.
+    pool, then one attack model per class mapping the target's probability
+    vector to a member/non-member decision, plus a pooled fallback when some
+    class of the output layer has no attack model of its own.
 
     Shadow models use the target architecture and the given privacy
     setting; every model trained here keeps cfg's fields except its batch
-    size and seed. Raises ShadowPoolTooSmall when the pool cannot supply
-    disjoint in/out halves.
+    size and seed. The shadows train as one lockstep group and the attack
+    models as another (one per batch size: a class with fewer records than
+    cfg's batch size trains on all of them at once). Raises
+    ShadowPoolTooSmall when the pool cannot supply disjoint in/out halves.
     """
     size = shadow_train_size if shadow_train_size is not None else len(shadow_pool) // 2
     if size < 1 or len(shadow_pool) < 2 * size:
@@ -135,49 +151,49 @@ def train_shadow_ensemble(
             f"{2 * size or 2} disjoint in/out samples"
         )
     n_classes = int(layer_dims[-1])
-    shadows = []
-    # One record per shadow query, in order: the shadow's probability
-    # vector, the queried row's label, and the membership bit.
-    probs, labels, membership = [], [], []
+    halves, jobs = [], []
     for j in range(DEFAULT_N_SHADOWS):
         rng = as_generator(subseed(seed, 101, j))
         idx = rng.choice(len(shadow_pool), size=2 * size, replace=False)
-        in_rows = shadow_pool[idx[:size]]
-        out_rows = shadow_pool[idx[size:]]
-        init = nn.init_model(layer_dims, subseed(seed, 102, j))
+        halves.append((shadow_pool[idx[:size]], shadow_pool[idx[size:]]))
         shadow_cfg = replace(
             cfg,
             batch_size=min(cfg.batch_size, size),
             seed=int(np.random.default_rng(subseed(seed, 103, j)).integers(2**31)),
         )
-        shadow = nn.train(init, in_rows, shadow_cfg, privacy)
-        shadows.append(shadow)
+        jobs.append((nn.init_model(layer_dims, subseed(seed, 102, j)), halves[-1][0], shadow_cfg))
+    shadows = nn.train_replicas(*zip(*jobs), privacy)
+    # One record per shadow query, in order: the shadow's probability
+    # vector, the queried row's label, and the membership bit.
+    probs, labels, membership = [], [], []
+    for shadow, (in_rows, out_rows) in zip(shadows, halves):
         for queried, bit in ((in_rows, MEMBER), (out_rows, NONMEMBER)):
             probs.append(nn.forward(shadow, queried.X))
             labels.append(queried.y)
             membership.append(np.full(len(queried), bit))
     records = Rows(np.concatenate(probs), np.concatenate(membership))
     labels = np.concatenate(labels)
+    attack_seed = int(np.random.default_rng(subseed(seed, 104)).integers(2**31))
 
-    def fit_attack_model(records: Rows, fit_seed) -> nn.MlpModel:
-        init = nn.init_model((n_classes, DEFAULT_ATTACK_HIDDEN, 2), fit_seed)
+    def attack_job(records: Rows, init_seed) -> tuple:
+        init = nn.init_model((n_classes, DEFAULT_ATTACK_HIDDEN, 2), init_seed)
         attack_cfg = replace(
-            cfg,
-            batch_size=min(cfg.batch_size, max(1, len(records))),
-            seed=int(np.random.default_rng(subseed(seed, 104)).integers(2**31)),
+            cfg, batch_size=min(cfg.batch_size, max(1, len(records))), seed=attack_seed
         )
-        return nn.train(init, records, attack_cfg, None)
+        return init, records, attack_cfg
 
-    attack_models = {}
+    classes, jobs = [], []
     for c in np.unique(labels):
         of_class = records[labels == c]
         if np.unique(of_class.y).size == 2:
-            attack_models[int(c)] = fit_attack_model(of_class, subseed(seed, 105, c))
-    fallback = fit_attack_model(records, subseed(seed, 106))
+            classes.append(int(c))
+            jobs.append(attack_job(of_class, subseed(seed, 105, c)))
+    if len(classes) < n_classes:
+        jobs.append(attack_job(records, subseed(seed, 106)))
+    models = _train_by_batch_size(jobs)
     return ShadowEnsemble(
-        shadow_models=tuple(shadows),
-        attack_models=attack_models,
-        fallback_model=fallback,
+        attack_models=dict(zip(classes, models)),
+        fallback_model=models[-1] if len(models) > len(classes) else None,
     )
 
 
@@ -194,6 +210,8 @@ def shadow_attack(
     decisions = np.empty(len(rows), dtype=np.int64)
     for c in np.unique(rows.y):
         attack_model = ensemble.attack_models.get(int(c), ensemble.fallback_model)
+        if attack_model is None:
+            raise MialabError(f"no attack model for class {int(c)} and no fallback")
         scores = nn.forward(attack_model, probs[rows.y == c])[:, MEMBER]
         decisions[rows.y == c] = np.where(scores > 0.5, MEMBER, NONMEMBER)
     return AttackOutcome.from_decisions(decisions, truth)

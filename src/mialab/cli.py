@@ -92,10 +92,10 @@ def cmd_run(args, phases: _Phases) -> int:
     resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     cfg = resolved.cfg
     out_dir = Path(args.out) if args.out else Path("runs") / resolved.digest[:12]
-    with phases("write"):
-        out_dir.mkdir(parents=True, exist_ok=True)
     with phases("data"):
         mat = config.materialize(resolved)
+    with phases("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
     notes = [FINITE_POOL_CAVEAT]
     summary: dict = {"digest": resolved.digest, "name": resolved.name}

@@ -2,15 +2,16 @@
 differentially private path (per-example clipping by ghost norms +
 Gaussian noise).
 
-Everything operates on immutable MlpModel values. Parameters flatten in a
-fixed canonical order (per layer: weight matrix row-major, then bias
-vector) used by gradients and the optimizer alike.
+Models are immutable MlpModel values. Parameters flatten in a fixed
+canonical order (per layer: weight matrix row-major, then bias vector);
+training keeps the parameters, gradients and Adam moments of a group of
+models as (models, n_params) buffers in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -169,17 +170,6 @@ def _errors(model: MlpModel, X: np.ndarray, y: np.ndarray):
     return acts, probs, _backprop(model, pre, delta)
 
 
-def _mean_loss(model: MlpModel, probs: np.ndarray, y: np.ndarray,
-               l2_coefficient: float) -> float:
-    """Mean logloss of the rows plus l2/2 * ||weights||^2."""
-    p_true = np.clip(probs[np.arange(y.size), y], PROB_FLOOR, None)
-    loss = float(-np.log(p_true).mean())
-    if l2_coefficient:
-        for W in model.weights:
-            loss += 0.5 * l2_coefficient * float(np.sum(W * W))
-    return loss
-
-
 def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
                        l2_coefficient: float) -> np.ndarray:
     """Per-example gradients of (logloss + l2/2 * ||weights||^2), flattened
@@ -198,60 +188,6 @@ def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
         out[:, pos : pos + b.size] = deltas[i]
         pos += b.size
     return out
-
-
-def _mean_grad_and_loss(model: MlpModel, X: np.ndarray, y: np.ndarray,
-                        l2_coefficient: float) -> tuple[np.ndarray, float]:
-    B = X.shape[0]
-    pre, acts = _forward_states(model, X)
-    probs = _softmax(acts[-1])
-    loss = _mean_loss(model, probs, y, l2_coefficient)
-    delta = probs
-    delta[np.arange(B), y] -= 1.0
-    delta /= B
-    deltas = _backprop(model, pre, delta)
-    parts = []
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        gw = acts[i].T @ deltas[i]
-        if l2_coefficient:
-            gw = gw + l2_coefficient * W
-        parts.append(gw.ravel())
-        parts.append(deltas[i].sum(axis=0))
-    return np.concatenate(parts), loss
-
-
-def _ghost_norms(model: MlpModel, acts: list, deltas: list,
-                 l2_coefficient: float) -> np.ndarray:
-    """Per-example gradient norms from layer inputs and errors alone.
-
-    Example i's weight gradient in a dense layer is a_i d_i^T + l2 W, whose
-    squared norm is |a_i|^2 |d_i|^2 + 2 l2 a_i^T W d_i + l2^2 |W|^2; its bias
-    gradient adds |d_i|^2 (Goodfellow, arXiv:1510.01799).
-    """
-    sq = np.zeros(deltas[0].shape[0])
-    for a, d, W in zip(acts, deltas, model.weights):
-        dd = np.einsum("ij,ij->i", d, d)
-        sq += np.einsum("ij,ij->i", a, a) * dd + dd
-        if l2_coefficient:
-            sq += 2.0 * l2_coefficient * np.einsum("ij,ij->i", a @ W, d)
-            sq += l2_coefficient * l2_coefficient * float(np.sum(W * W))
-    # rounding in the cross term can push an exact 0 just below it; NaN stays NaN
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _clipped_sum(model: MlpModel, acts: list, deltas: list, scale: np.ndarray,
-                 l2_coefficient: float) -> np.ndarray:
-    """Sum over examples of scale_i * (example i's gradient), flattened in
-    canonical order, without forming any per-example gradient."""
-    parts = []
-    for a, d, W in zip(acts, deltas, model.weights):
-        sd = d * scale[:, None]
-        gw = a.T @ sd
-        if l2_coefficient:
-            gw += (l2_coefficient * float(scale.sum())) * W
-        parts.append(gw.ravel())
-        parts.append(sd.sum(axis=0))
-    return np.concatenate(parts)
 
 
 def _check_clipping(model: MlpModel, X: np.ndarray, y: np.ndarray, l2_coefficient: float,
@@ -279,21 +215,112 @@ def sampling_rate(n: int, cfg: TrainConfig) -> float:
     return min(1.0, cfg.batch_size / n)
 
 
-class _Adam:
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-        self.cfg = cfg
+def _layer_views(buf: np.ndarray, dims: Sequence[int]) -> tuple[list, list]:
+    """Per-layer (R, fan_in, fan_out) weight and (R, fan_out) bias views of
+    an (R, n_params) buffer, in canonical order."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(buf[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(buf[:, pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
-    def update(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        b1, b2 = self.cfg.adam_betas
-        self.t += 1
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
-        m_hat = self.m / (1 - b1**self.t)
-        v_hat = self.v / (1 - b2**self.t)
-        return params - self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + self.cfg.adam_epsilon)
+
+# The lockstep trainer's arrays are (R, rows, width), one slice per replica,
+# and live in buffers that it allocates once. When the replicas' batches
+# differ in size (`counts` is then the list of sizes), short batches end in
+# padding rows that hold stale values, and every product or sum over a
+# replica's rows runs on that replica's rows alone: this BLAS can round a
+# row of a product differently when the number of rows changes.
+
+
+def _products(A: np.ndarray, B: np.ndarray, counts, out: np.ndarray) -> None:
+    """A @ B per replica, into out."""
+    if counts is None:
+        np.matmul(A, B, out=out)
+        return
+    for r, k in enumerate(counts):
+        np.matmul(A[r, :k], B[r], out=out[r, :k])
+
+
+def _backprop_rows(weights: list, acts: list, delta: np.ndarray, counts, outs: list) -> list:
+    """Errors at each layer's pre-activation, given the output errors; the
+    hidden layers' go into outs. A hidden layer's activation max(z, 0) is
+    positive exactly where its pre-activation z is."""
+    deltas = [delta]
+    for W, a, d in zip(weights[:0:-1], acts[:0:-1], outs[::-1]):
+        _products(deltas[0], W.transpose(0, 2, 1), counts, out=d)
+        d *= a > 0
+        deltas.insert(0, d)
+    return deltas
+
+
+def _mean_losses(p_true: np.ndarray, weights: list, l2_coefficient: float, counts) -> np.ndarray:
+    """Each replica's mean logloss over its rows plus l2/2 * ||weights||^2,
+    given every row's probability of its true class."""
+    per_row = -np.log(np.maximum(p_true, PROB_FLOOR))
+    if counts is None:
+        loss = per_row.sum(axis=1) / per_row.shape[1]
+    else:
+        loss = np.array([per_row[r, :k].sum() / k for r, k in enumerate(counts)])
+    if l2_coefficient:
+        for W in weights:
+            loss += 0.5 * l2_coefficient * (W * W).sum(axis=(1, 2))
+    return loss
+
+
+def _ghost_norms(weights: list, acts: list, products: list, deltas: list,
+                 l2_coefficient: float) -> np.ndarray:
+    """Per-example gradient norms, (R, rows), from each layer's inputs a,
+    products a @ W and errors d alone.
+
+    Example i's weight gradient in a dense layer is a_i d_i^T + l2 W, whose
+    squared norm is |a_i|^2 |d_i|^2 + 2 l2 a_i^T W d_i + l2^2 |W|^2; its bias
+    gradient adds |d_i|^2 (Goodfellow, arXiv:1510.01799).
+    """
+    sq = np.zeros(deltas[0].shape[:2])
+    for a, aw, d, W in zip(acts, products, deltas, weights):
+        dd = np.einsum("rij,rij->ri", d, d)
+        sq += np.einsum("rij,rij->ri", a, a) * dd + dd
+        if l2_coefficient:
+            sq += 2.0 * l2_coefficient * np.einsum("rij,rij->ri", aw, d)
+            sq += l2_coefficient * l2_coefficient * (W * W).sum(axis=(1, 2))[:, None]
+    # rounding in the cross term can push an exact 0 just below it; NaN stays NaN
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _grad_sum(weights: list, acts: list, deltas: list, l2_factor, counts,
+              grad_weights: list, grad_biases: list) -> None:
+    """Per replica and layer, the sum over rows of a_i d_i^T, plus
+    l2_factor * W unless it is None, and the sum of d_i, written into the
+    gradient buffer's views."""
+    for a, d, W, gW, gb in zip(acts, deltas, weights, grad_weights, grad_biases):
+        if counts is None:
+            np.matmul(a.transpose(0, 2, 1), d, out=gW)
+            d.sum(axis=1, out=gb)
+        else:
+            for r, k in enumerate(counts):
+                np.matmul(a[r, :k].T, d[r, :k], out=gW[r])
+                d[r, :k].sum(axis=0, out=gb[r])
+        if l2_factor is not None:
+            gW += l2_factor * W
+
+
+def _check_shared(inits: Sequence[MlpModel], cfgs: Sequence[TrainConfig], privacies: list) -> None:
+    """Replicas may differ in init, members and seed only."""
+    for r in range(1, len(inits)):
+        if inits[r].layer_dims != inits[0].layer_dims:
+            raise MialabError(f"replica {r}: layer dims {inits[r].layer_dims} differ from "
+                              f"replica 0's {inits[0].layer_dims}")
+        for f in fields(TrainConfig):
+            mine, first = getattr(cfgs[r], f.name), getattr(cfgs[0], f.name)
+            if f.name != "seed" and mine != first:
+                raise MialabError(f"replica {r}: TrainConfig.{f.name} {mine!r} differs from "
+                                  f"replica 0's {first!r}")
+        if privacies[r] != privacies[0]:
+            raise MialabError(f"replica {r}: privacy {privacies[r]!r} differs from "
+                              f"replica 0's {privacies[0]!r}")
 
 
 def train(
@@ -315,57 +342,215 @@ def train(
     compares them with the explicit per-example gradients.
     loss_callback(step, loss) receives each step's mean regularized batch
     loss (in DP training, for non-empty Poisson batches only).
-    Deterministic given cfg.seed.
+    Deterministic given cfg.seed. This is train_replicas with one replica.
     """
-    if not members:
-        raise MialabError("cannot train on an empty member set")
-    n = len(members)
-    if cfg.batch_size > n:
-        raise MialabError(f"batch_size {cfg.batch_size} exceeds the {n} training samples")
-    X, y = members.X, members.y
-    rng = as_generator(cfg.seed)
-    params = init.flatten()
-    adam = _Adam(params.size, cfg)
-    model = init
-    steps = training_steps(n, cfg)
-    if privacy is None:
-        step = 0
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                grad, loss = _mean_grad_and_loss(model, X[idx], y[idx], cfg.l2_coefficient)
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(step, loss)
-                if loss_callback is not None:
-                    loss_callback(step, loss)
-                params = adam.update(params, grad)
-                model = MlpModel.unflatten(init.layer_dims, params)
-                step += 1
-        return model
-    privacy.warn_if_delta_large(n)
-    q = sampling_rate(n, cfg)
-    expected_batch = q * n
-    for step in range(steps):
-        idx = np.flatnonzero(rng.random(n) < q)
-        Xb, yb = X[idx], y[idx]
-        acts, probs, deltas = _errors(model, Xb, yb)
-        norms = _ghost_norms(model, acts, deltas, cfg.l2_coefficient)
-        if not np.all(np.isfinite(norms)):
-            raise TrainingDiverged(step, float(norms.max()), "per-example gradient norm")
+    return _train_lockstep([init], [members], [cfg], privacy, loss_callback)[0]
+
+
+def train_replicas(
+    inits: Sequence[MlpModel],
+    member_sets: Sequence[Rows],
+    cfgs: Sequence[TrainConfig],
+    privacy=None,
+) -> list[MlpModel]:
+    """Train one model per (init, members, cfg) in lockstep; model r is
+    bitwise the one train(inits[r], member_sets[r], cfgs[r], privacy) returns.
+
+    The models share layer dims, privacy (one value, or a sequence of equal
+    per-model values) and every TrainConfig field but the seed; member sets
+    may differ in size, and so in step count. Parameters and Adam moments
+    are (R, n_params) buffers with per-layer views: a step runs each layer
+    once for every model with steps left (longest first, so these are a
+    prefix) and one Adam update for all of them. Each model draws from its
+    own cfg.seed stream in train's order. A model that fails raises what
+    training the models one by one would have raised first.
+    """
+    return _train_lockstep(inits, member_sets, cfgs, privacy)
+
+
+def _forward_rows(weights: list, biases: list, X: np.ndarray, counts, bufs: list) -> tuple:
+    """Every replica's forward pass into bufs, one (products, outputs) pair
+    per layer, the outputs being activations and, last, the logits:
+    returns (layer inputs, products a @ W, class probabilities)."""
+    acts, products = [X], []
+    for i, (W, b, (aw, out)) in enumerate(zip(weights, biases, bufs)):
+        _products(acts[-1], W, counts, out=aw)
+        np.add(aw, b[:, None, :], out=out)
+        if i < len(weights) - 1:
+            np.maximum(out, 0.0, out=out)
+        products.append(aw)
+        acts.append(out)
+    return acts[:-1], products, _softmax(acts[-1])
+
+
+def _adam(params: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray, t: int,
+          cfg: TrainConfig, temps: tuple) -> None:
+    """Adam step t on (R, n_params) buffers, in place, with the rounding of
+    params - lr * m_hat / (sqrt(v_hat) + eps); temps are two more such
+    buffers to work in."""
+    b1, b2 = cfg.adam_betas
+    step, denom = temps
+    np.multiply(grad, 1 - b1, out=step)
+    m *= b1
+    m += step
+    np.multiply(grad, 1 - b2, out=step)
+    step *= grad
+    v *= b2
+    v += step
+    np.divide(m, 1 - b1**t, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, 1 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_epsilon
+    step /= denom
+    params -= step
+
+
+def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> list[MlpModel]:
+    """train_replicas; loss_callback, for a one-model call, is train's."""
+    R = len(inits)
+    if not R or len(member_sets) != R or len(cfgs) != R:
+        raise MialabError(f"need one init, member set and config per replica, got "
+                          f"{len(inits)}, {len(member_sets)} and {len(cfgs)}")
+    privacies = list(privacy) if isinstance(privacy, (list, tuple)) else [privacy] * R
+    if len(privacies) != R:
+        raise MialabError(f"{len(privacies)} privacy settings for {R} replicas")
+    _check_shared(inits, cfgs, privacies)
+    for members, c in zip(member_sets, cfgs):
+        if not members:
+            raise MialabError("cannot train on an empty member set")
+        if c.batch_size > len(members):
+            raise MialabError(f"batch_size {c.batch_size} exceeds the {len(members)} training samples")
+
+    def fail(failed: dict):
+        """failed maps call positions to errors, all from one step. Raise
+        the first position's, unless a replica before it, trained again
+        alone, fails at a later step."""
+        first = min(failed)
+        if first:
+            _train_lockstep(inits[:first], member_sets[:first], cfgs[:first], privacies[:first])
+        raise failed[first]
+
+    cfg, privacy = cfgs[0], privacies[0]
+    dims = inits[0].layer_dims
+    l2, size = cfg.l2_coefficient, cfg.batch_size
+    # Longest first, so that the replicas with steps left are a prefix.
+    order = sorted(range(R), key=lambda r: -len(member_sets[r]))
+    sets = [member_sets[r] for r in order]
+    ns = [len(members) for members in sets]
+    steps = [training_steps(n, cfg) for n in ns]
+    per_epoch = [math.ceil(n / size) for n in ns]
+    if privacy is not None:
+        for n in ns:
+            privacy.warn_if_delta_large(n)
+        rates = [sampling_rate(n, cfg) for n in ns]
+    rngs = [as_generator(cfgs[r].seed) for r in order]
+    perms = [None] * R
+    params = np.stack([inits[r].flatten() for r in order])
+    m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
+    temps = np.empty_like(params), np.empty_like(params)
+    # Buffers for the widest batch a step can draw: the batch rows and
+    # labels, per layer its products and outputs, and per hidden layer its
+    # errors.
+    cap = size if privacy is None else max(ns)
+    X_buf, y_buf = np.zeros((R, cap, dims[0])), np.zeros((R, cap), dtype=np.int64)
+    layer_bufs = [[np.zeros((R, cap, d)) for _ in range(2)] for d in dims[1:]]
+    error_bufs = [np.zeros((R, cap, d)) for d in dims[1:-1]]
+
+    def gradient(step: int, Xb: np.ndarray, yb: np.ndarray, counts) -> None:
+        """Write every live replica's step gradient into grad, after the
+        loss (or clipping-norm) checks that train makes; weights, biases
+        and grad_views are the loop's views of the live replicas."""
+        live, width = yb.shape
+        acts, products, probs = _forward_rows(
+            weights, biases, Xb, counts, [[a[:live, :width] for a in bs] for bs in layer_bufs])
+        errors = [d[:live, :width] for d in error_bufs]
+        # each row's true class, in the (rows, classes) view of probs
+        true_class = (np.arange(live * width), yb.ravel())
+        losses = None
+        if privacy is None or (loss_callback is not None and width):
+            p_true = probs.reshape(-1, dims[-1])[true_class].reshape(live, width)
+            losses = _mean_losses(p_true, weights, l2, counts)
+        delta = probs
+        delta.reshape(-1, dims[-1])[true_class] -= 1.0
+        if privacy is None:
+            failed = {order[r]: TrainingDiverged(step, float(losses[r]))
+                      for r in np.flatnonzero(~np.isfinite(losses))}
+            if failed:
+                fail(failed)
+            if loss_callback is not None:
+                loss_callback(step, float(losses[0]))
+            delta /= width if counts is None else np.array(counts)[:, None, None]
+            deltas = _backprop_rows(weights, acts, delta, counts, errors)
+            _grad_sum(weights, acts, deltas, l2 if l2 else None, counts, *grad_views)
+            return
+        deltas = _backprop_rows(weights, acts, delta, counts, errors)
+        norms = _ghost_norms(weights, acts, products, deltas, l2)
+        ks = [width] * live if counts is None else counts
+        finite = np.isfinite(norms) | (np.arange(width) >= np.array(ks)[:, None])
+        failed = {order[r]: TrainingDiverged(step, float(norms[r, : ks[r]].max()),
+                                             "per-example gradient norm")
+                  for r in np.flatnonzero(~finite.all(axis=1))}
+        if failed:
+            fail(failed)
         scale = np.minimum(1.0, privacy.clip_norm / np.maximum(norms, 1e-300))
         if cfg.debug_checks:
-            _check_clipping(model, Xb, yb, cfg.l2_coefficient, norms, scale,
-                            privacy.clip_norm, step)
-        if loss_callback is not None and idx.size:
-            loss_callback(step, _mean_loss(model, probs, yb, cfg.l2_coefficient))
-        clipped_sum = _clipped_sum(model, acts, deltas, scale, cfg.l2_coefficient)
-        grad = dp.noisy_mean(
-            clipped_sum, privacy.clip_norm, privacy.noise_multiplier, expected_batch, rng
-        )
-        params = adam.update(params, grad)
-        model = MlpModel.unflatten(init.layer_dims, params)
-    return model
+            for r, k in enumerate(ks):
+                _check_clipping(MlpModel.unflatten(dims, params[r]), Xb[r, :k], yb[r, :k],
+                                l2, norms[r, :k], scale[r, :k], privacy.clip_norm, step)
+        if losses is not None:
+            loss_callback(step, float(losses[0]))
+        l2_factor = None
+        if l2:
+            scale_sums = np.array([scale[r, :k].sum() for r, k in enumerate(ks)])
+            l2_factor = (l2 * scale_sums)[:, None, None]
+        for d in deltas:
+            d *= scale[:, :, None]
+        _grad_sum(weights, acts, deltas, l2_factor, counts, *grad_views)
+        for r in range(live):
+            grad[r] = dp.noisy_mean(grad[r], privacy.clip_norm, privacy.noise_multiplier,
+                                    rates[r] * ns[r], rngs[r])
+
+    live = 0
+    for step in range(steps[0]):
+        now_live = sum(s > step for s in steps)
+        if now_live != live:
+            live = now_live
+            weights, biases = _layer_views(params[:live], dims)
+            grad_views = _layer_views(grad[:live], dims)
+        # Each replica's batch, drawn from its stream as train draws it.
+        batches = []
+        for r in range(live):
+            if privacy is None:
+                j = step % per_epoch[r]
+                if j == 0:
+                    perms[r] = rngs[r].permutation(ns[r])
+                batches.append(perms[r][j * size : (j + 1) * size])
+            else:
+                batches.append(np.flatnonzero(rngs[r].random(ns[r]) < rates[r]))
+        counts = [idx.size for idx in batches]
+        width = max(counts)
+        if min(counts) == width:
+            counts = None
+        Xb, yb = X_buf[:live, :width], y_buf[:live, :width]
+        for r, idx in enumerate(batches):
+            np.take(sets[r].X, idx, axis=0, out=Xb[r, : idx.size], mode="clip")
+            np.take(sets[r].y, idx, out=yb[r, : idx.size], mode="clip")
+        gradient(step, Xb, yb, counts)
+        _adam(params[:live], m[:live], v[:live], grad[:live], step + 1, cfg,
+              tuple(buf[:live] for buf in temps))
+        if not np.isfinite(params[:live]).all():
+            failed = {}
+            for r in range(live):
+                try:
+                    MlpModel.unflatten(dims, params[r])
+                except MialabError as exc:  # the model names the non-finite layer
+                    failed[order[r]] = exc
+            fail(failed)
+    models = [None] * R
+    for pos, r in enumerate(order):
+        models[r] = MlpModel.unflatten(dims, params[pos])
+    return models
 
 
 def accuracy(model: MlpModel, rows: Rows) -> float:

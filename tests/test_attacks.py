@@ -178,31 +178,74 @@ def shadow_setup(pool_size=240, seed=0):
     return draw(pools, 60, 60, seed=seed + 1)
 
 
+def record_groups(monkeypatch):
+    """Spy on nn.train_replicas: one (member set sizes, cfgs) entry per group."""
+    groups = []
+    train_replicas = nn.train_replicas
+
+    def recording(inits, member_sets, cfgs, privacy=None):
+        groups.append(([len(m) for m in member_sets], list(cfgs)))
+        return train_replicas(inits, member_sets, cfgs, privacy)
+
+    monkeypatch.setattr(nn, "train_replicas", recording)
+    return groups
+
+
 class TestShadowEnsemble:
     CFG = nn.TrainConfig(epochs=10, batch_size=50, seed=0)
 
-    def test_in_out_sizes(self):
+    def test_in_out_sizes(self, monkeypatch):
+        groups = record_groups(monkeypatch)
         d = shadow_setup()
         ensemble = train_shadow_ensemble(
             d.shadow_pool, (2, 8, 2), self.CFG, seed=3, shadow_train_size=30
         )
-        assert len(ensemble.shadow_models) == 5
-        assert set(ensemble.attack_models) <= {0, 1}
-        assert ensemble.fallback_model is not None
+        (shadow_sizes, _), (attack_sizes, _) = groups
+        assert shadow_sizes == [30] * 5
+        # each shadow answers its 30 members and 30 non-members, one record a query
+        assert sum(attack_sizes) == 5 * 2 * 30
+        assert set(ensemble.attack_models) == {0, 1}
 
     def test_every_model_keeps_debug_checks(self, monkeypatch):
-        seen = []
-        train = nn.train
-
-        def recording_train(init, members, cfg, privacy=None):
-            seen.append(cfg.debug_checks)
-            return train(init, members, cfg, privacy)
-
-        monkeypatch.setattr(nn, "train", recording_train)
+        groups = record_groups(monkeypatch)
         cfg = nn.TrainConfig(epochs=2, batch_size=50, seed=0, debug_checks=True)
         train_shadow_ensemble(shadow_setup().shadow_pool, (2, 8, 2), cfg, seed=3,
                               shadow_train_size=20)
-        assert len(seen) >= 5 + 1 and all(seen)
+        seen = [c.debug_checks for _, cfgs in groups for c in cfgs]
+        assert len(seen) == 5 + 2 and all(seen)
+
+    def test_two_labels_leave_no_fallback(self, monkeypatch):
+        groups = record_groups(monkeypatch)
+        ensemble = train_shadow_ensemble(
+            shadow_setup().shadow_pool, (2, 8, 2), self.CFG, seed=3, shadow_train_size=20
+        )
+        assert ensemble.fallback_model is None
+        # no pooled model over all 200 records was trained
+        assert 5 * 2 * 20 not in groups[1][0]
+
+    def test_class_without_attack_model_gets_fallback(self, monkeypatch):
+        groups = record_groups(monkeypatch)
+        # three outputs, but the pool's rows carry labels 0 and 1 only
+        ensemble = train_shadow_ensemble(
+            shadow_setup().shadow_pool, (2, 8, 3), self.CFG, seed=3, shadow_train_size=20
+        )
+        assert set(ensemble.attack_models) == {0, 1}
+        assert ensemble.fallback_model is not None
+        assert ensemble.fallback_model.layer_dims == (3, 64, 2)
+        assert groups[1][0][-1] == 5 * 2 * 20  # pooled over every record
+
+    def test_attack_models_group_by_batch_size(self, monkeypatch):
+        groups = record_groups(monkeypatch)
+        # 200 records in all and about 100 per class, all below the batch size
+        cfg = nn.TrainConfig(epochs=2, batch_size=150, seed=0)
+        ensemble = train_shadow_ensemble(
+            shadow_setup().shadow_pool, (2, 8, 3), cfg, seed=3, shadow_train_size=20
+        )
+        assert set(ensemble.attack_models) == {0, 1} and ensemble.fallback_model is not None
+        attack_groups = groups[1:]
+        assert len({cfgs[0].batch_size for _, cfgs in attack_groups}) == len(attack_groups) > 1
+        for sizes, cfgs in attack_groups:
+            assert [c.batch_size for c in cfgs] == [min(150, n) for n in sizes]
 
     def test_pool_below_minimum_signals_skip(self):
         d = shadow_setup()
@@ -216,8 +259,9 @@ class TestShadowEnsemble:
         kwargs = dict(shadow_train_size=20, seed=11)
         a = train_shadow_ensemble(d.shadow_pool, (2, 8, 2), self.CFG, **kwargs)
         b = train_shadow_ensemble(d.shadow_pool, (2, 8, 2), self.CFG, **kwargs)
-        for ma, mb in zip(a.shadow_models, b.shadow_models):
-            assert np.array_equal(ma.flatten(), mb.flatten())
+        assert set(a.attack_models) == set(b.attack_models) == {0, 1}
+        for c in a.attack_models:
+            assert np.array_equal(a.attack_models[c].flatten(), b.attack_models[c].flatten())
         eval_rows = Rows.concat([d.members, d.nonmembers])
         truth = [MEMBER] * 60 + [NONMEMBER] * 60
         target = nn.init_model((2, 8, 2), seed=0)
@@ -266,19 +310,31 @@ class TestShadowEnsemble:
         assert outcome.advantage == 1.0
 
     def test_unseen_class_routes_to_fallback(self):
-        d = shadow_setup()
         ensemble = train_shadow_ensemble(
-            d.shadow_pool, (2, 8, 2), self.CFG, seed=3, shadow_train_size=20
+            shadow_setup().shadow_pool, (2, 8, 3), self.CFG, seed=3, shadow_train_size=20
         )
-        pruned_models = {0: ensemble.attack_models[0]} if 0 in ensemble.attack_models else {}
+        # the class models claim non-member everywhere, the fallback member
+        claims = {bit: nn.MlpModel((3, 2), (np.zeros((3, 2)),),
+                                   (np.where(np.arange(2) == bit, 5.0, 0.0),))
+                  for bit in (MEMBER, NONMEMBER)}
         from dataclasses import replace
 
-        pruned = replace(ensemble, attack_models=pruned_models)
-        outcome = shadow_attack(
-            pruned, nn.init_model((2, 8, 2), 0), Rows([[0.5, 0.5], [0.1, 0.1]], [1, 0]),
-            [0, 1],
+        rigged = replace(ensemble, attack_models={c: claims[NONMEMBER] for c in (0, 1)},
+                         fallback_model=claims[MEMBER])
+        rows = Rows([[0.5, 0.5], [0.1, 0.1], [2.0, 2.0], [0.3, 0.9]], [2, 0, 1, 2])
+        outcome = shadow_attack(rigged, nn.init_model((2, 8, 3), 0), rows, [0, 1, 0, 1])
+        assert outcome.decisions.tolist() == [MEMBER, NONMEMBER, NONMEMBER, MEMBER]
+
+    def test_class_without_any_model_is_refused(self):
+        ensemble = train_shadow_ensemble(
+            shadow_setup().shadow_pool, (2, 8, 2), self.CFG, seed=3, shadow_train_size=20
         )
-        assert outcome.decisions.shape == (2,)
+        from dataclasses import replace
+
+        pruned = replace(ensemble, attack_models={0: ensemble.attack_models[0]})
+        with pytest.raises(MialabError, match="class 1"):
+            shadow_attack(pruned, nn.init_model((2, 8, 2), 0),
+                          Rows([[0.5, 0.5], [0.1, 0.1]], [1, 0]), [0, 1])
 
 
 class TestGameHelpers:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -173,6 +174,27 @@ class TestRunCommand:
                           "--out", str(tmp_path / "o"))
         assert code == 1
         assert "error [data]: column 'y', line 4: cannot parse 'x'" in capsys.readouterr().err
+
+    def test_data_error_exits_one_and_leaves_no_directory(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text('a,y\n1,"multi\nline"\n2,q\n')
+        schema_path = tmp_path / "d.schema.json"
+        schema_path.write_text(json.dumps({
+            "columns": [
+                {"name": "a", "kind": "numeric"},
+                {"name": "y", "kind": "categorical", "role": "label"},
+            ],
+            "label_classes": 2,
+        }))
+        doc = synthetic_doc(
+            data={"kind": "csv", "path": str(csv_path), "schema": str(schema_path)},
+            split={"kind": "source", "member_value": "a"},
+        )
+        out = tmp_path / "o" / "run"
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 1
+        assert "error [data]: row 2: a quoted cell spans lines" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_attack_names_field(self, tmp_path, capsys):
         path = write_doc(tmp_path, synthetic_doc(attacks=["average_threshold", "mystery"]))
@@ -479,6 +501,29 @@ class TestCsvPipeline:
         assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2
         traces = list(csv.DictReader(open(tmp_path / "1" / "traces.csv")))
         assert {r["repetition"] for r in traces} == {"0", "1"}
+
+    # sha256 of results.csv and summary.csv of the campaign below, captured
+    # with the one-model-at-a-time trainer: how training is grouped must not
+    # move a byte.
+    PINNED_SHADOW_CAMPAIGN = {
+        "results.csv": "595b920983c299f90df30c253e138d038f82f4618726e08552d4770db2a0e2cf",
+        "summary.csv": "e63f47cbf4545f400638a486ae6a525641aa612faf7734a4be20b1a5924eda95",
+    }
+
+    def test_shadow_campaign_bytes_pinned(self, csv_config, tmp_path):
+        doc = json.loads(csv_config.read_text())
+        doc.update(split={"kind": "attribute_bias", "value": "east", "p": 0.8},
+                   n_members=40, n_nonmembers=40, epsilon_grid=[1.0, "inf"], repetitions=2,
+                   attacks=["average_threshold", "optimal_threshold", "shadow"])
+        out = tmp_path / "o"
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc, "pinned.json")),
+                          "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2 * 2  # none skipped
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_SHADOW_CAMPAIGN}
+        assert digests == self.PINNED_SHADOW_CAMPAIGN
 
     def test_split_dry_run_reports_builder_note(self, csv_config, tmp_path):
         doc = json.loads(csv_config.read_text())

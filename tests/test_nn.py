@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mialab.nn import (
     loglosses,
     train,
 )
+
+from reference_train import train as reference_train
 
 
 def separable_samples(n_per_class=50, seed=2, spread=0.3):
@@ -168,15 +171,33 @@ class TestPerExampleGrad:
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-15)
 
 
+def one_replica(model, X, y):
+    """The model's weights, layer inputs and errors at (X, y) as one-replica
+    stacks, the layout of the lockstep trainer."""
+    acts, _, deltas = nn._errors(model, X, y)
+    return ([W[None] for W in model.weights], [a[None] for a in acts[:-1]],
+            [d[None] for d in deltas])
+
+
+def ghost_norms(model, X, y, l2):
+    weights, acts, deltas = one_replica(model, X, y)
+    products = [a @ W for a, W in zip(acts, weights)]
+    return nn._ghost_norms(weights, acts, products, deltas, l2)[0]
+
+
 class TestGhostClipping:
     """The ghost-norm step against the explicit per-example gradients."""
 
     @staticmethod
     def ghost(model, X, y, l2, clip_norm):
-        acts, _, deltas = nn._errors(model, X, y)
-        norms = nn._ghost_norms(model, acts, deltas, l2)
+        weights, acts, deltas = one_replica(model, X, y)
+        norms = ghost_norms(model, X, y, l2)
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-        return norms, nn._clipped_sum(model, acts, deltas, scale, l2)
+        clipped = np.empty((1, model.n_params))
+        grad_views = nn._layer_views(clipped, model.layer_dims)
+        nn._grad_sum(weights, acts, [d * scale[None, :, None] for d in deltas],
+                     l2 * scale.sum() if l2 else None, None, *grad_views)
+        return norms, clipped[0]
 
     @pytest.mark.parametrize("batch", [0, 1, 64, 65, 200])
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
@@ -250,8 +271,7 @@ class TestGhostClipping:
         rng = np.random.default_rng(3)
         model = init_model((4, 8, 2), seed=0)
         X, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
-        acts, _, deltas = nn._errors(model, X, y)
-        norms = nn._ghost_norms(model, acts, deltas, 1e-3)
+        norms = ghost_norms(model, X, y, 1e-3)
         scale = np.minimum(1.0, 0.1 / norms)
         nn._check_clipping(model, X, y, 1e-3, norms, scale, 0.1, step=0)
         with pytest.raises(AssertionError, match="ghost norm .* at step 4"):
@@ -358,3 +378,120 @@ class TestAccuracy:
     def test_empty_errors(self):
         with pytest.raises(MialabError):
             accuracy(init_model((2, 2), 0), Rows(np.empty((0, 2)), []))
+
+
+def random_rows(n, d, seed, classes=2):
+    rng = np.random.default_rng(seed)
+    return Rows(rng.normal(size=(n, d)), rng.integers(0, classes, size=n))
+
+
+class TestTrainReplicas:
+    """Each replica of a lockstep group against the one-model oracle."""
+
+    @staticmethod
+    def group(dims, sizes, cfg, seed=0):
+        inits = [init_model(dims, seed + r) for r in range(len(sizes))]
+        member_sets = [random_rows(n, dims[0], seed + 10 + r, dims[-1])
+                       for r, n in enumerate(sizes)]
+        cfgs = [replace(cfg, seed=seed + 20 + r) for r in range(len(sizes))]
+        return inits, member_sets, cfgs
+
+    def assert_matches_oracle(self, inits, member_sets, cfgs, privacy=None):
+        models = nn.train_replicas(inits, member_sets, cfgs, privacy)
+        assert len(models) == len(inits)
+        for model, args in zip(models, zip(inits, member_sets, cfgs)):
+            expected = reference_train(*args, privacy)
+            assert np.array_equal(model.flatten(), expected.flatten())
+            assert np.array_equal(train(*args, privacy).flatten(), expected.flatten())
+
+    def test_equal_size_group(self):
+        self.assert_matches_oracle(
+            *self.group((6, 16, 16, 2), [90] * 4, TrainConfig(epochs=4, batch_size=40))
+        )
+
+    def test_ragged_group(self):
+        # 14 and 12 batches an epoch, the shadow attack models of a 500-row campaign
+        self.assert_matches_oracle(
+            *self.group((2, 64, 2), [2355, 2645], TrainConfig(epochs=2, batch_size=200))
+        )
+
+    def test_dp_group_with_empty_poisson_batches(self, monkeypatch):
+        sums = []
+        noisy_mean = dp.noisy_mean
+
+        def recording(gradient_sum, *args):
+            sums.append(not np.any(gradient_sum))
+            return noisy_mean(gradient_sum, *args)
+
+        monkeypatch.setattr(nn.dp, "noisy_mean", recording)
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.1, clip_norm=0.5)
+        args = self.group((3, 8, 8, 2), [10, 12, 9], TrainConfig(epochs=6, batch_size=1))
+        nn.train_replicas(*args, privacy)
+        assert any(sums) and not all(sums)  # q = 1/10: some batches are empty
+        monkeypatch.setattr(nn.dp, "noisy_mean", noisy_mean)
+        self.assert_matches_oracle(*args, privacy)
+
+    def test_debug_checks_group(self):
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=0.8, clip_norm=0.3)
+        cfg = TrainConfig(epochs=3, batch_size=8, debug_checks=True)
+        self.assert_matches_oracle(*self.group((4, 16, 3), [30, 41, 25], cfg), privacy)
+
+    def test_group_order_does_not_matter(self):
+        inits, member_sets, cfgs = self.group((2, 8, 2), [30, 50, 40], TrainConfig(
+            epochs=3, batch_size=16))
+        forward_order = nn.train_replicas(inits, member_sets, cfgs)
+        backward = nn.train_replicas(inits[::-1], member_sets[::-1], cfgs[::-1])[::-1]
+        for a, b in zip(forward_order, backward):
+            assert np.array_equal(a.flatten(), b.flatten())
+
+    def test_first_failure_in_call_order_is_raised(self):
+        inits, member_sets, cfgs = self.group((2, 8, 2), [30, 20], TrainConfig(
+            epochs=2, batch_size=10))
+        huge = MlpModel((2, 8, 2), tuple(W * 1e300 for W in inits[1].weights),
+                        inits[1].biases)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingDiverged, match="training loss nan at step 0"
+        ):
+            nn.train_replicas([inits[0], huge], member_sets, cfgs)
+
+    @pytest.mark.parametrize("dp_on", [False, True], ids=["plain", "dp"])
+    def test_non_finite_parameters_name_the_layer_as_the_oracle(self, dp_on):
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0) if dp_on else None
+        args = self.group((2, 8, 2), [20, 30], TrainConfig(
+            epochs=2, batch_size=10, learning_rate=math.inf))
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(MialabError) as oracle:
+                reference_train(*(a[0] for a in args), privacy)
+            with pytest.raises(MialabError) as grouped:
+                nn.train_replicas(*args, privacy)
+        assert str(grouped.value) == str(oracle.value) == "layer 0: non-finite parameter"
+
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"dims": (2, 4, 2)}, "layer dims"),
+            ({"epochs": 3}, "TrainConfig.epochs"),
+            ({"batch_size": 5}, "TrainConfig.batch_size"),
+            ({"debug_checks": True}, "TrainConfig.debug_checks"),
+            ({"privacy": dp.PrivacyParams(epsilon=2.0, noise_multiplier=1.0)}, "privacy"),
+        ],
+    )
+    def test_mismatch_is_refused_naming_it(self, change, named):
+        inits, member_sets, cfgs = self.group((2, 8, 2), [20, 20], TrainConfig(
+            epochs=2, batch_size=10))
+        privacy = [dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0)] * 2
+        if "dims" in change:
+            inits[1] = init_model(change["dims"], 0)
+        elif "privacy" in change:
+            privacy[1] = change["privacy"]
+        else:
+            cfgs[1] = replace(cfgs[1], **change)
+        with pytest.raises(MialabError, match=f"replica 1: {named}"):
+            nn.train_replicas(inits, member_sets, cfgs, privacy)
+
+    def test_shape_of_the_call_is_checked(self):
+        inits, member_sets, cfgs = self.group((2, 8, 2), [20, 20], TrainConfig(batch_size=10))
+        with pytest.raises(MialabError, match="one init, member set and config"):
+            nn.train_replicas(inits, member_sets[:1], cfgs)
+        with pytest.raises(MialabError, match="exceeds the 20"):
+            nn.train_replicas(inits, member_sets, [replace(c, batch_size=21) for c in cfgs])
