@@ -236,18 +236,3 @@ def average_threshold_decider(
 
     return decide
 
-
-def trace_rows(outcome: AttackOutcome, attack_name: str, losses) -> list[dict]:
-    """Per-sample attack trace rows (sample_id, truth, loss, decision,
-    attack_name) ready for CSV export; sample_id is the row's position in
-    the evaluated set."""
-    return [
-        {
-            "sample_id": i,
-            "truth": int(outcome.truth[i]),
-            "loss": float(losses[i]),
-            "decision": int(outcome.decisions[i]),
-            "attack_name": attack_name,
-        }
-        for i in range(len(outcome.decisions))
-    ]

@@ -95,6 +95,14 @@ def parse_epsilon(value, field: str) -> float:
     return eps
 
 
+def _refuse_repeats(values, field: str) -> None:
+    """Each entry of a grid or attack list may appear once: a repeat would
+    count one cell's repetitions twice in the summary."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{field}[{i}]", f"repeats entry {values.index(value)}, {value!r}")
+
+
 def epsilon_json(eps: float):
     return "inf" if math.isinf(eps) else eps
 
@@ -269,6 +277,7 @@ def resolve(
     if not isinstance(grid_raw, list) or not grid_raw:
         raise ConfigError("epsilon_grid", "expected a non-empty list")
     grid = tuple(parse_epsilon(v, f"epsilon_grid[{i}]") for i, v in enumerate(grid_raw))
+    _refuse_repeats(grid, "epsilon_grid")
     delta = _as_number(doc.get("delta", 1e-5), "delta")
     if not 0 < delta < 1:
         raise ConfigError("delta", f"must be in (0, 1), got {delta}")
@@ -284,6 +293,7 @@ def resolve(
                 f"attacks[{i}]",
                 f"unknown attack {a!r}; allowed: {list(experiments.KNOWN_ATTACKS)}",
             )
+    _refuse_repeats(attack_names, "attacks")
     privacy_block = doc.get("privacy", {})
     _check_keys(privacy_block, _PRIVACY_KEYS, "privacy")
     clip_norm = _as_number(privacy_block.get("clip_norm", 1.0), "privacy.clip_norm")

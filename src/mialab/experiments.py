@@ -171,10 +171,10 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
         rng = as_generator(rng)
         init_seed = int(rng.integers(2**31))
         train_seed = int(rng.integers(2**31))
-        return _train_model(
-            cfg, members, (members.X.shape[1], *cfg.hidden_units, n_classes), init_seed,
-            train_seed, min(cfg.train.batch_size, len(members)), privacy,
-        )
+        init = nn.init_model((members.X.shape[1], *cfg.hidden_units, n_classes), init_seed)
+        tcfg = replace(cfg.train, seed=train_seed,
+                       batch_size=min(cfg.train.batch_size, len(members)))
+        return nn.train(init, members, tcfg, privacy)
 
     builder = attacks.average_threshold_decider
     bits = []
@@ -218,6 +218,10 @@ class ExperimentConfig:
         unknown = [a for a in self.attack_names if a not in KNOWN_ATTACKS]
         if unknown:
             raise MialabError(f"unknown attack(s) {unknown}; known: {list(KNOWN_ATTACKS)}")
+        for field, values in (("epsilon_grid", self.epsilon_grid),
+                              ("attack_names", self.attack_names)):
+            if len(set(values)) != len(values):
+                raise MialabError(f"{field} lists an entry twice: {list(values)}")
         if not 0 < self.delta < 1:
             raise MialabError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -294,13 +298,6 @@ def _privacy_for(cfg: ExperimentConfig, eps: float, sigma: float) -> "dp.Privacy
     )
 
 
-def _train_model(cfg: ExperimentConfig, members: Rows, dims: Sequence[int], init_seed,
-                 train_seed: int, batch_size: int, privacy) -> nn.MlpModel:
-    init = nn.init_model(dims, init_seed)
-    tcfg = replace(cfg.train, seed=train_seed, batch_size=batch_size)
-    return nn.train(init, members, tcfg, privacy)
-
-
 def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
     """Validation set with the member pool's attribute bias, drawn from the
     leftover reserves; None when the reserves cannot supply it."""
@@ -318,11 +315,63 @@ def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
     return Rows.concat([bias.reserve_with[wi], bias.reserve_without[wo]])
 
 
+def _train_cells(cfg: ExperimentConfig, cells: list, dims: tuple, noise: dict, rep: int):
+    """Step (a) of a repetition: each cell's target model and, with the
+    shadow attack, its shadow ensemble (None, with a note, when the shadow
+    pool is too small). Each scenario's private targets train as one
+    lockstep group and the repetition's non-private targets as one more.
+    The cells of a group that fails train again one by one, in (scenario,
+    epsilon) order and each target before its ensemble, so the error names
+    the cell that fails first in that order."""
+    jobs, groups = [], {}
+    for si, _, d, ei, eps in cells:
+        privacy = _privacy_for(cfg, eps, noise[eps][0])
+        groups.setdefault(None if privacy is None else si, []).append(len(jobs))
+        jobs.append((
+            nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei)), d.members,
+            replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei))), privacy,
+        ))
+    models = [None] * len(jobs)
+    for ks in groups.values():
+        try:
+            group = nn.train_replicas(*zip(*(jobs[k] for k in ks)))
+        except MialabError:
+            continue  # its cells train one by one below
+        for k, model in zip(ks, group):
+            models[k] = model
+    ensembles, notes = [], []
+    for c, ((si, scenario, d, ei, eps), job) in enumerate(zip(cells, jobs)):
+        ensemble = None
+        try:
+            if models[c] is None:
+                models[c] = nn.train(*job)
+            if "shadow" in cfg.attack_names:
+                ensemble = attacks.train_shadow_ensemble(
+                    d.shadow_pool, dims, cfg.train, job[-1],
+                    seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
+                    shadow_train_size=cfg.n_members,
+                )
+        except ShadowPoolTooSmall as exc:
+            notes.append(f"rep {rep} {scenario} eps={eps}: {exc}")
+        except TrainingDiverged as exc:
+            raise MialabError(f"rep {rep} {scenario} eps={eps}: {exc}") from exc
+        ensembles.append(ensemble)
+    return models, ensembles, notes
+
+
+def _score(model: nn.MlpModel, rows: Rows) -> tuple[np.ndarray, float]:
+    """Step (b) on one row set: one forward pass gives each row's logloss
+    and the accuracy."""
+    probs = nn.forward(model, rows.X)
+    return nn.loglosses_of(probs, rows.y), nn.accuracy_of(probs, rows.y)
+
+
 def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
                     pool_builder, noise: dict, rep: int, emit_traces: bool):
-    rows: list[CampaignRow] = []
-    notes: list[str] = []
-    traces: list[dict] = []
+    """One repetition's cells, one per (scenario, epsilon), in three steps:
+    (a) train every cell's models, (b) score each target on its members and
+    non-members, and (c) let each attack turn the scores into decisions,
+    from which the cell's result rows and trace rows follow."""
     if pool_builder is not None:
         pools = pool_builder(subseed(cfg.seed, 1, rep))
     n, m = cfg.n_members, cfg.n_nonmembers
@@ -332,83 +381,52 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
     if pools.bias is not None:
         val_set = biased_validation(pools.bias, math.ceil(n / 4), subseed(cfg.seed, 4, rep))
     dims = (base.members.X.shape[1], *cfg.hidden_units, _n_classes(pools.flatten()))
-    try:
+    cells = [
+        (si, scenario, d, ei, eps)
         for si, (scenario, d) in enumerate(
             ((SCENARIO_DEPENDENT, base), (SCENARIO_IID, counterfactual))
-        ):
-            truth = np.concatenate(
-                [
-                    np.full(len(d.members), attacks.MEMBER),
-                    np.full(len(d.nonmembers), attacks.NONMEMBER),
-                ]
-            )
-            eval_rows = Rows.concat([d.members, d.nonmembers])
-            for ei, eps in enumerate(cfg.epsilon_grid):
-                sigma, realized, _ = noise[eps]
-                privacy = _privacy_for(cfg, eps, sigma)
-                model = _train_model(
-                    cfg, d.members, dims, subseed(cfg.seed, 6, rep, si, ei),
-                    _seed_int(subseed(cfg.seed, 5, rep, si, ei)), cfg.train.batch_size,
-                    privacy,
+        )
+        for ei, eps in enumerate(cfg.epsilon_grid)
+    ]
+    models, ensembles, notes = _train_cells(cfg, cells, dims, noise, rep)
+    truth = np.concatenate([np.full(n, attacks.MEMBER), np.full(m, attacks.NONMEMBER)])
+    rows: list[CampaignRow] = []
+    traces: list[dict] = []
+    for (_, scenario, d, _, eps), model, ensemble in zip(cells, models, ensembles):
+        member_losses, member_acc = _score(model, d.members)
+        nonmember_losses, nonmember_acc = _score(model, d.nonmembers)
+        validation_acc = None
+        if scenario == SCENARIO_DEPENDENT and val_set is not None:
+            validation_acc = _score(model, val_set)[1]
+        losses = np.concatenate([member_losses, nonmember_losses])
+        sigma, realized, _ = noise[eps]
+        for name in cfg.attack_names:
+            if name == "average_threshold":
+                outcome = attacks.average_threshold(member_losses, losses, truth)
+            elif name == "optimal_threshold":
+                outcome = attacks.optimal_threshold(member_losses, nonmember_losses)[1]
+            elif ensemble is not None:
+                # The shadow attack queries the target on all rows at once,
+                # not on step (b)'s row sets: BLAS may round a row of a
+                # product differently when the product's row count changes.
+                rows_queried = Rows.concat([d.members, d.nonmembers])
+                outcome = attacks.shadow_attack(ensemble, model, rows_queried, truth)
+            else:
+                continue  # skipped; step (a) noted why
+            rows.append(CampaignRow(
+                epsilon=eps, attack=name, scenario=scenario, repetition=rep,
+                tpr=outcome.tpr, fpr=outcome.fpr, advantage=outcome.advantage,
+                member_acc=member_acc, nonmember_acc=nonmember_acc,
+                validation_acc=validation_acc, sigma=sigma, realized_epsilon=realized,
+            ))
+            if emit_traces:
+                traces.extend(
+                    {"epsilon": float(eps), "attack": name, "scenario": scenario,
+                     "repetition": rep, "sample_id": i, "truth": int(truth[i]),
+                     "loss": float(losses[i]), "decision": int(decision),
+                     "attack_name": name}
+                    for i, decision in enumerate(outcome.decisions)
                 )
-                member_losses = nn.loglosses(model, d.members)
-                nonmember_losses = nn.loglosses(model, d.nonmembers)
-                member_acc = nn.accuracy(model, d.members)
-                nonmember_acc = nn.accuracy(model, d.nonmembers)
-                validation_acc = None
-                if scenario == SCENARIO_DEPENDENT and val_set is not None:
-                    validation_acc = nn.accuracy(model, val_set)
-
-                eval_losses = np.concatenate([member_losses, nonmember_losses])
-
-                def emit(name: str, outcome: attacks.AttackOutcome):
-                    rows.append(
-                        CampaignRow(
-                            epsilon=eps,
-                            attack=name,
-                            scenario=scenario,
-                            repetition=rep,
-                            tpr=outcome.tpr,
-                            fpr=outcome.fpr,
-                            advantage=outcome.advantage,
-                            member_acc=member_acc,
-                            nonmember_acc=nonmember_acc,
-                            validation_acc=validation_acc,
-                            sigma=sigma,
-                            realized_epsilon=realized,
-                        )
-                    )
-                    if emit_traces:
-                        for tr in attacks.trace_rows(outcome, name, eval_losses):
-                            tr.update(
-                                epsilon=float(eps), attack=name, scenario=scenario,
-                                repetition=rep,
-                            )
-                            traces.append(tr)
-
-                for name in cfg.attack_names:
-                    if name == "average_threshold":
-                        emit(name, attacks.average_threshold(member_losses, eval_losses, truth))
-                    elif name == "optimal_threshold":
-                        _, outcome = attacks.optimal_threshold(member_losses, nonmember_losses)
-                        emit(name, outcome)
-                    elif name == "shadow":
-                        try:
-                            ensemble = attacks.train_shadow_ensemble(
-                                d.shadow_pool,
-                                dims,
-                                cfg.train,
-                                privacy,
-                                seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
-                                shadow_train_size=n,
-                            )
-                            emit(name, attacks.shadow_attack(ensemble, model, eval_rows, truth))
-                        except ShadowPoolTooSmall as exc:
-                            notes.append(
-                                f"rep {rep} {scenario} eps={eps}: {exc}"
-                            )
-    except TrainingDiverged as exc:
-        raise MialabError(f"rep {rep} {scenario} eps={eps}: {exc}") from exc
     return rows, notes, traces
 
 

@@ -145,8 +145,13 @@ def forward(model: MlpModel, X) -> np.ndarray:
 
 
 def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
-    probs = forward(model, rows.X)
-    p_true = np.clip(probs[np.arange(len(rows)), rows.y], PROB_FLOOR, None)
+    return loglosses_of(forward(model, rows.X), rows.y)
+
+
+def loglosses_of(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's logloss, -log of its true class's probability (floored at
+    PROB_FLOOR), from the probability rows that forward returned."""
+    p_true = np.clip(probs[np.arange(len(labels)), labels], PROB_FLOOR, None)
     return -np.log(p_true)
 
 
@@ -308,7 +313,8 @@ def _grad_sum(weights: list, acts: list, deltas: list, l2_factor, counts,
 
 
 def _check_shared(inits: Sequence[MlpModel], cfgs: Sequence[TrainConfig], privacies: list) -> None:
-    """Replicas may differ in init, members and seed only."""
+    """Replicas may differ in init, members and seed, and private ones in
+    their epsilon and noise multiplier."""
     for r in range(1, len(inits)):
         if inits[r].layer_dims != inits[0].layer_dims:
             raise MialabError(f"replica {r}: layer dims {inits[r].layer_dims} differ from "
@@ -318,9 +324,13 @@ def _check_shared(inits: Sequence[MlpModel], cfgs: Sequence[TrainConfig], privac
             if f.name != "seed" and mine != first:
                 raise MialabError(f"replica {r}: TrainConfig.{f.name} {mine!r} differs from "
                                   f"replica 0's {first!r}")
-        if privacies[r] != privacies[0]:
-            raise MialabError(f"replica {r}: privacy {privacies[r]!r} differs from "
-                              f"replica 0's {privacies[0]!r}")
+        mine, first = privacies[r], privacies[0]
+        if (mine is None) != (first is None):
+            raise MialabError(f"replica {r}: privacy {mine!r} differs from replica 0's {first!r}")
+        for name in ("delta", "clip_norm") if first is not None else ():
+            if getattr(mine, name) != getattr(first, name):
+                raise MialabError(f"replica {r}: privacy {name} {getattr(mine, name)!r} differs "
+                                  f"from replica 0's {getattr(first, name)!r}")
 
 
 def train(
@@ -354,16 +364,19 @@ def train_replicas(
     privacy=None,
 ) -> list[MlpModel]:
     """Train one model per (init, members, cfg) in lockstep; model r is
-    bitwise the one train(inits[r], member_sets[r], cfgs[r], privacy) returns.
+    bitwise the one train(inits[r], member_sets[r], cfgs[r], privacy)
+    returns, privacy being model r's.
 
-    The models share layer dims, privacy (one value, or a sequence of equal
-    per-model values) and every TrainConfig field but the seed; member sets
-    may differ in size, and so in step count. Parameters and Adam moments
-    are (R, n_params) buffers with per-layer views: a step runs each layer
-    once for every model with steps left (longest first, so these are a
-    prefix) and one Adam update for all of them. Each model draws from its
-    own cfg.seed stream in train's order. A model that fails raises what
-    training the models one by one would have raised first.
+    The models share layer dims and every TrainConfig field but the seed.
+    privacy is one value, or one per model: either every model is private
+    or none is, and private models share delta and clip norm but may
+    differ in epsilon and noise multiplier. Member sets may differ in size,
+    and so in step count. Parameters and Adam moments are (R, n_params)
+    buffers with per-layer views: a step runs each layer once for every
+    model with steps left (longest first, so these are a prefix) and one
+    Adam update for all of them. Each model draws from its own cfg.seed
+    stream in train's order. A model that fails raises what training the
+    models one by one would have raised first.
     """
     return _train_lockstep(inits, member_sets, cfgs, privacy)
 
@@ -444,6 +457,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
         for n in ns:
             privacy.warn_if_delta_large(n)
         rates = [sampling_rate(n, cfg) for n in ns]
+        sigmas = [privacies[r].noise_multiplier for r in order]
     rngs = [as_generator(cfgs[r].seed) for r in order]
     perms = [None] * R
     params = np.stack([inits[r].flatten() for r in order])
@@ -508,8 +522,8 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
             d *= scale[:, :, None]
         _grad_sum(weights, acts, deltas, l2_factor, counts, *grad_views)
         for r in range(live):
-            grad[r] = dp.noisy_mean(grad[r], privacy.clip_norm, privacy.noise_multiplier,
-                                    rates[r] * ns[r], rngs[r])
+            grad[r] = dp.noisy_mean(grad[r], privacy.clip_norm, sigmas[r], rates[r] * ns[r],
+                                    rngs[r])
 
     live = 0
     for step in range(steps[0]):
@@ -558,5 +572,9 @@ def accuracy(model: MlpModel, rows: Rows) -> float:
     ties break toward the lower class index."""
     if not rows:
         raise MialabError("accuracy over an empty sample list")
-    probs = forward(model, rows.X)
-    return float(np.mean(np.argmax(probs, axis=1) == rows.y))
+    return accuracy_of(forward(model, rows.X), rows.y)
+
+
+def accuracy_of(probs: np.ndarray, labels: np.ndarray) -> float:
+    """accuracy, from the probability rows that forward returned."""
+    return float(np.mean(np.argmax(probs, axis=1) == labels))

@@ -15,7 +15,6 @@ from mialab.attacks import (
     shadow_attack,
     strong_loss_attack,
     threshold_decisions,
-    trace_rows,
     train_shadow_ensemble,
 )
 from mialab.dataio import Rows
@@ -349,13 +348,3 @@ class TestGameHelpers:
         model = constant_model()
         assert strong_loss_attack(model, Rows([[6.0], [-6.0]], [0, 0])) == 0
         assert strong_loss_attack(model, Rows([[-6.0], [6.0]], [0, 0])) == 1
-
-
-class TestTraceExport:
-    def test_rows_shape(self):
-        outcome = AttackOutcome.from_decisions([0, 1], [0, 1])
-        rows = trace_rows(outcome, "average_threshold", losses=[0.1, 0.9])
-        assert rows[0] == {
-            "sample_id": 0, "truth": 0, "loss": 0.1,
-            "decision": 0, "attack_name": "average_threshold",
-        }

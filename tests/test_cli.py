@@ -364,6 +364,56 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error [campaign]: rep 0 non-IID eps=inf: non-finite training loss" in err
 
+    @pytest.mark.parametrize("grid,cell", [
+        ([1.0, "inf"], "eps=1.0: non-finite per-example gradient norm nan at step 1"),
+        (["inf", 1.0], "eps=inf: non-finite training loss nan at step 1"),
+    ])
+    def test_divergence_names_the_first_cell_in_grid_order(self, tmp_path, capsys, grid, cell):
+        doc = synthetic_doc(epsilon_grid=grid, repetitions=1)
+        doc["train"]["learning_rate"] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)),
+                              "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"error [campaign]: rep 0 non-IID {cell}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("epsilon_grid", [1.0, 1.0, "inf"], "epsilon_grid[1]"),
+        ("epsilon_grid", [1, "inf", 1.0], "epsilon_grid[2]"),
+        ("epsilon_grid", ["inf", 2.0, "Infinity"], "epsilon_grid[2]"),
+        ("attacks", ["average_threshold", "average_threshold"], "attacks[1]"),
+    ])
+    def test_repeated_entry_exits_two_naming_it(self, tmp_path, capsys, field, value, named):
+        path = write_doc(tmp_path, synthetic_doc(**{field: value}))
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # sha256 of the three CSVs of a campaign at three finite epsilons plus
+    # inf, captured with the cells trained one at a time: grouping a
+    # repetition's cells must not move a byte.
+    PINNED_TRACED_CAMPAIGN = {
+        "results.csv": "0536c3a640b2d8ff068e1daf60147ddf6efaf66e415af83d7fe8af2200580cbe",
+        "summary.csv": "c3a9c1f2b36abc1257f449fdbd4fdb4429787114b8687617c9b38a95ee4a2d52",
+        "traces.csv": "6d61113746d4b524efca7fc501d25b04ac12b2f4913138bc925fd89a2bc02863",
+    }
+
+    def test_traced_campaign_bytes_pinned(self, tmp_path):
+        doc = synthetic_doc(
+            epsilon_grid=[0.5, 1.0, 2.0, "inf"], emit_traces=True,
+            attacks=["average_threshold", "optimal_threshold", "shadow"],
+            train={"hidden_units": [8], "epochs": 5, "batch_size": 20},
+        )
+        out = tmp_path / "o"
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        assert len(rows) == 2 * 2 * 4 * 3  # reps x scenarios x eps x attacks, none skipped
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_TRACED_CAMPAIGN}
+        assert digests == self.PINNED_TRACED_CAMPAIGN
+
     def test_game_experiment(self, tmp_path):
         doc = synthetic_doc(
             experiment="alt", epsilon_grid=["inf"], repetitions=8,

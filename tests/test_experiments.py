@@ -451,3 +451,68 @@ class TestCampaign:
         serial = batch_mm_campaign(cfg, pools=blob_pools, jobs=1)
         parallel = batch_mm_campaign(cfg, pools=blob_pools, jobs=2)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("field,values", [
+        ("epsilon_grid", (1.0, 1.0, math.inf)),
+        ("epsilon_grid", (math.inf, 2.0, math.inf)),
+        ("attack_names", ("average_threshold", "average_threshold")),
+    ])
+    def test_repeated_entries_are_refused(self, field, values):
+        with pytest.raises(MialabError, match=f"{field} lists an entry twice"):
+            small_campaign_config(**{field: values})
+
+
+def train_alone(inits, member_sets, cfgs, privacy=None):
+    """nn.train_replicas, each replica trained on its own."""
+    privacies = list(privacy) if isinstance(privacy, (list, tuple)) else [privacy] * len(inits)
+    return [nn.train(*job) for job in zip(inits, member_sets, cfgs, privacies)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grouped_cells_match_cells_trained_alone(monkeypatch, blob_pools, jobs):
+    cfg = small_campaign_config(
+        epsilon_grid=(0.5, 1.0, 2.0, math.inf), train=nn.TrainConfig(epochs=4, batch_size=20),
+        attack_names=("average_threshold", "optimal_threshold", "shadow"),
+    )
+    grouped = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs, emit_traces=True)
+    sizes = []
+
+    def alone(inits, *rest):
+        sizes.append(len(inits))
+        return train_alone(inits, *rest)
+
+    monkeypatch.setattr(nn, "train_replicas", alone)
+    one_by_one = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs, emit_traces=True)
+    assert len(grouped.rows) == 2 * 2 * 4 * 3  # reps x scenarios x eps x attacks
+    assert grouped.rows == one_by_one.rows
+    assert grouped.traces == one_by_one.traces
+    assert grouped.notes == one_by_one.notes
+    if jobs == 1:
+        # each scenario's three private targets, then the two non-private ones
+        assert sizes[:3] == [3, 2, 3]
+
+
+@pytest.mark.parametrize("grid,cell", [
+    ((2.0, 1.0, math.inf), (1, 1)),
+    ((2.0, 1.0, math.inf), (1, 2)),
+    ((math.inf, 1.0), (0, 1)),
+])
+def test_failing_cell_is_named_after_grouping(monkeypatch, blob_pools, grid, cell):
+    # The one target whose init is blown up to 1e300 diverges at step 0;
+    # its group fails, and every other cell trains as usual.
+    cfg = small_campaign_config(epsilon_grid=grid, repetitions=1)
+    real = nn.init_model
+
+    def init_model(dims, seed):
+        model = real(dims, seed)
+        if list(seed.entropy) == [cfg.seed, 6, 0, *cell]:
+            model = nn.MlpModel(dims, tuple(W * 1e300 for W in model.weights), model.biases)
+        return model
+
+    monkeypatch.setattr(nn, "init_model", init_model)
+    scenario = ("non-IID", "IID")[cell[0]]
+    what = "training loss" if math.isinf(grid[cell[1]]) else "per-example gradient norm"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        MialabError, match=f"^rep 0 {scenario} eps={grid[cell[1]]}: non-finite {what}"
+    ):
+        batch_mm_campaign(cfg, pools=blob_pools)

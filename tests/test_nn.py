@@ -397,12 +397,14 @@ class TestTrainReplicas:
         return inits, member_sets, cfgs
 
     def assert_matches_oracle(self, inits, member_sets, cfgs, privacy=None):
+        """privacy: one value, or a list with one per replica."""
         models = nn.train_replicas(inits, member_sets, cfgs, privacy)
         assert len(models) == len(inits)
-        for model, args in zip(models, zip(inits, member_sets, cfgs)):
-            expected = reference_train(*args, privacy)
+        privacies = privacy if isinstance(privacy, list) else [privacy] * len(inits)
+        for model, args in zip(models, zip(inits, member_sets, cfgs, privacies)):
+            expected = reference_train(*args)
             assert np.array_equal(model.flatten(), expected.flatten())
-            assert np.array_equal(train(*args, privacy).flatten(), expected.flatten())
+            assert np.array_equal(train(*args).flatten(), expected.flatten())
 
     def test_equal_size_group(self):
         self.assert_matches_oracle(
@@ -428,6 +430,27 @@ class TestTrainReplicas:
         args = self.group((3, 8, 8, 2), [10, 12, 9], TrainConfig(epochs=6, batch_size=1))
         nn.train_replicas(*args, privacy)
         assert any(sums) and not all(sums)  # q = 1/10: some batches are empty
+        monkeypatch.setattr(nn.dp, "noisy_mean", noisy_mean)
+        self.assert_matches_oracle(*args, privacy)
+
+    def test_dp_group_with_a_noise_multiplier_per_replica(self, monkeypatch):
+        # eps-sweep's grid at its sampling rate and step count (500 members,
+        # batch 200, 30 epochs): sigma runs from 2.36 at eps 10 to 616 at 0.05
+        grid = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+        privacy = [dp.PrivacyParams(epsilon=eps, noise_multiplier=dp.calibrate_sigma(
+            eps, 1e-5, 0.4, 90)) for eps in grid]
+        assert privacy[0].noise_multiplier > 600 and privacy[-1].noise_multiplier < 3
+        sigmas = []
+        noisy_mean = dp.noisy_mean
+
+        def recording(gradient_sum, clip_norm, sigma, *args):
+            sigmas.append(sigma)
+            return noisy_mean(gradient_sum, clip_norm, sigma, *args)
+
+        monkeypatch.setattr(nn.dp, "noisy_mean", recording)
+        args = self.group((3, 16, 16, 2), [25] * len(grid), TrainConfig(epochs=3, batch_size=10))
+        nn.train_replicas(*args, privacy)
+        assert sigmas[: len(grid)] == [p.noise_multiplier for p in privacy]
         monkeypatch.setattr(nn.dp, "noisy_mean", noisy_mean)
         self.assert_matches_oracle(*args, privacy)
 
@@ -473,7 +496,12 @@ class TestTrainReplicas:
             ({"epochs": 3}, "TrainConfig.epochs"),
             ({"batch_size": 5}, "TrainConfig.batch_size"),
             ({"debug_checks": True}, "TrainConfig.debug_checks"),
-            ({"privacy": dp.PrivacyParams(epsilon=2.0, noise_multiplier=1.0)}, "privacy"),
+            ({"privacy": dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0, clip_norm=2.0)},
+             "privacy"),
+            # epsilon and sigma may differ, delta may not
+            ({"privacy": dp.PrivacyParams(epsilon=2.0, noise_multiplier=0.5, delta=1e-6)},
+             "privacy delta 1e-06 differs from replica 0's 1e-05"),
+            ({"privacy": None}, "privacy None differs"),
         ],
     )
     def test_mismatch_is_refused_naming_it(self, change, named):
