@@ -8,6 +8,8 @@ games whose challenge is a row of a pool and the batch campaign
 (experiments), and a config-driven CLI (cli).
 """
 
+__version__ = "0.1.0"  # the one version source; pyproject.toml reads it
+
 from .attacks import (
     AttackOutcome,
     ShadowEnsemble,

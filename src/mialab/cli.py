@@ -26,16 +26,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import bounds, config, dp, experiments
+from . import __version__, bounds, config, dp, experiments
 from .errors import ConfigError, MialabError
 from .rngs import subseed
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("mialab")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    VERSION = "0+unknown"
 
 RESULT_COLUMNS = tuple(f.name for f in fields(experiments.CampaignRow))
 SUMMARY_COLUMNS = tuple(f.name for f in fields(experiments.Aggregate))
@@ -92,6 +85,12 @@ def cmd_run(args, phases: _Phases) -> int:
     resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     cfg = resolved.cfg
     out_dir = Path(args.out) if args.out else Path("runs") / resolved.digest[:12]
+    if resolved.experiment == "batch_mm" and cfg.repetitions > 1:
+        # summary.csv's t intervals need scipy.special (about 10 MB). Loaded
+        # at write time it would stack on whatever heap the campaign leaves
+        # behind, and peak RSS would swing by that much from run to run;
+        # loaded first, it sits under the data and campaign peaks.
+        from scipy import special  # noqa: F401
     with phases("data"):
         mat = config.materialize(resolved)
     with phases("write"):
@@ -141,7 +140,7 @@ def cmd_run(args, phases: _Phases) -> int:
         "artifacts": artifacts + ["manifest.json"],
         "timings_seconds": {k: round(v, 6) for k, v in phases.seconds.items()},
         "versions": {
-            "mialab": VERSION,
+            "mialab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -23,13 +23,12 @@ mean advantage with 95% Student-t confidence intervals.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import attacks, dp, nn
 from .dataio import Rows
@@ -255,10 +254,15 @@ class Aggregate:
 @dataclass(frozen=True)
 class CampaignResult:
     rows: tuple[CampaignRow, ...]
-    aggregates: tuple[Aggregate, ...]
     noise: dict
     notes: tuple[str, ...] = ()
     traces: tuple[dict, ...] = ()
+
+    @functools.cached_property
+    def aggregates(self) -> tuple[Aggregate, ...]:
+        """One Aggregate per (ε, attack, scenario), in first-row order;
+        computed from rows on first read."""
+        return _aggregate(self.rows)
 
     def aggregate(self, epsilon: float, attack: str, scenario: str) -> Aggregate:
         for agg in self.aggregates:
@@ -445,6 +449,8 @@ def _aggregate(rows: Sequence[CampaignRow]) -> tuple[Aggregate, ...]:
         )
         mean = float(np.mean(values))
         if len(values) > 1:
+            from scipy import special  # a ~0.25 s import; one-repetition runs never need it
+
             sd = float(np.std(values, ddof=1))
             t_crit = float(special.stdtrit(len(values) - 1, 0.975))
             hw = t_crit * sd / math.sqrt(len(values))
@@ -474,9 +480,10 @@ def batch_mm_campaign(
 
     Pass fixed pools (cluster/source splits build them once) or a
     pool_builder callable taking a seed (attribute-bias pools are
-    regenerated per repetition). Repetitions may run in parallel; results
-    are identical regardless of jobs. With emit_traces, the result also
-    carries one trace row per evaluated sample and attack.
+    regenerated per repetition). Repetitions may run in parallel, on at
+    most one worker process per repetition; results are identical
+    regardless of jobs. With emit_traces, the result also carries one
+    trace row per evaluated sample and attack.
     """
     if (pools is None) == (pool_builder is None):
         raise MialabError("pass exactly one of pools or pool_builder")
@@ -495,8 +502,13 @@ def batch_mm_campaign(
     ]
     all_traces: list[dict] = []
     args = (cfg, pools, pool_builder, noise)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-started pool launches all its workers at the first submit, so
+    # workers beyond the repetition count would only fork and idle.
+    workers = min(jobs, cfg.repetitions)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_repetition, *args, rep, emit_traces)
                 for rep in range(cfg.repetitions)
@@ -510,7 +522,6 @@ def batch_mm_campaign(
         all_traces.extend(traces)
     return CampaignResult(
         rows=tuple(all_rows),
-        aggregates=_aggregate(all_rows),
         noise=noise,
         notes=tuple(all_notes),
         traces=tuple(all_traces),

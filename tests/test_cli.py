@@ -136,6 +136,13 @@ class TestRunCommand:
         assert code1 == code2 == 0
         assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
 
+    def test_manifest_records_the_package_version(self, tmp_path):
+        path = write_doc(tmp_path, synthetic_doc(repetitions=1))
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["versions"]["mialab"] == mialab.__version__
+
     def test_out_under_a_regular_file_is_a_clean_runtime_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, synthetic_doc())
         blocker = tmp_path / "file"
@@ -651,3 +658,53 @@ def test_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_run_start_path_leaves_unused_modules_unloaded(tmp_path):
+    """Importing the CLI loads none of these, and a one-repetition run
+    finishes without scipy.special (only a t interval needs it)."""
+    src = str(Path(mialab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    config_path = write_doc(tmp_path, synthetic_doc(repetitions=1))
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, mialab.cli\n"
+        "unused = ('scipy.special', 'scipy.stats', 'concurrent.futures.process',"
+        " 'importlib.metadata')\n"
+        "print([m for m in unused if m in sys.modules])\n"
+        f"code = mialab.cli.main({argv!r})\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 False"
+
+
+def test_multi_repetition_run_loads_scipy_special_before_the_data(tmp_path):
+    """Its summary needs scipy.special; the run loads it before the data,
+    so it never stacks on the heap the campaign leaves behind."""
+    src = str(Path(mialab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    config_path = write_doc(tmp_path, synthetic_doc(repetitions=2))
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, mialab.cli\n"
+        "from mialab import config\n"
+        "seen = []\n"
+        "materialize = config.materialize\n"
+        "def spy(resolved):\n"
+        "    seen.append('scipy.special' in sys.modules)\n"
+        "    return materialize(resolved)\n"
+        "config.materialize = spy\n"
+        f"code = mialab.cli.main({argv!r})\n"
+        "print(code, seen)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 [True]"

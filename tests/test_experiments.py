@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from mialab import attacks, config, dp, nn
 from mialab.dataio import Rows
 from mialab.errors import MialabError, SplitError
 from mialab.experiments import (
+    CampaignResult,
     CampaignRow,
     ExperimentConfig,
     batch_mm_campaign,
@@ -371,6 +374,13 @@ class TestCampaign:
         result = batch_mm_campaign(cfg, pools=blob_pools)
         assert all(math.isnan(a.ci_half_width) for a in result.aggregates)
 
+    def test_aggregates_derive_from_rows(self, blob_pools):
+        result = batch_mm_campaign(small_campaign_config(repetitions=2), pools=blob_pools)
+        assert "aggregates" not in {f.name for f in fields(CampaignResult)}
+        assert result.aggregates == _aggregate(result.rows)
+        assert all(a.repetitions == 2 for a in result.aggregates)
+        assert result.aggregates is result.aggregates
+
     def test_deterministic_across_runs(self, blob_pools):
         cfg = small_campaign_config()
         a = batch_mm_campaign(cfg, pools=blob_pools)
@@ -451,6 +461,38 @@ class TestCampaign:
         serial = batch_mm_campaign(cfg, pools=blob_pools, jobs=1)
         parallel = batch_mm_campaign(cfg, pools=blob_pools, jobs=2)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("jobs,repetitions,workers", [
+        (64, 2, [2]), (64, 1, []), (2, 3, [2]),
+    ])
+    def test_jobs_are_capped_at_the_repetitions(
+        self, monkeypatch, blob_pools, jobs, repetitions, workers
+    ):
+        created = []
+
+        class InProcessExecutor:
+            """Records max_workers and runs each call in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = small_campaign_config(repetitions=repetitions)
+        serial = batch_mm_campaign(cfg, pools=blob_pools)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+        result = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs)
+        assert created == workers
+        assert result.rows == serial.rows
 
     @pytest.mark.parametrize("field,values", [
         ("epsilon_grid", (1.0, 1.0, math.inf)),
