@@ -24,7 +24,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, bounds, config, dp, experiments
 from .errors import ConfigError, MialabError
@@ -85,12 +84,6 @@ def cmd_run(args, phases: _Phases) -> int:
     resolved = config.resolve(doc, profile_override=args.profile, seed_override=args.seed)
     cfg = resolved.cfg
     out_dir = Path(args.out) if args.out else Path("runs") / resolved.digest[:12]
-    if resolved.experiment == "batch_mm" and cfg.repetitions > 1:
-        # summary.csv's t intervals need scipy.special (about 10 MB). Loaded
-        # at write time it would stack on whatever heap the campaign leaves
-        # behind, and peak RSS would swing by that much from run to run;
-        # loaded first, it sits under the data and campaign peaks.
-        from scipy import special  # noqa: F401
     with phases("data"):
         mat = config.materialize(resolved)
     with phases("write"):
@@ -132,6 +125,14 @@ def cmd_run(args, phases: _Phases) -> int:
             _write_csv(out_dir / "games.csv", GAME_COLUMNS, rows)
             artifacts.append("games.csv")
         summary["success_rate"] = sum(bits) / len(bits)
+    versions = {
+        "mialab": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    if "scipy" in sys.modules:
+        # Only a summary over more than 101 repetitions runs scipy code.
+        versions["scipy"] = sys.modules["scipy"].__version__
     manifest = {
         "schema_version": config.SCHEMA_VERSION,
         "name": resolved.name,
@@ -139,12 +140,7 @@ def cmd_run(args, phases: _Phases) -> int:
         "experiment": resolved.experiment,
         "artifacts": artifacts + ["manifest.json"],
         "timings_seconds": {k: round(v, 6) for k, v in phases.seconds.items()},
-        "versions": {
-            "mialab": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": versions,
         "notes": notes,
         "summary": summary,
     }

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -684,27 +685,52 @@ def test_run_start_path_leaves_unused_modules_unloaded(tmp_path):
     assert lines[-1] == "0 False"
 
 
-def test_multi_repetition_run_loads_scipy_special_before_the_data(tmp_path):
-    """Its summary needs scipy.special; the run loads it before the data,
-    so it never stacks on the heap the campaign leaves behind."""
+def _run_cli_in_fresh_interpreter(tmp_path):
+    """Run `mialab run` on a 2-repetition config in a new interpreter, so
+    no test has loaded scipy first; return its last stdout line (the exit
+    code and the scipy modules loaded after main returned) and the output
+    directory."""
     src = str(Path(mialab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     config_path = write_doc(tmp_path, synthetic_doc(repetitions=2))
-    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    out_dir = tmp_path / "o"
+    argv = ["run", "--config", str(config_path), "--out", str(out_dir)]
     code = (
         "import sys, mialab.cli\n"
-        "from mialab import config\n"
-        "seen = []\n"
-        "materialize = config.materialize\n"
-        "def spy(resolved):\n"
-        "    seen.append('scipy.special' in sys.modules)\n"
-        "    return materialize(resolved)\n"
-        "config.materialize = spy\n"
         f"code = mialab.cli.main({argv!r})\n"
-        "print(code, seen)\n"
+        "print(code, [m for m in ('scipy', 'scipy.special') if m in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip().splitlines()[-1] == "0 [True]"
+    return out.stdout.strip().splitlines()[-1], out_dir
+
+
+def test_multi_repetition_run_leaves_scipy_unloaded(tmp_path):
+    """summary.csv's t intervals come from a frozen table, so a run with
+    repetitions to summarize still loads no scipy."""
+    last_line, _ = _run_cli_in_fresh_interpreter(tmp_path)
+    assert last_line == "0 []"
+
+
+def test_manifest_omits_scipy_version_when_no_scipy_is_loaded(tmp_path):
+    last_line, out_dir = _run_cli_in_fresh_interpreter(tmp_path)
+    assert last_line == "0 []"
+    versions = json.loads((out_dir / "manifest.json").read_text())["versions"]
+    assert versions == {
+        "mialab": mialab.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def test_manifest_records_scipy_version_when_scipy_is_loaded(tmp_path):
+    import scipy
+
+    path = write_doc(tmp_path, synthetic_doc(repetitions=2))
+    code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 0
+    versions = json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__
+    assert {"mialab", "python", "numpy"} <= set(versions)

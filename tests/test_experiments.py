@@ -17,6 +17,7 @@ from mialab.experiments import (
     exp_iid,
     exp_mm,
     exp_strong,
+    _T975,
     _aggregate,
     noise_for_grid,
     run_games,
@@ -360,6 +361,28 @@ def test_ci_half_width_is_student_t():
         sd = float(np.std(values[:k], ddof=1))
         expected = float(stats.t.ppf(0.975, k - 1)) * sd / math.sqrt(k)
         assert agg.ci_half_width == expected and agg.repetitions == k
+
+
+def test_t_table_is_bitwise_stdtrit():
+    from scipy import special
+
+    assert len(_T975) == 100
+    for df, t in enumerate(_T975, start=1):
+        assert t == float(special.stdtrit(df, 0.975)), df
+
+
+def test_ci_half_width_beyond_the_t_table_falls_back_to_scipy():
+    from scipy import special
+
+    values = [((7 * r) % 11) / 10 - 0.5 for r in range(102)]
+    rows = [
+        CampaignRow(1.0, "a", "IID", r, 0.0, 0.0, v, 0.0, 0.0, None, 1.0, 1.0)
+        for r, v in enumerate(values)
+    ]
+    (agg,) = _aggregate(rows)
+    sd = float(np.std(values, ddof=1))
+    expected = float(special.stdtrit(101, 0.975)) * sd / math.sqrt(102)
+    assert agg.ci_half_width == expected and agg.repetitions == 102
 
 
 class TestCampaign:
