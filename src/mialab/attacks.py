@@ -110,20 +110,6 @@ class ShadowEnsemble:
     fallback_model: "nn.MlpModel | None"
 
 
-def _train_by_batch_size(jobs: list) -> list:
-    """Train non-private (init, members, cfg) jobs whose configs differ at
-    most in batch size, one lockstep group per batch size; models come back
-    in job order."""
-    groups: dict = {}
-    for k, (_, _, cfg) in enumerate(jobs):
-        groups.setdefault(cfg.batch_size, []).append(k)
-    models = [None] * len(jobs)
-    for ks in groups.values():
-        for k, model in zip(ks, nn.train_replicas(*zip(*(jobs[k] for k in ks)))):
-            models[k] = model
-    return models
-
-
 def train_shadow_ensemble(
     shadow_pool: Rows,
     layer_dims: Sequence[int],
@@ -140,8 +126,8 @@ def train_shadow_ensemble(
     Shadow models use the target architecture and the given privacy
     setting; every model trained here keeps cfg's fields except its batch
     size and seed. The shadows train as one lockstep group and the attack
-    models as another (one per batch size: a class with fewer records than
-    cfg's batch size trains on all of them at once). Raises
+    models as another (a class with fewer records than cfg's batch size
+    trains on all of them at once). Raises
     ShadowPoolTooSmall when the pool cannot supply disjoint in/out halves.
     """
     size = shadow_train_size if shadow_train_size is not None else len(shadow_pool) // 2
@@ -190,7 +176,7 @@ def train_shadow_ensemble(
             jobs.append(attack_job(of_class, subseed(seed, 105, c)))
     if len(classes) < n_classes:
         jobs.append(attack_job(records, subseed(seed, 106)))
-    models = _train_by_batch_size(jobs)
+    models = nn.train_replicas(*zip(*jobs))
     return ShadowEnsemble(
         attack_models=dict(zip(classes, models)),
         fallback_model=models[-1] if len(models) > len(classes) else None,

@@ -266,10 +266,7 @@ class CampaignResult:
 
     def aggregate(self, epsilon: float, attack: str, scenario: str) -> Aggregate:
         for agg in self.aggregates:
-            same_eps = agg.epsilon == epsilon or (
-                math.isinf(agg.epsilon) and math.isinf(epsilon)
-            )
-            if same_eps and agg.attack == attack and agg.scenario == scenario:
+            if agg.epsilon == epsilon and agg.attack == attack and agg.scenario == scenario:
                 return agg
         raise KeyError((epsilon, attack, scenario))
 

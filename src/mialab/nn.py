@@ -5,7 +5,10 @@ Gaussian noise).
 Models are immutable MlpModel values. Parameters flatten in a fixed
 canonical order (per layer: weight matrix row-major, then bias vector);
 training keeps the parameters, gradients and Adam moments of a group of
-models as (models, n_params) buffers in that order.
+models as (models, n_params) buffers in that order. One forward pass and
+one backprop, the lockstep kernels over such groups, serve both training
+and the one-model functions (forward, the per-example gradients), which
+run them on a group of one.
 """
 
 from __future__ import annotations
@@ -112,23 +115,19 @@ def init_model(layer_dims: Sequence[int], seed) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
 
 
-def _forward_states(model: MlpModel, X: np.ndarray):
-    pre_acts = []
-    activations = [X]
-    h = X
-    last = model.n_layers - 1
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        activations.append(h)
-    return pre_acts, activations
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _one_replica_pass(model: MlpModel, X: np.ndarray) -> tuple:
+    """The lockstep forward pass of one model at the (n, d) rows X: its
+    weights, layer inputs, products a @ W and class probabilities, as
+    one-replica (1, ...) stacks."""
+    weights = [W[None] for W in model.weights]
+    bufs = [[np.empty((1, X.shape[0], d)) for _ in range(2)] for d in model.layer_dims[1:]]
+    return (weights, *_forward_rows(weights, [b[None] for b in model.biases], X[None], None, bufs))
 
 
 def forward(model: MlpModel, X) -> np.ndarray:
@@ -140,8 +139,12 @@ def forward(model: MlpModel, X) -> np.ndarray:
         raise MialabError(
             f"feature width {X.shape[1]} does not match input dim {model.layer_dims[0]}"
         )
-    _, acts = _forward_states(model, X)
-    return _softmax(acts[-1])
+    return _one_replica_pass(model, X)[-1][0]
+
+
+def _nll(p_true: np.ndarray) -> np.ndarray:
+    """-log of the true class's probability, floored at PROB_FLOOR."""
+    return -np.log(np.maximum(p_true, PROB_FLOOR))
 
 
 def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
@@ -149,30 +152,17 @@ def loglosses(model: MlpModel, rows: Rows) -> np.ndarray:
 
 
 def loglosses_of(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's logloss, -log of its true class's probability (floored at
-    PROB_FLOOR), from the probability rows that forward returned."""
-    p_true = np.clip(probs[np.arange(len(labels)), labels], PROB_FLOOR, None)
-    return -np.log(p_true)
+    """Each row's logloss, from the probability rows that forward returned."""
+    return _nll(probs[np.arange(len(labels)), labels])
 
 
-def _backprop(model: MlpModel, pre: list, delta: np.ndarray) -> list:
-    """Errors at each layer's pre-activation, given the output layer's
-    error delta (one row per example)."""
-    deltas = [None] * model.n_layers
-    deltas[-1] = delta
-    for i in range(model.n_layers - 2, -1, -1):
-        deltas[i] = (deltas[i + 1] @ model.weights[i + 1].T) * (pre[i] > 0)
-    return deltas
-
-
-def _errors(model: MlpModel, X: np.ndarray, y: np.ndarray):
-    """Forward pass plus the per-example logloss errors at every layer.
-    Returns (activations, probs, deltas); activations[i] is layer i's input."""
-    pre, acts = _forward_states(model, X)
-    probs = _softmax(acts[-1])
-    delta = probs.copy()
-    delta[np.arange(X.shape[0]), y] -= 1.0
-    return acts, probs, _backprop(model, pre, delta)
+def _errors(model: MlpModel, X: np.ndarray, y: np.ndarray) -> tuple:
+    """One model's weights, layer inputs and per-example logloss errors at
+    every layer's pre-activation, at (X, y), as one-replica stacks."""
+    weights, acts, _, delta = _one_replica_pass(model, X)
+    delta[0, np.arange(X.shape[0]), y] -= 1.0
+    errors = [np.empty_like(a) for a in acts[1:]]
+    return weights, acts, _backprop_rows(weights, acts, delta, None, errors)
 
 
 def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
@@ -180,18 +170,13 @@ def _per_example_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
     """Per-example gradients of (logloss + l2/2 * ||weights||^2), flattened
     in canonical order; shape (batch, n_params). The oracle for the
     ghost-norm clipping in train and for the finite-difference check."""
-    B = X.shape[0]
-    acts, _, deltas = _errors(model, X, y)
-    out = np.empty((B, model.n_params))
-    pos = 0
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        gw = np.einsum("bi,bj->bij", acts[i], deltas[i]).reshape(B, W.size)
+    weights, acts, deltas = _errors(model, X, y)
+    out = np.empty((X.shape[0], model.n_params))
+    for W, a, d, gW, gb in zip(weights, acts, deltas, *_layer_views(out, model.layer_dims)):
+        np.multiply(a[0, :, :, None], d[0, :, None, :], out=gW)
         if l2_coefficient:
-            gw += l2_coefficient * W.ravel()
-        out[:, pos : pos + W.size] = gw
-        pos += W.size
-        out[:, pos : pos + b.size] = deltas[i]
-        pos += b.size
+            gW += l2_coefficient * W
+        gb[...] = d[0]
     return out
 
 
@@ -264,7 +249,7 @@ def _backprop_rows(weights: list, acts: list, delta: np.ndarray, counts, outs: l
 def _mean_losses(p_true: np.ndarray, weights: list, l2_coefficient: float, counts) -> np.ndarray:
     """Each replica's mean logloss over its rows plus l2/2 * ||weights||^2,
     given every row's probability of its true class."""
-    per_row = -np.log(np.maximum(p_true, PROB_FLOOR))
+    per_row = _nll(p_true)
     if counts is None:
         loss = per_row.sum(axis=1) / per_row.shape[1]
     else:
@@ -313,15 +298,15 @@ def _grad_sum(weights: list, acts: list, deltas: list, l2_factor, counts,
 
 
 def _check_shared(inits: Sequence[MlpModel], cfgs: Sequence[TrainConfig], privacies: list) -> None:
-    """Replicas may differ in init, members and seed, and private ones in
-    their epsilon and noise multiplier."""
+    """Replicas may differ in init, members, batch size and seed, and
+    private ones in their epsilon and noise multiplier."""
     for r in range(1, len(inits)):
         if inits[r].layer_dims != inits[0].layer_dims:
             raise MialabError(f"replica {r}: layer dims {inits[r].layer_dims} differ from "
                               f"replica 0's {inits[0].layer_dims}")
         for f in fields(TrainConfig):
             mine, first = getattr(cfgs[r], f.name), getattr(cfgs[0], f.name)
-            if f.name != "seed" and mine != first:
+            if f.name not in ("seed", "batch_size") and mine != first:
                 raise MialabError(f"replica {r}: TrainConfig.{f.name} {mine!r} differs from "
                                   f"replica 0's {first!r}")
         mine, first = privacies[r], privacies[0]
@@ -367,16 +352,17 @@ def train_replicas(
     bitwise the one train(inits[r], member_sets[r], cfgs[r], privacy)
     returns, privacy being model r's.
 
-    The models share layer dims and every TrainConfig field but the seed.
-    privacy is one value, or one per model: either every model is private
-    or none is, and private models share delta and clip norm but may
-    differ in epsilon and noise multiplier. Member sets may differ in size,
-    and so in step count. Parameters and Adam moments are (R, n_params)
-    buffers with per-layer views: a step runs each layer once for every
-    model with steps left (longest first, so these are a prefix) and one
-    Adam update for all of them. Each model draws from its own cfg.seed
-    stream in train's order. A model that fails raises what training the
-    models one by one would have raised first.
+    The models share layer dims and every TrainConfig field but the seed
+    and the batch size. privacy is one value, or one per model: either
+    every model is private or none is, and private models share delta and
+    clip norm but may differ in epsilon and noise multiplier. Member sets
+    and batch sizes may differ, and so step counts and batch widths.
+    Parameters and Adam moments are (R, n_params) buffers with per-layer
+    views: a step runs each layer once for every model with steps left
+    (most steps first, so these are a prefix) and one Adam update for all
+    of them. Each model draws from its own cfg.seed stream in train's
+    order. A model that fails raises what training the models one by one
+    would have raised first.
     """
     return _train_lockstep(inits, member_sets, cfgs, privacy)
 
@@ -446,17 +432,19 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
 
     cfg, privacy = cfgs[0], privacies[0]
     dims = inits[0].layer_dims
-    l2, size = cfg.l2_coefficient, cfg.batch_size
-    # Longest first, so that the replicas with steps left are a prefix.
-    order = sorted(range(R), key=lambda r: -len(member_sets[r]))
+    l2 = cfg.l2_coefficient
+    steps = [training_steps(len(members), c) for members, c in zip(member_sets, cfgs)]
+    # Most steps first, so that the replicas with steps left are a prefix.
+    order = sorted(range(R), key=lambda r: -steps[r])
+    steps = [steps[r] for r in order]
     sets = [member_sets[r] for r in order]
     ns = [len(members) for members in sets]
-    steps = [training_steps(n, cfg) for n in ns]
-    per_epoch = [math.ceil(n / size) for n in ns]
+    sizes = [cfgs[r].batch_size for r in order]
+    per_epoch = [math.ceil(n / size) for n, size in zip(ns, sizes)]
     if privacy is not None:
         for n in ns:
             privacy.warn_if_delta_large(n)
-        rates = [sampling_rate(n, cfg) for n in ns]
+        rates = [sampling_rate(n, cfgs[r]) for n, r in zip(ns, order)]
         sigmas = [privacies[r].noise_multiplier for r in order]
     rngs = [as_generator(cfgs[r].seed) for r in order]
     perms = [None] * R
@@ -466,7 +454,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
     # Buffers for the widest batch a step can draw: the batch rows and
     # labels, per layer its products and outputs, and per hidden layer its
     # errors.
-    cap = size if privacy is None else max(ns)
+    cap = max(sizes) if privacy is None else max(ns)
     X_buf, y_buf = np.zeros((R, cap, dims[0])), np.zeros((R, cap), dtype=np.int64)
     layer_bufs = [[np.zeros((R, cap, d)) for _ in range(2)] for d in dims[1:]]
     error_bufs = [np.zeros((R, cap, d)) for d in dims[1:-1]]
@@ -539,7 +527,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
                 j = step % per_epoch[r]
                 if j == 0:
                     perms[r] = rngs[r].permutation(ns[r])
-                batches.append(perms[r][j * size : (j + 1) * size])
+                batches.append(perms[r][j * sizes[r] : (j + 1) * sizes[r]])
             else:
                 batches.append(np.flatnonzero(rngs[r].random(ns[r]) < rates[r]))
         counts = [idx.size for idx in batches]
@@ -570,11 +558,11 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
 def accuracy(model: MlpModel, rows: Rows) -> float:
     """Fraction of rows whose argmax prediction matches the label; argmax
     ties break toward the lower class index."""
-    if not rows:
-        raise MialabError("accuracy over an empty sample list")
     return accuracy_of(forward(model, rows.X), rows.y)
 
 
 def accuracy_of(probs: np.ndarray, labels: np.ndarray) -> float:
     """accuracy, from the probability rows that forward returned."""
+    if not len(labels):
+        raise MialabError("accuracy over an empty sample list")
     return float(np.mean(np.argmax(probs, axis=1) == labels))

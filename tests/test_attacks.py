@@ -233,7 +233,7 @@ class TestShadowEnsemble:
         assert ensemble.fallback_model.layer_dims == (3, 64, 2)
         assert groups[1][0][-1] == 5 * 2 * 20  # pooled over every record
 
-    def test_attack_models_group_by_batch_size(self, monkeypatch):
+    def test_attack_models_train_as_one_group(self, monkeypatch):
         groups = record_groups(monkeypatch)
         # 200 records in all and about 100 per class, all below the batch size
         cfg = nn.TrainConfig(epochs=2, batch_size=150, seed=0)
@@ -241,10 +241,9 @@ class TestShadowEnsemble:
             shadow_setup().shadow_pool, (2, 8, 3), cfg, seed=3, shadow_train_size=20
         )
         assert set(ensemble.attack_models) == {0, 1} and ensemble.fallback_model is not None
-        attack_groups = groups[1:]
-        assert len({cfgs[0].batch_size for _, cfgs in attack_groups}) == len(attack_groups) > 1
-        for sizes, cfgs in attack_groups:
-            assert [c.batch_size for c in cfgs] == [min(150, n) for n in sizes]
+        (sizes, cfgs), = groups[1:]
+        batch_sizes = [c.batch_size for c in cfgs]
+        assert batch_sizes == [min(150, n) for n in sizes] and len(set(batch_sizes)) == 3
 
     def test_pool_below_minimum_signals_skip(self):
         d = shadow_setup()

@@ -404,6 +404,15 @@ class TestCampaign:
         assert all(a.repetitions == 2 for a in result.aggregates)
         assert result.aggregates is result.aggregates
 
+    def test_aggregate_matches_epsilon_exactly(self):
+        rows = [CampaignRow(eps, "a", "IID", 0, 0.0, 0.0, 0.1, 0.0, 0.0, None, 1.0, 1.0)
+                for eps in (1.0, math.inf)]
+        result = CampaignResult(rows=tuple(rows), noise={})
+        assert result.aggregate(math.inf, "a", "IID").epsilon == math.inf
+        for missing in (-math.inf, 2.0):
+            with pytest.raises(KeyError):
+                result.aggregate(missing, "a", "IID")
+
     def test_deterministic_across_runs(self, blob_pools):
         cfg = small_campaign_config()
         a = batch_mm_campaign(cfg, pools=blob_pools)

@@ -19,6 +19,8 @@ from mialab.nn import (
     train,
 )
 
+from reference_train import _forward_states as reference_forward_states
+from reference_train import _softmax as reference_softmax
 from reference_train import train as reference_train
 
 
@@ -96,6 +98,17 @@ class TestForward:
         probs = forward(model, np.array([features]))
         assert probs.shape == (1, 4) and abs(probs.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("rows", [0, 1, 500])
+    @pytest.mark.parametrize("dims", [(2, 32, 32, 2), (100, 256, 256, 2)])
+    def test_matches_the_reference_bitwise(self, dims, rows):
+        rng = np.random.default_rng(rows)
+        init = init_model(dims, seed=rows)
+        # nonzero biases, so that every term of the pass counts
+        model = MlpModel.unflatten(dims, init.flatten() + 0.1 * rng.normal(size=init.n_params))
+        X = rng.normal(size=(rows, dims[0]))
+        _, acts = reference_forward_states(model, X)
+        assert np.array_equal(forward(model, X), reference_softmax(acts[-1]))
+
 
 class TestLogloss:
     def test_certain_prediction_zero_loss(self):
@@ -171,16 +184,8 @@ class TestPerExampleGrad:
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-15)
 
 
-def one_replica(model, X, y):
-    """The model's weights, layer inputs and errors at (X, y) as one-replica
-    stacks, the layout of the lockstep trainer."""
-    acts, _, deltas = nn._errors(model, X, y)
-    return ([W[None] for W in model.weights], [a[None] for a in acts[:-1]],
-            [d[None] for d in deltas])
-
-
 def ghost_norms(model, X, y, l2):
-    weights, acts, deltas = one_replica(model, X, y)
+    weights, acts, deltas = nn._errors(model, X, y)
     products = [a @ W for a, W in zip(acts, weights)]
     return nn._ghost_norms(weights, acts, products, deltas, l2)[0]
 
@@ -190,7 +195,7 @@ class TestGhostClipping:
 
     @staticmethod
     def ghost(model, X, y, l2, clip_norm):
-        weights, acts, deltas = one_replica(model, X, y)
+        weights, acts, deltas = nn._errors(model, X, y)
         norms = ghost_norms(model, X, y, l2)
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
         clipped = np.empty((1, model.n_params))
@@ -376,8 +381,10 @@ class TestAccuracy:
         assert accuracy(model, samples) == pytest.approx(2 / 3)
 
     def test_empty_errors(self):
-        with pytest.raises(MialabError):
+        with pytest.raises(MialabError, match="empty sample list"):
             accuracy(init_model((2, 2), 0), Rows(np.empty((0, 2)), []))
+        with pytest.raises(MialabError, match="empty sample list"):
+            nn.accuracy_of(np.empty((0, 2)), np.empty(0, dtype=int))
 
 
 def random_rows(n, d, seed, classes=2):
@@ -416,6 +423,17 @@ class TestTrainReplicas:
         self.assert_matches_oracle(
             *self.group((2, 64, 2), [2355, 2645], TrainConfig(epochs=2, batch_size=200))
         )
+
+    @pytest.mark.parametrize("dp_on", [False, True], ids=["plain", "dp"])
+    def test_mixed_batch_size_group(self, dp_on):
+        # batches of 20, 200, 200 and 40 rows: most steps first, then a tie at
+        # 12 batches an epoch (2,301 and 2,399 rows), then a replica whose
+        # batch is its whole member set
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.1, clip_norm=0.5)
+        inits, member_sets, cfgs = self.group(
+            (3, 16, 2), [300, 2301, 2399, 40], TrainConfig(epochs=2, batch_size=200))
+        cfgs[0], cfgs[3] = replace(cfgs[0], batch_size=20), replace(cfgs[3], batch_size=40)
+        self.assert_matches_oracle(inits, member_sets, cfgs, privacy if dp_on else None)
 
     def test_dp_group_with_empty_poisson_batches(self, monkeypatch):
         sums = []
@@ -494,7 +512,7 @@ class TestTrainReplicas:
         [
             ({"dims": (2, 4, 2)}, "layer dims"),
             ({"epochs": 3}, "TrainConfig.epochs"),
-            ({"batch_size": 5}, "TrainConfig.batch_size"),
+            ({"learning_rate": 0.5}, "TrainConfig.learning_rate"),
             ({"debug_checks": True}, "TrainConfig.debug_checks"),
             ({"privacy": dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0, clip_norm=2.0)},
              "privacy"),
