@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .dataio import Rows
+from .dataio import Rows, distinct
 from .errors import MialabError, ShadowPoolTooSmall
 from .rngs import as_generator, subseed
 
@@ -86,7 +86,7 @@ def optimal_threshold(
     nm = np.asarray(nonmember_losses, dtype=np.float64)
     if m.size == 0 or nm.size == 0:
         raise MialabError("optimal_threshold needs losses on both sides")
-    pooled = np.unique(np.concatenate([m, nm]))
+    pooled = distinct(np.concatenate([m, nm]))
     lo, hi = pooled[:-1], pooled[1:]
     mid = (lo + hi) / 2.0
     # Between adjacent floats the midpoint rounds onto lo, which loss < tau
@@ -169,9 +169,9 @@ def train_shadow_ensemble(
         return init, records, attack_cfg
 
     classes, jobs = [], []
-    for c in np.unique(labels):
+    for c in distinct(labels):
         of_class = records[labels == c]
-        if np.unique(of_class.y).size == 2:
+        if distinct(of_class.y).size == 2:
             classes.append(int(c))
             jobs.append(attack_job(of_class, subseed(seed, 105, c)))
     if len(classes) < n_classes:
@@ -194,7 +194,7 @@ def shadow_attack(
     member when the member score exceeds 0.5."""
     probs = nn.forward(target_model, rows.X)
     decisions = np.empty(len(rows), dtype=np.int64)
-    for c in np.unique(rows.y):
+    for c in distinct(rows.y):
         attack_model = ensemble.attack_models.get(int(c), ensemble.fallback_model)
         if attack_model is None:
             raise MialabError(f"no attack model for class {int(c)} and no fallback")

@@ -92,11 +92,13 @@ def cmd_run(args, phases: _Phases) -> int:
     notes = [FINITE_POOL_CAVEAT]
     summary: dict = {"digest": resolved.digest, "name": resolved.name}
     if resolved.experiment == "batch_mm":
+        pools, pool_builder = mat.pools, mat.pool_builder
+        del mat  # its union pool, the data before the split, serves only the games
         with phases("campaign"):
             result = experiments.batch_mm_campaign(
                 cfg,
-                pools=mat.pools,
-                pool_builder=mat.pool_builder,
+                pools=pools,
+                pool_builder=pool_builder,
                 jobs=args.jobs,
                 emit_traces=resolved.emit_traces,
             )

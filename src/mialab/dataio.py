@@ -180,6 +180,14 @@ class Rows:
         return f"Rows(n={len(self)}, dim={self.X.shape[1]})"
 
 
+def distinct(values, axis=None) -> np.ndarray:
+    """np.unique(values, axis=axis): the sorted distinct values, or rows,
+    with its value semantics (0.0 and -0.0 are one value).
+    Asking np.unique for counts keeps it from calling np.ma.is_masked, which
+    in numpy 2.4 imports numpy.ma (about 1.3 MB and 15 ms) on first use."""
+    return np.unique(values, return_counts=True, axis=axis)[0]
+
+
 @dataclass(frozen=True)
 class Dataset:
     schema: Schema

@@ -51,10 +51,10 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _n_classes(pool: Rows) -> int:
-    """Output width of every model trained on draws from the pool: one unit
-    per label up to its largest, and never fewer than two."""
-    return max(2, int(pool.y.max()) + 1)
+def _n_classes(pools: Sequence[Rows]) -> int:
+    """Output width of every model trained on draws from the pools: one unit
+    per label up to their largest, and never fewer than two."""
+    return max([2, *(int(pool.y.max()) + 1 for pool in pools if len(pool))])
 
 
 def _complement(pool: Rows, idx: np.ndarray) -> Rows:
@@ -164,7 +164,7 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
         raise MialabError(f"unknown game {experiment!r}")
     eps = cfg.epsilon_grid[0]
     privacy = _privacy_for(cfg, eps, noise_for_grid(cfg)[eps][0])
-    n_classes = _n_classes(union_pool if experiment in ("iid", "alt") else pools.flatten())
+    n_classes = _n_classes([union_pool] if experiment in ("iid", "alt") else pools.pools)
 
     def trainer(members: Rows, rng) -> nn.MlpModel:
         rng = as_generator(rng)
@@ -376,12 +376,13 @@ def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
     if pool_builder is not None:
         pools = pool_builder(subseed(cfg.seed, 1, rep))
     n, m = cfg.n_members, cfg.n_nonmembers
-    base = draw(pools, n, m, subseed(cfg.seed, 2, rep))
+    base = draw(pools, n, m, subseed(cfg.seed, 2, rep),
+                with_shadow_pool="shadow" in cfg.attack_names)
     counterfactual = iid_counterfactual(base, subseed(cfg.seed, 3, rep))
     val_set = None
     if pools.bias is not None:
         val_set = biased_validation(pools.bias, math.ceil(n / 4), subseed(cfg.seed, 4, rep))
-    dims = (base.members.X.shape[1], *cfg.hidden_units, _n_classes(pools.flatten()))
+    dims = (base.members.X.shape[1], *cfg.hidden_units, _n_classes(pools.pools))
     cells = [
         (si, scenario, d, ei, eps)
         for si, (scenario, d) in enumerate(

@@ -218,11 +218,37 @@ def _layer_views(buf: np.ndarray, dims: Sequence[int]) -> tuple[list, list]:
 
 
 # The lockstep trainer's arrays are (R, rows, width), one slice per replica,
-# and live in buffers that it allocates once. When the replicas' batches
-# differ in size (`counts` is then the list of sizes), short batches end in
-# padding rows that hold stale values, and every product or sum over a
-# replica's rows runs on that replica's rows alone: this BLAS can round a
-# row of a product differently when the number of rows changes.
+# and live in row buffers sized for the widest batch a step is expected to
+# draw: the batch size without privacy and, with it, a Poisson batch's mean
+# plus four standard deviations. A step that draws a wider Poisson batch
+# reallocates them. When the replicas' batches differ in size (`counts` is
+# then the list of sizes), short batches end in padding rows that hold stale
+# values, and every product or sum over a replica's rows runs on that
+# replica's rows alone: this BLAS can round a row of a product differently
+# when the number of rows changes.
+
+
+def _poisson_width(n: int, q: float) -> int:
+    """Rows to buffer for a Poisson batch drawn from n rows at rate q
+    (Abadi et al., arXiv:1607.00133): the mean plus four standard
+    deviations, which one draw exceeds with probability below 1e-4."""
+    return min(n, math.ceil(q * n + 4.0 * math.sqrt(n * q * (1.0 - q))) + 1)
+
+
+def _row_buffers(R: int, rows: int, dims: Sequence[int]) -> tuple:
+    """The trainer's row buffers for batches of up to `rows` rows: the batch
+    rows and labels, per layer its products and outputs, and per hidden
+    layer its errors. They are contiguous parts of one zeroed block: with
+    one allocation per buffer, glibc's malloc trimmed its heap after a
+    training call and the next call faulted the pages in again."""
+    shapes = [(R, rows, dims[0]), (R, rows), *((R, rows, d) for d in dims[1:] for _ in range(2)),
+              *((R, rows, d) for d in dims[1:-1])]
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    X, y, *rest = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    layers = len(dims) - 1
+    layer_bufs = [rest[2 * i : 2 * i + 2] for i in range(layers)]
+    return X, y.view(np.int64), layer_bufs, rest[2 * layers :]
 
 
 def _products(A: np.ndarray, B: np.ndarray, counts, out: np.ndarray) -> None:
@@ -383,12 +409,11 @@ def _forward_rows(weights: list, biases: list, X: np.ndarray, counts, bufs: list
 
 
 def _adam(params: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray, t: int,
-          cfg: TrainConfig, temps: tuple) -> None:
+          cfg: TrainConfig, step: np.ndarray) -> None:
     """Adam step t on (R, n_params) buffers, in place, with the rounding of
-    params - lr * m_hat / (sqrt(v_hat) + eps); temps are two more such
-    buffers to work in."""
+    params - lr * m_hat / (sqrt(v_hat) + eps); step is one more such buffer
+    to work in, and grad, dead once v is updated, holds the denominator."""
     b1, b2 = cfg.adam_betas
-    step, denom = temps
     np.multiply(grad, 1 - b1, out=step)
     m *= b1
     m += step
@@ -398,6 +423,7 @@ def _adam(params: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray, t:
     v += step
     np.divide(m, 1 - b1**t, out=step)
     step *= cfg.learning_rate
+    denom = grad
     np.divide(v, 1 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += cfg.adam_epsilon
@@ -449,15 +475,12 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
     rngs = [as_generator(cfgs[r].seed) for r in order]
     perms = [None] * R
     params = np.stack([inits[r].flatten() for r in order])
-    m, v, grad = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
-    temps = np.empty_like(params), np.empty_like(params)
-    # Buffers for the widest batch a step can draw: the batch rows and
-    # labels, per layer its products and outputs, and per hidden layer its
-    # errors.
-    cap = max(sizes) if privacy is None else max(ns)
-    X_buf, y_buf = np.zeros((R, cap, dims[0])), np.zeros((R, cap), dtype=np.int64)
-    layer_bufs = [[np.zeros((R, cap, d)) for _ in range(2)] for d in dims[1:]]
-    error_bufs = [np.zeros((R, cap, d)) for d in dims[1:-1]]
+    m, v, grad, temp = (np.zeros_like(params), np.zeros_like(params), np.empty_like(params),
+                        np.empty_like(params))
+    # Row buffers for the widest batch a step is expected to draw; a wider
+    # Poisson batch reallocates them.
+    rows = max(sizes) if privacy is None else max(map(_poisson_width, ns, rates))
+    X_buf, y_buf, layer_bufs, error_bufs = _row_buffers(R, rows, dims)
 
     def gradient(step: int, Xb: np.ndarray, yb: np.ndarray, counts) -> None:
         """Write every live replica's step gradient into grad, after the
@@ -534,13 +557,14 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
         width = max(counts)
         if min(counts) == width:
             counts = None
+        if width > X_buf.shape[1]:
+            X_buf, y_buf, layer_bufs, error_bufs = _row_buffers(R, width, dims)
         Xb, yb = X_buf[:live, :width], y_buf[:live, :width]
         for r, idx in enumerate(batches):
             np.take(sets[r].X, idx, axis=0, out=Xb[r, : idx.size], mode="clip")
             np.take(sets[r].y, idx, out=yb[r, : idx.size], mode="clip")
         gradient(step, Xb, yb, counts)
-        _adam(params[:live], m[:live], v[:live], grad[:live], step + 1, cfg,
-              tuple(buf[:live] for buf in temps))
+        _adam(params[:live], m[:live], v[:live], grad[:live], step + 1, cfg, temp[:live])
         if not np.isfinite(params[:live]).all():
             failed = {}
             for r in range(live):

@@ -3,9 +3,9 @@
 A MixturePools value holds K disjoint sample pools; one pool is designated
 as the member component. Pools are built from a dataset by clustering,
 by biasing an attribute's frequency, or by splitting on an attribute value
-(data source). draw() then produces seeded member/non-member sets plus the
-leftover shadow pool, and iid_counterfactual() re-partitions a draw to
-destroy the dependency between the two sides.
+(data source). draw() then produces seeded member/non-member sets plus,
+when asked, the leftover shadow pool, and iid_counterfactual()
+re-partitions a draw to destroy the dependency between the two sides.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, Rows
+from .dataio import Dataset, Rows, distinct
 from .errors import SplitError
 from .rngs import as_generator, subseed
 
@@ -71,9 +71,12 @@ class MixturePools:
 
 @dataclass(frozen=True)
 class SplitDraw:
+    """One draw's members and non-members, and the shadow pool that the
+    shadow attack trains on (None when the draw was asked for none)."""
+
     members: Rows
     nonmembers: Rows
-    shadow_pool: Rows
+    shadow_pool: "Rows | None"
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,10 @@ def _exact_two_means(pts: np.ndarray) -> KmeansResult:
     the result is a Lloyd fixed point anyway (the optimal partition is the
     Voronoi split of its own means).
     """
-    distinct, inverse, counts = np.unique(
+    points, inverse, counts = np.unique(
         pts, axis=0, return_inverse=True, return_counts=True
     )
-    m = distinct.shape[0]
+    m = points.shape[0]
     w = counts.astype(np.float64)
     best_sse, best_side = math.inf, None
     for mask in range(1, 2 ** (m - 1)):
@@ -155,8 +158,8 @@ def _exact_two_means(pts: np.ndarray) -> KmeansResult:
         sse = 0.0
         for sel in (side, ~side):
             ww = w[sel]
-            mean = (distinct[sel] * ww[:, None]).sum(axis=0) / ww.sum()
-            sse += float((((distinct[sel] - mean) ** 2).sum(axis=1) * ww).sum())
+            mean = (points[sel] * ww[:, None]).sum(axis=0) / ww.sum()
+            sse += float((((points[sel] - mean) ** 2).sum(axis=1) * ww).sum())
         if sse < best_sse:
             best_sse, best_side = sse, side.copy()
     labels = best_side[inverse].astype(np.int64)
@@ -187,7 +190,7 @@ def kmeans(points, k: int, seed) -> KmeansResult:
         raise SplitError("kmeans called with no points")
     if k < 1:
         raise SplitError(f"k must be >= 1, got {k}")
-    n_distinct = np.unique(pts, axis=0).shape[0]
+    n_distinct = distinct(pts, axis=0).shape[0]
     if k > n_distinct:
         raise SplitError(f"k={k} exceeds the {n_distinct} distinct points")
     if k == 2 and n_distinct <= _EXACT_TWO_MEANS_LIMIT:
@@ -213,10 +216,10 @@ def cluster_split(data: Dataset, seed: int, k: int = 2) -> MixturePools:
     every class into pool i."""
     rows = data.samples
     buckets: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for label in np.unique(rows.y):
+    for label in distinct(rows.y):
         idx = np.flatnonzero(rows.y == label)
         points = rows.X[idx]
-        if np.unique(points, axis=0).shape[0] < k:
+        if distinct(points, axis=0).shape[0] < k:
             raise SplitError(f"class {label} has fewer than {k} distinct points")
         result = kmeans(points, k, subseed(seed, label))
         order = _canonical_order(result.centroids)
@@ -308,11 +311,14 @@ def source_split(data: Dataset, member_value: str) -> MixturePools:
     )
 
 
-def draw(pools: MixturePools, n_members: int, n_nonmembers: int, seed) -> SplitDraw:
+def draw(pools: MixturePools, n_members: int, n_nonmembers: int, seed,
+         with_shadow_pool: bool = True) -> SplitDraw:
     """Sample members from the member pool and non-members from the union
     of the other pools, both uniformly without replacement. The shadow pool
     is the pools' shadow reserve or, without one, up to n_members leftover
-    rows of every pool."""
+    rows of every pool, drawn after the members and non-members; without
+    with_shadow_pool it is None, and the members and non-members are the
+    same."""
     rng = as_generator(seed)
     member_pool = pools.pools[pools.k_member]
     others = Rows.concat([pool for k, pool in enumerate(pools.pools) if k != pools.k_member])
@@ -326,7 +332,9 @@ def draw(pools: MixturePools, n_members: int, n_nonmembers: int, seed) -> SplitD
         )
     m_idx = rng.choice(len(member_pool), size=n_members, replace=False)
     nm_idx = rng.choice(len(others), size=n_nonmembers, replace=False)
-    if pools.shadow_reserve is not None:
+    if not with_shadow_pool:
+        shadow = None
+    elif pools.shadow_reserve is not None:
         shadow = pools.shadow_reserve
     else:
         left_member = np.ones(len(member_pool), dtype=bool)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import Column, Dataset, Rows, Schema
+from .dataio import Column, Dataset, Rows, Schema, distinct
 from .errors import MialabError
 from .rngs import as_generator, subseed
 from .splits import MixturePools
@@ -108,6 +108,6 @@ def mixture_dataset(
             *(Column(f"f{i}", "numeric") for i in range(samples.X.shape[1])),
             Column("label", "numeric", "label"),
         ),
-        label_classes=max(2, len(np.unique(samples.y))),
+        label_classes=max(2, len(distinct(samples.y))),
     )
     return Dataset(schema=schema, samples=samples)

@@ -685,6 +685,27 @@ def test_run_start_path_leaves_unused_modules_unloaded(tmp_path):
     assert lines[-1] == "0 False"
 
 
+def test_cluster_split_run_leaves_numpy_ma_unloaded(tmp_path):
+    """A cluster-split run with the optimal-threshold attack never imports
+    numpy.ma, which a plain np.unique call would load."""
+    src = str(Path(mialab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    doc = synthetic_doc(repetitions=1, split={"kind": "cluster"})
+    assert "optimal_threshold" in doc["attacks"]
+    config_path = write_doc(tmp_path, doc)
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, mialab.cli\n"
+        f"code = mialab.cli.main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def _run_cli_in_fresh_interpreter(tmp_path):
     """Run `mialab run` on a 2-repetition config in a new interpreter, so
     no test has loaded scipy first; return its last stdout line (the exit

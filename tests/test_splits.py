@@ -262,6 +262,14 @@ class TestDraw:
         d = draw(pools, 100, 100, seed=1)
         assert d.shadow_pool == pools.shadow_reserve
 
+    def test_without_shadow_pool_the_same_draw(self, blob_pools, attr_dataset):
+        # leftover rows, then a shadow reserve
+        for pools in (blob_pools, attribute_bias_pools(attr_dataset, "v", 0.5, 100, seed=0)):
+            full = draw(pools, 100, 80, seed=4)
+            bare = draw(pools, 100, 80, seed=4, with_shadow_pool=False)
+            assert bare.members == full.members and bare.nonmembers == full.nonmembers
+            assert full.shadow_pool is not None and bare.shadow_pool is None
+
 
 class TestIidCounterfactual:
     def test_conservation(self, blob_pools):
