@@ -24,8 +24,7 @@ def _check_rates(epsilon: float, delta: float) -> None:
 
 def bound_yeom(epsilon: float) -> float:
     """exp(epsilon) - 1, capped at the trivial bound 1 (delta = 0 only)."""
-    if epsilon < 0 or math.isnan(epsilon):
-        raise MialabError(f"epsilon must be >= 0, got {epsilon}")
+    _check_rates(epsilon, 0.0)
     if epsilon > math.log(2.0):
         return 1.0
     return math.expm1(epsilon)

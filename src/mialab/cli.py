@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__, bounds, config, dp, experiments
 from .errors import ConfigError, MialabError
-from .rngs import subseed
 
 RESULT_COLUMNS = tuple(f.name for f in fields(experiments.CampaignRow))
 SUMMARY_COLUMNS = tuple(f.name for f in fields(experiments.Aggregate))
@@ -198,9 +197,8 @@ def cmd_split(args, phases: _Phases) -> int:
     info: dict = {"experiment": resolved.experiment}
     with phases("data"):
         mat = config.materialize(resolved)
-        pools = mat.pools
-        if pools is None and mat.pool_builder is not None:
-            pools = mat.pool_builder(subseed(resolved.cfg.seed, 1, 0))
+        pools = experiments.repetition_pools(resolved.cfg, mat.pools, mat.pool_builder, 0)
+        if mat.pool_builder is not None:
             info["note"] = "pools are regenerated per repetition; sizes shown for repetition 0"
     if pools is not None:
         info["pool_sizes"] = list(pools.sizes())

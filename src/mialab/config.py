@@ -78,10 +78,18 @@ def _as_int(value, field: str, minimum=None) -> int:
     return value
 
 
-def _as_number(value, field: str) -> float:
+def _as_number(value, field: str, allow_inf: bool = False) -> float:
+    """A finite number; with allow_inf, +inf too. Python's json reads NaN,
+    Infinity and overflowing literals such as 1e999 as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) or allow_inf and number == math.inf):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
+    return number
 
 
 def parse_epsilon(value, field: str) -> float:
@@ -89,7 +97,7 @@ def parse_epsilon(value, field: str) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(field, f"expected a positive number or 'inf', got {value!r}")
-    eps = _as_number(value, field)
+    eps = _as_number(value, field, allow_inf=True)
     if not eps > 0:
         raise ConfigError(field, f"epsilon must be > 0, got {eps}")
     return eps
@@ -141,6 +149,7 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
     betas = block.get("adam_betas", (0.9, 0.999))
     if not (isinstance(betas, (list, tuple)) and len(betas) == 2):
         raise ConfigError("train.adam_betas", f"expected two numbers, got {betas!r}")
+    betas = [_as_number(b, f"train.adam_betas[{i}]") for i, b in enumerate(betas)]
     adam_eps = _as_number(block.get("adam_epsilon", 1e-8), "train.adam_epsilon")
     try:
         tc = nn.TrainConfig(
@@ -148,7 +157,7 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
             batch_size=batch_size,
             learning_rate=lr,
             l2_coefficient=l2,
-            adam_betas=(float(betas[0]), float(betas[1])),
+            adam_betas=tuple(betas),
             adam_epsilon=adam_eps,
         )
     except Exception as exc:
@@ -159,7 +168,7 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
         "batch_size": batch_size,
         "learning_rate": lr,
         "l2": l2,
-        "adam_betas": [float(betas[0]), float(betas[1])],
+        "adam_betas": betas,
         "adam_epsilon": adam_eps,
     }
     return tc, tuple(int(h) for h in hidden), canonical
@@ -193,6 +202,8 @@ def _validate_data(doc: dict) -> dict:
                     f"expected {len(comps[0]['mean'])} entries, as in components[0], "
                     f"got {len(mean)}",
                 )
+            for j, v in enumerate(mean):
+                _as_number(v, f"data.components[{i}].mean[{j}]")
             if "label" in comp:
                 _as_int(comp["label"], f"data.components[{i}].label", 0)
         _as_int(_need(data, "n_per_component", "data"), "data.n_per_component", 1)

@@ -138,8 +138,7 @@ class Rows:
         """The distinct row keys, sorted: one opaque value per distinct
         (feature bits, label) pair, so two rows share a key exactly when
         their features are bitwise equal and their labels match."""
-        packed = np.column_stack([self.X.view(np.int64), self.y])
-        keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+        keys = _row_keys(self.X, self.y)
         keys.sort()
         distinct = np.ones(len(keys), dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]
@@ -178,6 +177,13 @@ class Rows:
 
     def __repr__(self):
         return f"Rows(n={len(self)}, dim={self.X.shape[1]})"
+
+
+def _row_keys(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's key, in row order: its feature bits and label packed into
+    one opaque value (see Rows.keys)."""
+    packed = np.column_stack([X.view(np.int64), y])
+    return packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
 
 
 def distinct(values, axis=None) -> np.ndarray:
@@ -342,16 +348,23 @@ def preprocess(raw: RawTable, schema: Schema, seed: int) -> Dataset:
         raise PreprocessError(f"found {len(classes)} distinct labels, "
                               f"schema allows {schema.label_classes}")
     y = np.array([classes[v] for v in cells], dtype=np.int64)
+    # Rows with one key form a group, and one row of each survives: the
+    # only one, or one drawn with the seed, in the order of first rows.
+    _, first, group_of, counts = np.unique(
+        _row_keys(X, y), return_index=True, return_inverse=True, return_counts=True)
+    by_group = np.argsort(group_of, kind="stable")  # each group's rows, in row order
+    starts = np.cumsum(counts) - counts
+    survivors = first.copy()
     rng = np.random.default_rng(seed)
-    groups: dict[tuple, list[int]] = {}
-    for i in range(len(raw)):
-        groups.setdefault((X[i].tobytes(), int(y[i])), []).append(i)
-    survivors = sorted(
-        idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0] for idx in groups.values()
-    )
+    repeated = np.flatnonzero(counts > 1)
+    for g in repeated[np.argsort(first[repeated])]:
+        survivors[g] = by_group[starts[g] + int(rng.integers(int(counts[g])))]
+    survivors.sort()
     split = schema.split_attribute_column
     attribute = None
     if split is not None:
         attrs = _filled_with_mode([row[split.name] for row in raw], split.name)
         attribute = np.array(attrs, dtype=object)[survivors]
-    return Dataset(schema=schema, samples=Rows(X[survivors], y[survivors], attribute))
+    samples = Rows(X[survivors], y[survivors], attribute)
+    del X  # free the pre-dedup matrix before Dataset's duplicate check builds two of its size
+    return Dataset(schema=schema, samples=samples)

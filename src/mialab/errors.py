@@ -2,7 +2,13 @@
 
 
 class MialabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    replica is the failing model's position in the call when the error is
+    one that training raises for one model of nn.train_replicas (for
+    nn.train, 0), and None otherwise."""
+
+    replica = None
 
 
 class SchemaError(MialabError):
@@ -30,7 +36,9 @@ class ShadowPoolTooSmall(SplitError):
 
 
 class TrainingDiverged(MialabError):
-    """Training produced a non-finite loss or per-example gradient norm."""
+    """Training produced a non-finite loss or per-example gradient norm.
+    A parameter that turns non-finite raises a MialabError naming its
+    layer instead; either carries the failing model's replica."""
 
     def __init__(self, step, value, quantity="training loss"):
         super().__init__(f"non-finite {quantity} {value!r} at step {step}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import attacks, dp, nn
 from .dataio import Rows
-from .errors import MialabError, ShadowPoolTooSmall, SplitError, TrainingDiverged
+from .errors import MialabError, ShadowPoolTooSmall, SplitError
 from .rngs import as_generator, subseed
 from .splits import BiasInfo, MixturePools, draw, iid_counterfactual
 
@@ -320,10 +320,11 @@ def _train_cells(cfg: ExperimentConfig, cells: list, dims: tuple, noise: dict, r
     """Step (a) of a repetition: each cell's target model and, with the
     shadow attack, its shadow ensemble (None, with a note, when the shadow
     pool is too small). Each scenario's private targets train as one
-    lockstep group and the repetition's non-private targets as one more.
-    The cells of a group that fails train again one by one, in (scenario,
-    epsilon) order and each target before its ensemble, so the error names
-    the cell that fails first in that order."""
+    lockstep group and the repetition's non-private targets as one more,
+    and each cell trains once. A group that fails names the cell that
+    failed in it (nn.train_replicas sets the error's replica); the first
+    failure in (scenario, epsilon) order, each target before its ensemble,
+    is raised with the cell named."""
     jobs, groups = [], {}
     for si, _, d, ei, eps in cells:
         privacy = _privacy_for(cfg, eps, noise[eps][0])
@@ -332,30 +333,34 @@ def _train_cells(cfg: ExperimentConfig, cells: list, dims: tuple, noise: dict, r
             nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei)), d.members,
             replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei))), privacy,
         ))
-    models = [None] * len(jobs)
+    models, failures = [None] * len(jobs), {}
     for ks in groups.values():
         try:
             group = nn.train_replicas(*zip(*(jobs[k] for k in ks)))
-        except MialabError:
-            continue  # its cells train one by one below
+        except MialabError as exc:
+            if exc.replica is None:
+                raise
+            failures[ks[exc.replica]] = exc
+            continue
         for k, model in zip(ks, group):
             models[k] = model
     ensembles, notes = [], []
     for c, ((si, scenario, d, ei, eps), job) in enumerate(zip(cells, jobs)):
+        cell = f"rep {rep} {scenario} eps={eps}"
+        if c in failures:
+            raise MialabError(f"{cell}: {failures[c]}") from failures[c]
         ensemble = None
-        try:
-            if models[c] is None:
-                models[c] = nn.train(*job)
-            if "shadow" in cfg.attack_names:
+        if "shadow" in cfg.attack_names:
+            try:
                 ensemble = attacks.train_shadow_ensemble(
                     d.shadow_pool, dims, cfg.train, job[-1],
                     seed=_seed_int(subseed(cfg.seed, 7, rep, si, ei)),
                     shadow_train_size=cfg.n_members,
                 )
-        except ShadowPoolTooSmall as exc:
-            notes.append(f"rep {rep} {scenario} eps={eps}: {exc}")
-        except TrainingDiverged as exc:
-            raise MialabError(f"rep {rep} {scenario} eps={eps}: {exc}") from exc
+            except ShadowPoolTooSmall as exc:
+                notes.append(f"{cell}: {exc}")
+            except MialabError as exc:
+                raise MialabError(f"{cell}: {exc}") from exc
         ensembles.append(ensemble)
     return models, ensembles, notes
 
@@ -367,14 +372,20 @@ def _score(model: nn.MlpModel, rows: Rows) -> tuple[np.ndarray, float]:
     return nn.loglosses_of(probs, rows.y), nn.accuracy_of(probs, rows.y)
 
 
+def repetition_pools(cfg: ExperimentConfig, pools: "MixturePools | None", pool_builder,
+                     rep: int) -> "MixturePools | None":
+    """The pools repetition rep draws from: the fixed pools, or the pool
+    builder's pools at the repetition's seed."""
+    return pools if pool_builder is None else pool_builder(subseed(cfg.seed, 1, rep))
+
+
 def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
                     pool_builder, noise: dict, rep: int, emit_traces: bool):
     """One repetition's cells, one per (scenario, epsilon), in three steps:
     (a) train every cell's models, (b) score each target on its members and
     non-members, and (c) let each attack turn the scores into decisions,
     from which the cell's result rows and trace rows follow."""
-    if pool_builder is not None:
-        pools = pool_builder(subseed(cfg.seed, 1, rep))
+    pools = repetition_pools(cfg, pools, pool_builder, rep)
     n, m = cfg.n_members, cfg.n_nonmembers
     base = draw(pools, n, m, subseed(cfg.seed, 2, rep),
                 with_shadow_pool="shadow" in cfg.attack_names)
@@ -476,18 +487,11 @@ def _t975(df: int) -> float:
 
 
 def _aggregate(rows: Sequence[CampaignRow]) -> tuple[Aggregate, ...]:
-    keys = []
+    advantages: dict[tuple, list[float]] = {}
     for row in rows:
-        key = (row.epsilon, row.attack, row.scenario)
-        if key not in keys:
-            keys.append(key)
+        advantages.setdefault((row.epsilon, row.attack, row.scenario), []).append(row.advantage)
     aggs = []
-    for eps, attack, scenario in keys:
-        values = tuple(
-            r.advantage
-            for r in rows
-            if r.attack == attack and r.scenario == scenario and r.epsilon == eps
-        )
+    for (eps, attack, scenario), values in advantages.items():
         mean = float(np.mean(values))
         if len(values) > 1:
             sd = float(np.std(values, ddof=1))

@@ -65,17 +65,12 @@ class MlpModel:
     @classmethod
     def unflatten(cls, layer_dims: Sequence[int], flat: np.ndarray) -> "MlpModel":
         dims = tuple(int(d) for d in layer_dims)
-        weights, biases = [], []
-        pos = 0
-        for i in range(len(dims) - 1):
-            size = dims[i] * dims[i + 1]
-            weights.append(flat[pos : pos + size].reshape(dims[i], dims[i + 1]).copy())
-            pos += size
-            biases.append(flat[pos : pos + dims[i + 1]].copy())
-            pos += dims[i + 1]
-        if pos != flat.size:
-            raise MialabError(f"flat vector has {flat.size} entries, expected {pos}")
-        return cls(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
+        expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        if flat.size != expected:
+            raise MialabError(f"flat vector has {flat.size} entries, expected {expected}")
+        weights, biases = _layer_views(flat[None], dims)
+        return cls(layer_dims=dims, weights=tuple(W[0].copy() for W in weights),
+                   biases=tuple(b[0].copy() for b in biases))
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,8 @@ class TrainConfig:
         b1, b2 = self.adam_betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise MialabError(f"adam betas must be in [0, 1), got {self.adam_betas}")
+        if not self.adam_epsilon > 0:
+            raise MialabError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
 
 
 def init_model(layer_dims: Sequence[int], seed) -> MlpModel:
@@ -388,7 +385,8 @@ def train_replicas(
     (most steps first, so these are a prefix) and one Adam update for all
     of them. Each model draws from its own cfg.seed stream in train's
     order. A model that fails raises what training the models one by one
-    would have raised first.
+    would have raised first, with that model's position in the call as
+    the error's replica.
     """
     return _train_lockstep(inits, member_sets, cfgs, privacy)
 
@@ -449,11 +447,12 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
 
     def fail(failed: dict):
         """failed maps call positions to errors, all from one step. Raise
-        the first position's, unless a replica before it, trained again
-        alone, fails at a later step."""
+        the first position's, naming that position as its replica, unless
+        the replicas before it, trained again, fail at a later step."""
         first = min(failed)
         if first:
             _train_lockstep(inits[:first], member_sets[:first], cfgs[:first], privacies[:first])
+        failed[first].replica = first
         raise failed[first]
 
     cfg, privacy = cfgs[0], privacies[0]

@@ -28,6 +28,8 @@ class GaussianComponent:
     def covariance(self) -> np.ndarray:
         d = len(self.mean)
         cov = np.asarray(self.cov, dtype=np.float64)
+        if not np.all(np.isfinite(cov)):
+            raise MialabError("covariance has a non-finite entry")
         if cov.ndim == 0:
             cov = float(cov) * np.eye(d)
         elif cov.ndim == 1:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -301,6 +302,35 @@ class TestRunCommand:
         code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where, value, named", [
+        ("train.learning_rate", math.inf, "train.learning_rate"),
+        ("train.l2", math.nan, "train.l2"),
+        ("privacy.clip_norm", math.inf, "privacy.clip_norm"),
+        ("data.components.0.mean.1", math.nan, "data.components[0].mean[1]"),
+        ("data.components.1.cov", math.nan, "data.components[1]"),
+        ("data.label_rule.weights.0", math.nan, "data.label_rule.weights[0]"),
+        ("data.label_rule.bias", -math.inf, "data.label_rule.bias"),
+        ("train.adam_epsilon", -1.0, "train: adam_epsilon must be > 0"),
+        ("train.adam_betas", ["a", 0.9], "train.adam_betas[0]"),
+        ("delta", 10**400, "delta"),
+    ])
+    def test_bad_number_exits_two_before_writing(self, tmp_path, capsys, where, value, named):
+        # json reads NaN, Infinity and literals such as 1e999 as floats, and
+        # an integer literal of any length as an int, which float() overflows.
+        doc = synthetic_doc(privacy={"clip_norm": 1.0})
+        doc["data"]["label_rule"] = {"kind": "halfspace", "weights": [1.0, -1.0], "bias": 0.0}
+        *parents, key = (int(k) if k.isdigit() else k for k in where.split("."))
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[key] = value
+        path = write_doc(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"config error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_wrong_attribute_name_rejected(self, tmp_path, capsys):

@@ -235,6 +235,29 @@ class TestPreprocess:
         assert ds.samples.X.shape == (len(ds.samples), ds.feature_width)
 
 
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 3), st.sampled_from("uv")), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_dedup_keeps_the_row_a_first_seen_dict_draws(cells, seed):
+    # The reference groups rows by (value, label) in first-seen order and
+    # draws once per group of several; the attribute shows which row survived.
+    schema = Schema(
+        columns=(Column("a", "numeric"), Column("row", "categorical", "split-attribute"),
+                 Column("y", "categorical", "label")),
+        label_classes=2,
+    )
+    raw = [{"a": str(a), "row": str(i), "y": y} for i, (a, y) in enumerate(cells)]
+    groups: dict = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell, []).append(i)
+    rng = np.random.default_rng(seed)
+    kept = sorted(idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0]
+                  for idx in groups.values())
+    assert preprocess(raw, schema, seed).samples.attribute.tolist() == [str(i) for i in kept]
+
+
 # A small mixed table: missing cells in every column kind, exact duplicate
 # rows, a constant numeric column, a split attribute, and two label columns
 # (categorical `cls`, numeric `num`) of which each schema ignores one.

@@ -590,3 +590,60 @@ def test_failing_cell_is_named_after_grouping(monkeypatch, blob_pools, grid, cel
         MialabError, match=f"^rep 0 {scenario} eps={grid[cell[1]]}: non-finite {what}"
     ):
         batch_mm_campaign(cfg, pools=blob_pools)
+
+
+@pytest.mark.parametrize("grid", [(math.inf,), (math.inf, 1.0)])
+def test_non_finite_parameters_name_the_cell(blob_pools, grid):
+    # An infinite learning rate makes every target's parameters infinite at
+    # its first Adam step; the first cell in (scenario, epsilon) order is
+    # named, whichever group trained first.
+    cfg = small_campaign_config(epsilon_grid=grid, repetitions=1, train=nn.TrainConfig(
+        epochs=2, batch_size=60, learning_rate=math.inf))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        MialabError, match=r"^rep 0 non-IID eps=inf: layer 0: non-finite parameter$"
+    ):
+        batch_mm_campaign(cfg, pools=blob_pools)
+
+
+def test_failing_cell_is_named_without_training_a_cell_again(monkeypatch, blob_pools):
+    # The cell (IID, 1.0) diverges at step 0. Its group's error names it,
+    # so no cell trains twice and nn.train is never called.
+    cfg = small_campaign_config(epsilon_grid=(2.0, 1.0, math.inf), repetitions=1)
+    real_init, real_group = nn.init_model, nn.train_replicas
+    group_sizes = []
+
+    def init_model(dims, seed):
+        model = real_init(dims, seed)
+        if list(seed.entropy) == [cfg.seed, 6, 0, 1, 1]:
+            model = nn.MlpModel(dims, tuple(W * 1e300 for W in model.weights), model.biases)
+        return model
+
+    def train_replicas(inits, *rest):
+        group_sizes.append(len(inits))
+        return real_group(inits, *rest)
+
+    def train(*args, **kwargs):
+        raise AssertionError("a cell was trained again")
+
+    monkeypatch.setattr(nn, "init_model", init_model)
+    monkeypatch.setattr(nn, "train_replicas", train_replicas)
+    monkeypatch.setattr(nn, "train", train)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        MialabError, match=r"^rep 0 IID eps=1.0: non-finite per-example gradient norm"
+    ):
+        batch_mm_campaign(cfg, pools=blob_pools)
+    assert sorted(group_sizes) == [2, 2, 2]  # six cells, each trained once
+
+
+def test_aggregates_group_rows_in_first_row_order():
+    rows = [(1.0, "a", "IID", 0.1), (math.inf, "a", "IID", 0.2), (1.0, "b", "IID", 0.3),
+            (1.0, "a", "IID", 0.4), (1.0, "a", "non-IID", 0.5), (math.inf, "a", "IID", 0.6)]
+    aggs = _aggregate([
+        CampaignRow(eps, attack, scenario, rep, adv, 0.0, adv, 1.0, 1.0, None, 0.0, eps)
+        for rep, (eps, attack, scenario, adv) in enumerate(rows)
+    ])
+    assert [(a.epsilon, a.attack, a.scenario) for a in aggs] == list(dict.fromkeys(
+        r[:3] for r in rows))
+    for agg in aggs:
+        values = [r[3] for r in rows if r[:3] == (agg.epsilon, agg.attack, agg.scenario)]
+        assert (agg.repetitions, agg.mean_advantage) == (len(values), float(np.mean(values)))

@@ -513,6 +513,31 @@ class TestTrainReplicas:
         ):
             nn.train_replicas([inits[0], huge], member_sets, cfgs)
 
+    @pytest.mark.parametrize("case", ["group-fails", "retrain-fails"])
+    def test_error_names_the_failing_replica(self, case):
+        # Replica 1 (or 2) diverges at step 0. In "retrain-fails" replica 0
+        # draws a NaN row at step 1, so the retrain of the replicas before
+        # the failing one raises, and replica 0 is named.
+        inits, member_sets, cfgs = self.group((2, 8, 2), [20, 30, 30], TrainConfig(
+            epochs=2, batch_size=10))
+        failing, step = (1, 0) if case == "group-fails" else (2, 1)
+        inits[failing] = MlpModel((2, 8, 2), tuple(W * 1e300 for W in inits[failing].weights),
+                                  inits[failing].biases)
+        expected = failing
+        if case == "retrain-fails":
+            X = member_sets[0].X.copy()
+            X[np.random.default_rng(cfgs[0].seed).permutation(20)[10]] = np.nan
+            member_sets[0] = Rows(X, member_sets[0].y)
+            expected = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as alone:
+                train(inits[expected], member_sets[expected], cfgs[expected])
+            with pytest.raises(TrainingDiverged) as grouped:
+                nn.train_replicas(inits, member_sets, cfgs)
+        assert grouped.value.replica == expected
+        assert str(grouped.value) == str(alone.value)
+        assert str(alone.value).endswith(f"at step {step}")
+
     @pytest.mark.parametrize("dp_on", [False, True], ids=["plain", "dp"])
     def test_non_finite_parameters_name_the_layer_as_the_oracle(self, dp_on):
         privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0) if dp_on else None
