@@ -1,12 +1,16 @@
-"""JSON experiment configs: fail-closed validation, default resolution,
-stable digests, and materialization into datasets and pools.
+"""JSON experiment configs: typing, default resolution, stable digests,
+and materialization into datasets and pools.
 
-Unknown keys are rejected with the offending field path so a typo in an
-epsilon grid or attack list cannot silently change an experiment.
+The dataclasses a config fills (TrainConfig, ExperimentConfig,
+GaussianComponent) own their value rules; resolve re-raises a refusal as a
+ConfigError at the field's config path. Unknown keys are rejected with the
+offending field path so a typo in an epsilon grid or attack list cannot
+silently change an experiment.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -17,7 +21,7 @@ from typing import Callable
 
 from . import experiments, nn
 from .dataio import Rows, Schema, load_csv, preprocess
-from .errors import ConfigError
+from .errors import ConfigError, MialabError
 from .splits import MixturePools, attribute_bias_pools, cluster_split, source_split
 from .synthetic import GaussianComponent, halfspace_label, mixture_dataset, synthetic_mixture
 
@@ -97,18 +101,39 @@ def parse_epsilon(value, field: str) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(field, f"expected a positive number or 'inf', got {value!r}")
-    eps = _as_number(value, field, allow_inf=True)
-    if not eps > 0:
-        raise ConfigError(field, f"epsilon must be > 0, got {eps}")
-    return eps
+    return _as_number(value, field, allow_inf=True)
 
 
-def _refuse_repeats(values, field: str) -> None:
-    """Each entry of a grid or attack list may appear once: a repeat would
-    count one cell's repetitions twice in the summary."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{field}[{i}]", f"repeats entry {values.index(value)}, {value!r}")
+# The config path of each dataclass field that resolve fills. A refusal
+# names its field, plus an index or subfield (adam_betas[0], train.batch_size);
+# resolve re-raises it as a ConfigError at the path, {} a component's index.
+_CONFIG_PATHS = {
+    nn.TrainConfig: {
+        "epochs": "train.epochs", "batch_size": "train.batch_size",
+        "learning_rate": "train.learning_rate", "l2_coefficient": "train.l2",
+        "adam_betas": "train.adam_betas", "adam_epsilon": "train.adam_epsilon",
+    },
+    experiments.ExperimentConfig: {
+        "n_members": "n_members", "n_nonmembers": "n_nonmembers", "epsilon_grid": "epsilon_grid",
+        "train": "train", "hidden_units": "train.hidden_units", "delta": "delta",
+        "repetitions": "repetitions", "attack_names": "attacks", "seed": "seed",
+        "clip_norm": "privacy.clip_norm",
+    },
+    GaussianComponent: {f: f"data.components[{{}}].{f}" for f in ("mean", "cov", "label")},
+}
+
+
+@contextlib.contextmanager
+def _config_paths(cls, index=None):
+    """Re-raise a value that cls refuses as a ConfigError at its config path."""
+    try:
+        yield
+    except MialabError as exc:
+        if exc.field is None:
+            raise
+        name = exc.field.split("[")[0].split(".")[0]
+        path = _CONFIG_PATHS[cls][name].format(index) + exc.field[len(name):]
+        raise ConfigError(path, exc.args[0]) from exc
 
 
 def epsilon_json(eps: float):
@@ -136,22 +161,18 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
     _check_keys(block, _TRAIN_KEYS, "train")
     prof = PROFILES.get(profile, {})
     hidden = block.get("hidden_units", prof.get("hidden_units", (256, 256)))
-    if not (
-        isinstance(hidden, (list, tuple))
-        and hidden
-        and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden)
-    ):
-        raise ConfigError("train.hidden_units", f"expected a list of positive ints, got {hidden!r}")
-    epochs = _as_int(block.get("epochs", prof.get("epochs", 100)), "train.epochs", 1)
-    batch_size = _as_int(block.get("batch_size", 200), "train.batch_size", 1)
+    if not isinstance(hidden, (list, tuple)):
+        raise ConfigError("train.hidden_units", f"expected a list of integers, got {hidden!r}")
+    epochs = block.get("epochs", prof.get("epochs", 100))
+    batch_size = block.get("batch_size", 200)
     lr = _as_number(block.get("learning_rate", 1e-2), "train.learning_rate")
     l2 = _as_number(block.get("l2", 1e-5), "train.l2")
     betas = block.get("adam_betas", (0.9, 0.999))
-    if not (isinstance(betas, (list, tuple)) and len(betas) == 2):
+    if not isinstance(betas, (list, tuple)):
         raise ConfigError("train.adam_betas", f"expected two numbers, got {betas!r}")
     betas = [_as_number(b, f"train.adam_betas[{i}]") for i, b in enumerate(betas)]
     adam_eps = _as_number(block.get("adam_epsilon", 1e-8), "train.adam_epsilon")
-    try:
+    with _config_paths(nn.TrainConfig):
         tc = nn.TrainConfig(
             epochs=epochs,
             batch_size=batch_size,
@@ -160,8 +181,6 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
             adam_betas=tuple(betas),
             adam_epsilon=adam_eps,
         )
-    except Exception as exc:
-        raise ConfigError("train", str(exc)) from exc
     canonical = {
         "hidden_units": list(hidden),
         "epochs": epochs,
@@ -171,7 +190,7 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
         "adam_betas": betas,
         "adam_epsilon": adam_eps,
     }
-    return tc, tuple(int(h) for h in hidden), canonical
+    return tc, tuple(hidden), canonical
 
 
 def _validate_data(doc: dict) -> dict:
@@ -194,18 +213,14 @@ def _validate_data(doc: dict) -> dict:
         for i, comp in enumerate(comps):
             _check_keys(comp, _COMPONENT_KEYS, f"data.components[{i}]")
             mean = _need(comp, "mean", f"data.components[{i}]")
-            if not isinstance(mean, list) or not mean:
-                raise ConfigError(f"data.components[{i}].mean", "expected a non-empty list")
-            if len(mean) != len(comps[0]["mean"]):
-                raise ConfigError(
-                    f"data.components[{i}].mean",
-                    f"expected {len(comps[0]['mean'])} entries, as in components[0], "
-                    f"got {len(mean)}",
-                )
+            if not isinstance(mean, list):
+                raise ConfigError(f"data.components[{i}].mean", "expected a list")
             for j, v in enumerate(mean):
                 _as_number(v, f"data.components[{i}].mean[{j}]")
-            if "label" in comp:
-                _as_int(comp["label"], f"data.components[{i}].label", 0)
+            _component(comp, i)
+            if len(mean) != len(comps[0]["mean"]):
+                raise ConfigError(f"data.components[{i}].mean", f"expected {len(comps[0]['mean'])}"
+                                  f" entries, as in components[0], got {len(mean)}")
         _as_int(_need(data, "n_per_component", "data"), "data.n_per_component", 1)
         if "label_rule" in data:
             rule = data["label_rule"]
@@ -229,7 +244,6 @@ def _validate_data(doc: dict) -> dict:
                     f"data.components[{missing[0]}].label",
                     "required when no label_rule is given",
                 )
-        _components_from_spec(data)
     else:
         raise ConfigError("data.kind", f"unknown kind {kind!r}")
     return data
@@ -282,35 +296,36 @@ def resolve(
     profile = profile_override if profile_override is not None else doc.get("profile")
     if profile is not None and profile not in PROFILES:
         raise ConfigError("profile", f"unknown profile {profile!r}; allowed: {list(PROFILES)}")
-    n_members = _as_int(_need(doc, "n_members", ""), "n_members", 1)
-    n_nonmembers = _as_int(doc.get("n_nonmembers", n_members), "n_nonmembers", 1)
+    n_members = _need(doc, "n_members", "")
+    n_nonmembers = doc.get("n_nonmembers", n_members)
     grid_raw = doc.get("epsilon_grid", [epsilon_json(e) for e in DEFAULT_EPSILON_GRID])
-    if not isinstance(grid_raw, list) or not grid_raw:
-        raise ConfigError("epsilon_grid", "expected a non-empty list")
+    if not isinstance(grid_raw, list):
+        raise ConfigError("epsilon_grid", "expected a list")
     grid = tuple(parse_epsilon(v, f"epsilon_grid[{i}]") for i, v in enumerate(grid_raw))
-    _refuse_repeats(grid, "epsilon_grid")
     delta = _as_number(doc.get("delta", 1e-5), "delta")
-    if not 0 < delta < 1:
-        raise ConfigError("delta", f"must be in (0, 1), got {delta}")
-    repetitions = _as_int(doc.get("repetitions", 1), "repetitions", 1)
+    repetitions = doc.get("repetitions", 1)
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    seed = _as_int(seed, "seed", 0)
     attack_names = doc.get("attacks", ["average_threshold", "optimal_threshold"])
-    if not isinstance(attack_names, list) or not attack_names:
-        raise ConfigError("attacks", "expected a non-empty list")
-    for i, a in enumerate(attack_names):
-        if a not in experiments.KNOWN_ATTACKS:
-            raise ConfigError(
-                f"attacks[{i}]",
-                f"unknown attack {a!r}; allowed: {list(experiments.KNOWN_ATTACKS)}",
-            )
-    _refuse_repeats(attack_names, "attacks")
+    if not isinstance(attack_names, list):
+        raise ConfigError("attacks", "expected a list")
     privacy_block = doc.get("privacy", {})
     _check_keys(privacy_block, _PRIVACY_KEYS, "privacy")
     clip_norm = _as_number(privacy_block.get("clip_norm", 1.0), "privacy.clip_norm")
-    if not clip_norm > 0:
-        raise ConfigError("privacy.clip_norm", f"must be > 0, got {clip_norm}")
     train_cfg, hidden_units, train_canonical = _resolve_train(doc, profile)
+    with _config_paths(experiments.ExperimentConfig):
+        cfg = experiments.ExperimentConfig(
+            n_members=n_members,
+            n_nonmembers=n_nonmembers,
+            epsilon_grid=grid,
+            train=train_cfg,
+            hidden_units=hidden_units,
+            delta=delta,
+            repetitions=repetitions,
+            attack_names=tuple(attack_names),
+            clip_norm=clip_norm,
+            seed=seed,
+        )
+        experiments.check_runnable(experiment, cfg)
     data_spec = _validate_data(doc)
     split_spec = _validate_split(doc, data_spec["kind"])
     if experiment in ("batch_mm", "mm", "strong"):
@@ -319,9 +334,7 @@ def resolve(
         if split_spec is None:
             split_spec = {"kind": "mixture"}
     if experiment in GAME_KINDS:
-        if len(grid) != 1:
-            raise ConfigError("epsilon_grid", f"game experiment {experiment!r} needs exactly one epsilon")
-        if list(attack_names) != ["average_threshold"]:
+        if attack_names != ["average_threshold"]:
             raise ConfigError(
                 "attacks", f"game experiment {experiment!r} supports only ['average_threshold']"
             )
@@ -340,23 +353,6 @@ def resolve(
         raise ConfigError(
             "emit_traces", f"traces are written by batch_mm campaigns only, not {experiment!r}"
         )
-    if experiment == "batch_mm" and train_cfg.batch_size > n_members:
-        raise ConfigError(
-            "train.batch_size",
-            f"{train_cfg.batch_size} exceeds n_members {n_members}",
-        )
-    cfg = experiments.ExperimentConfig(
-        n_members=n_members,
-        n_nonmembers=n_nonmembers,
-        epsilon_grid=grid,
-        train=train_cfg,
-        hidden_units=hidden_units,
-        delta=delta,
-        repetitions=repetitions,
-        attack_names=tuple(attack_names),
-        clip_norm=clip_norm,
-        seed=seed,
-    )
     canonical = {
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
@@ -398,21 +394,21 @@ def load_config(path: "str | Path") -> dict:
     return doc
 
 
+def _component(spec: dict, i: int) -> GaussianComponent:
+    """Component i of a synthetic_mixture data block; a value it refuses
+    raises a ConfigError at its config path."""
+    with _config_paths(GaussianComponent, i):
+        return GaussianComponent(
+            mean=tuple(float(v) for v in spec["mean"]),
+            cov=spec.get("cov", 1.0),
+            label=spec.get("label"),
+        )
+
+
 def _components_from_spec(data_spec: dict):
     """The mixture components and label rule of a synthetic_mixture data
-    block; a component that cannot be built raises ConfigError naming it."""
-    components = []
-    for i, comp in enumerate(data_spec["components"]):
-        try:
-            component = GaussianComponent(
-                mean=tuple(float(v) for v in comp["mean"]),
-                cov=comp.get("cov", 1.0),
-                label=comp.get("label"),
-            )
-            component.covariance()
-        except Exception as exc:
-            raise ConfigError(f"data.components[{i}]", str(exc)) from exc
-        components.append(component)
+    block."""
+    components = [_component(spec, i) for i, spec in enumerate(data_spec["components"])]
     rule = None
     if "label_rule" in data_spec:
         spec = data_spec["label_rule"]

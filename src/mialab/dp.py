@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccountingError, CalibrationError
+from .errors import AccountingError, CalibrationError, _refused
 from .rngs import as_generator
 
 DEFAULT_ORDERS: tuple[float, ...] = (
@@ -47,16 +47,22 @@ class PrivacyParams:
     noise_multiplier: float = 0.0
 
     def __post_init__(self):
+        # A NaN fails each comparison. An infinite clip norm is allowed
+        # only without noise, the non-private form.
         if not self.epsilon > 0:
-            raise AccountingError(f"epsilon must be > 0, got {self.epsilon}")
+            raise _refused("epsilon", f"must be > 0, got {self.epsilon}", AccountingError)
         if not 0 <= self.delta < 1:
-            raise AccountingError(f"delta must be in [0, 1), got {self.delta}")
+            raise _refused("delta", f"must be in [0, 1), got {self.delta}", AccountingError)
         if not self.clip_norm > 0:
-            raise AccountingError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if self.noise_multiplier < 0:
-            raise AccountingError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
-        if math.isfinite(self.epsilon) and self.noise_multiplier <= 0:
-            raise AccountingError("finite epsilon requires a positive noise multiplier")
+            raise _refused("clip_norm", f"must be > 0, got {self.clip_norm}", AccountingError)
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise _refused("noise_multiplier", f"must be finite and >= 0, got "
+                           f"{self.noise_multiplier}", AccountingError)
+        if math.isfinite(self.epsilon) and self.noise_multiplier == 0:
+            raise _refused("noise_multiplier", "finite epsilon requires a positive noise "
+                           "multiplier", AccountingError)
+        if self.noise_multiplier > 0 and self.clip_norm == math.inf:
+            raise _refused("clip_norm", "must be finite when noise is added", AccountingError)
 
     def warn_if_delta_large(self, n: int) -> None:
         # Recommended regime is delta < 1/n; violating it only warns.

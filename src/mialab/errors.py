@@ -6,9 +6,27 @@ class MialabError(Exception):
 
     replica is the failing model's position in the call when the error is
     one that training raises for one model of nn.train_replicas (for
-    nn.train, 0), and None otherwise."""
+    nn.train, 0), and None otherwise.
+
+    field names what a value rule refused, and is None for every other
+    error: a dataclass field, with an index where one applies
+    (epsilon_grid[2], adam_betas[0]), or for a ConfigError the config path
+    (train.l2). The message then reads "field: rule"."""
 
     replica = None
+    field = None
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.field is None else f"{self.field}: {message}"
+
+
+def _refused(field, message, cls=MialabError):
+    """The cls(message) error that a dataclass raises when the value of
+    field breaks one of its rules."""
+    exc = cls(message)
+    exc.field = field
+    return exc
 
 
 class SchemaError(MialabError):
@@ -55,8 +73,8 @@ class CalibrationError(AccountingError):
 
 
 class ConfigError(MialabError):
-    """An experiment config failed validation; carries the offending field path."""
+    """An experiment config failed validation; field is the offending path."""
 
     def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+        super().__init__(message)
         self.field = field

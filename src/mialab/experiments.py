@@ -32,7 +32,7 @@ import numpy as np
 
 from . import attacks, dp, nn
 from .dataio import Rows
-from .errors import MialabError, ShadowPoolTooSmall, SplitError
+from .errors import MialabError, ShadowPoolTooSmall, SplitError, _refused
 from .rngs import as_generator, subseed
 from .splits import BiasInfo, MixturePools, draw, iid_counterfactual
 
@@ -158,10 +158,9 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
     """Play the named game ("iid", "alt", "mm" or "strong") cfg.repetitions
     times at the grid's single epsilon; returns the success bit of each
     round. iid and alt draw from union_pool, mm and strong from pools."""
-    if len(cfg.epsilon_grid) != 1:
-        raise MialabError(f"a game runs at one epsilon, got {len(cfg.epsilon_grid)}")
     if experiment not in ("iid", "alt", "mm", "strong"):
         raise MialabError(f"unknown game {experiment!r}")
+    check_runnable(experiment, cfg)
     eps = cfg.epsilon_grid[0]
     privacy = _privacy_for(cfg, eps, noise_for_grid(cfg)[eps][0])
     n_classes = _n_classes([union_pool] if experiment in ("iid", "alt") else pools.pools)
@@ -206,23 +205,47 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise MialabError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.epsilon_grid:
-            raise MialabError("epsilon grid is empty")
-        if any(e <= 0 for e in self.epsilon_grid):
-            raise MialabError("epsilon values must be positive (use inf for non-private)")
-        if self.n_members < 1 or self.n_nonmembers < 1:
-            raise MialabError("member and non-member counts must be >= 1")
-        unknown = [a for a in self.attack_names if a not in KNOWN_ATTACKS]
-        if unknown:
-            raise MialabError(f"unknown attack(s) {unknown}; known: {list(KNOWN_ATTACKS)}")
+        counts = [("n_members", self.n_members, 1), ("n_nonmembers", self.n_nonmembers, 1)]
+        counts += [(f"hidden_units[{i}]", h, 1) for i, h in enumerate(self.hidden_units)]
+        counts += [("repetitions", self.repetitions, 1), ("seed", self.seed, 0)]
+        for field, value, minimum in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise _refused(field, f"must be an integer >= {minimum}, got {value!r}")
+        for i, eps in enumerate(self.epsilon_grid):
+            if not eps > 0:  # NaN too
+                raise _refused(f"epsilon_grid[{i}]", f"must be > 0 (inf for non-private), "
+                               f"got {eps}")
+        for i, name in enumerate(self.attack_names):
+            if name not in KNOWN_ATTACKS:
+                raise _refused(f"attack_names[{i}]", f"unknown attack {name!r}; allowed: "
+                               f"{list(KNOWN_ATTACKS)}")
         for field, values in (("epsilon_grid", self.epsilon_grid),
                               ("attack_names", self.attack_names)):
-            if len(set(values)) != len(values):
-                raise MialabError(f"{field} lists an entry twice: {list(values)}")
+            if not values:
+                raise _refused(field, "must not be empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise _refused(f"{field}[{i}]", f"{field} lists an entry twice: {list(values)}")
+        if not self.hidden_units:
+            raise _refused("hidden_units", "must not be empty")
         if not 0 < self.delta < 1:
-            raise MialabError(f"delta must be in (0, 1), got {self.delta}")
+            raise _refused("delta", f"must be in (0, 1), got {self.delta}")
+        if not 0 < self.clip_norm < math.inf:
+            raise _refused("clip_norm", f"must be finite and > 0, got {self.clip_norm}")
+
+
+def check_runnable(experiment: str, cfg: ExperimentConfig) -> None:
+    """The rules an experiment kind adds to cfg's own: a batch_mm
+    campaign's batch fits in its member set, and a game runs at one
+    epsilon. batch_mm_campaign and run_games check them on entry, and
+    config.resolve before a run writes anything."""
+    if experiment == "batch_mm":
+        if cfg.train.batch_size > cfg.n_members:
+            raise _refused("train.batch_size", f"{cfg.train.batch_size} exceeds n_members "
+                           f"{cfg.n_members}")
+    elif len(cfg.epsilon_grid) != 1:
+        raise _refused("epsilon_grid", f"game experiment {experiment!r} needs exactly one "
+                       f"epsilon, got {len(cfg.epsilon_grid)}")
 
 
 @dataclass(frozen=True)
@@ -529,10 +552,7 @@ def batch_mm_campaign(
     """
     if (pools is None) == (pool_builder is None):
         raise MialabError("pass exactly one of pools or pool_builder")
-    if cfg.train.batch_size > cfg.n_members:
-        raise MialabError(
-            f"batch_size {cfg.train.batch_size} exceeds n_members {cfg.n_members}"
-        )
+    check_runnable("batch_mm", cfg)
     noise = noise_for_grid(cfg)
     all_rows: list[CampaignRow] = []
     top_order = max(dp.DEFAULT_ORDERS)

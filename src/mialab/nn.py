@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dp
 from .dataio import Rows
-from .errors import MialabError, TrainingDiverged
+from .errors import MialabError, TrainingDiverged, _refused
 from .rngs import as_generator
 
 PROB_FLOOR = 1e-30
@@ -85,19 +85,22 @@ class TrainConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise MialabError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise MialabError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise MialabError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2_coefficient < 0:
-            raise MialabError(f"l2_coefficient must be >= 0, got {self.l2_coefficient}")
-        b1, b2 = self.adam_betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise MialabError(f"adam betas must be in [0, 1), got {self.adam_betas}")
-        if not self.adam_epsilon > 0:
-            raise MialabError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        # Every dataclasses.replace runs these again, so they stay plain
+        # comparisons; a NaN fails each of them.
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise _refused(name, f"must be an integer >= 1, got {value!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise _refused("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.l2_coefficient < math.inf:
+            raise _refused("l2_coefficient", f"must be finite and >= 0, got {self.l2_coefficient}")
+        if len(self.adam_betas) != 2:
+            raise _refused("adam_betas", f"expected two numbers, got {self.adam_betas!r}")
+        for i, beta in enumerate(self.adam_betas):
+            if not 0 <= beta < 1:
+                raise _refused(f"adam_betas[{i}]", f"must be in [0, 1), got {beta}")
+        if not 0 < self.adam_epsilon < math.inf:
+            raise _refused("adam_epsilon", f"must be finite and > 0, got {self.adam_epsilon}")
 
 
 def init_model(layer_dims: Sequence[int], seed) -> MlpModel:

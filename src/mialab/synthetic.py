@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataio import Column, Dataset, Rows, Schema, distinct
-from .errors import MialabError
+from .errors import MialabError, _refused
 from .rngs import as_generator, subseed
 from .splits import MixturePools
 
@@ -25,21 +25,41 @@ class GaussianComponent:
     cov: object = 1.0  # scalar variance, diagonal vector, or full matrix
     label: "int | None" = None
 
+    def __post_init__(self):
+        if not len(self.mean):
+            raise _refused("mean", "must have at least one entry")
+        finite = np.isfinite(np.asarray(self.mean, dtype=np.float64))
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise _refused(f"mean[{j}]", f"must be finite, got {self.mean[j]}")
+        if self.label is not None and (
+            isinstance(self.label, bool) or not isinstance(self.label, int) or self.label < 0
+        ):
+            raise _refused("label", f"must be an integer >= 0 or None, got {self.label!r}")
+        self.covariance()  # refuses a cov that is not one
+
     def covariance(self) -> np.ndarray:
+        """The (d, d) covariance matrix; refuses a cov that is not one."""
         d = len(self.mean)
-        cov = np.asarray(self.cov, dtype=np.float64)
+        try:
+            cov = np.asarray(self.cov, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise _refused("cov", f"expected a number, list or matrix, got {self.cov!r}") from None
         if not np.all(np.isfinite(cov)):
-            raise MialabError("covariance has a non-finite entry")
+            raise _refused("cov", "has a non-finite entry")
         if cov.ndim == 0:
-            cov = float(cov) * np.eye(d)
-        elif cov.ndim == 1:
+            cov = np.full(d, float(cov))
+        if cov.ndim == 1:
             if cov.shape != (d,):
-                raise MialabError(f"diagonal covariance needs {d} entries, got {cov.shape}")
-            cov = np.diag(cov)
+                raise _refused("cov", f"a diagonal covariance needs {d} entries, got {cov.shape}")
+            # A diagonal matrix's eigenvalues are its entries.
+            lowest, cov = cov.min(), np.diag(cov)
         elif cov.shape != (d, d):
-            raise MialabError(f"covariance shape {cov.shape} does not match dim {d}")
-        if np.min(np.linalg.eigvalsh((cov + cov.T) / 2)) < -1e-12:
-            raise MialabError("covariance must be positive semidefinite")
+            raise _refused("cov", f"shape {cov.shape} does not match dim {d}")
+        else:
+            lowest = np.linalg.eigvalsh((cov + cov.T) / 2).min()
+        if lowest < -1e-12:
+            raise _refused("cov", "must be positive semidefinite")
         return cov
 
 

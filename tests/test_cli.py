@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import mialab
-from mialab import bounds, config, dp
+from mialab import bounds, config, dp, experiments, nn
 from mialab.cli import main
+from mialab.synthetic import GaussianComponent
 
 
 def run_cli(*argv):
@@ -312,9 +314,15 @@ class TestRunCommand:
         ("data.components.1.cov", math.nan, "data.components[1]"),
         ("data.label_rule.weights.0", math.nan, "data.label_rule.weights[0]"),
         ("data.label_rule.bias", -math.inf, "data.label_rule.bias"),
-        ("train.adam_epsilon", -1.0, "train: adam_epsilon must be > 0"),
+        ("train.adam_epsilon", -1.0, "train.adam_epsilon"),
         ("train.adam_betas", ["a", 0.9], "train.adam_betas[0]"),
         ("delta", 10**400, "delta"),
+        ("train.epochs", 0, "train.epochs"),
+        ("train.hidden_units", [0], "train.hidden_units[0]"),
+        ("privacy.clip_norm", 0, "privacy.clip_norm"),
+        ("epsilon_grid", [-1], "epsilon_grid[0]"),
+        ("delta", 1.0, "delta"),
+        ("seed", -1, "seed"),
     ])
     def test_bad_number_exits_two_before_writing(self, tmp_path, capsys, where, value, named):
         # json reads NaN, Infinity and literals such as 1e999 as floats, and
@@ -332,6 +340,41 @@ class TestRunCommand:
         assert code == 2
         assert f"config error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"train": {"hidden_units": [8], "epochs": 5, "batch_size": 41}},
+         "train.batch_size: 41 exceeds n_members 40"),
+        ({"experiment": "iid", "attacks": ["average_threshold"]},
+         "epsilon_grid: game experiment 'iid' needs exactly one epsilon, got 2"),
+    ])
+    def test_entry_rule_exits_two_before_writing(self, tmp_path, capsys, overrides, named):
+        path = write_doc(tmp_path, synthetic_doc(**overrides))
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"config error: {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_field_resolve_fills_has_a_config_path(self, monkeypatch):
+        # A dataclass names the field it refuses; resolve must know the
+        # config path of each field it fills, or the error would name a
+        # bare Python name.
+        classes = (nn.TrainConfig, experiments.ExperimentConfig, GaussianComponent)
+        filled = {cls: set() for cls in classes}
+        for cls in classes:
+
+            def init(self, _cls=cls, _init=cls.__init__, **kwargs):
+                filled[_cls].update(kwargs)
+                _init(self, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        config.resolve(synthetic_doc())
+        for cls in classes:
+            names = {f.name for f in dataclasses.fields(cls)}
+            paths = config._CONFIG_PATHS[cls]
+            assert set(paths) <= names  # no path for a field that is gone
+            assert filled[cls], cls.__name__
+            for name in names & filled[cls]:
+                assert name in paths, f"{cls.__name__}.{name} has no config path"
 
     def test_wrong_attribute_name_rejected(self, tmp_path, capsys):
         import numpy as np

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -443,6 +444,22 @@ class TestSyntheticMixture:
     def test_nonpositive_count_errors(self):
         with pytest.raises(MialabError):
             mixture_samples([GaussianComponent(mean=(0.0,), label=0)], 0, seed=1)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"mean": (math.nan, 0.0), "label": 0}, "mean[0]"),
+        ({"mean": (0.0, math.inf), "label": 0}, "mean[1]"),
+        ({"mean": (), "label": 0}, "mean"),
+        ({"mean": (0.0, 0.0), "cov": math.nan, "label": 0}, "cov"),
+        ({"mean": (0.0, 0.0), "cov": (1.0, 1.0, 1.0), "label": 0}, "cov"),
+        ({"mean": (0.0, 0.0), "cov": [[1.0, 2.0], [2.0, 1.0]], "label": 0}, "cov"),
+        ({"mean": (0.0, 0.0), "label": -1}, "label"),
+        ({"mean": (0.0, 0.0), "label": 1.0}, "label"),
+    ])
+    def test_component_refuses_a_value_naming_its_field(self, kwargs, field):
+        # A NaN mean used to reach synthetic_mixture, which returned NaN pools.
+        with pytest.raises(MialabError) as refused:
+            GaussianComponent(**kwargs)
+        assert refused.value.field == field
 
     def test_negative_covariance_errors(self):
         with pytest.raises(MialabError, match="semidefinite"):

@@ -314,6 +314,23 @@ class TestCalibrateSigma:
 
 
 class TestPrivacyParams:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"epsilon": 1.0, "noise_multiplier": math.nan}, "noise_multiplier"),
+        ({"epsilon": 1.0, "noise_multiplier": math.inf}, "noise_multiplier"),
+        ({"epsilon": 1.0, "noise_multiplier": 1.0, "clip_norm": math.inf}, "clip_norm"),
+        ({"epsilon": 1.0, "noise_multiplier": 1.0, "clip_norm": math.nan}, "clip_norm"),
+        ({"epsilon": math.nan, "noise_multiplier": 1.0}, "epsilon"),
+        ({"epsilon": 1.0, "noise_multiplier": 1.0, "delta": math.nan}, "delta"),
+    ])
+    def test_refuses_a_value_naming_its_field(self, kwargs, field):
+        with pytest.raises(AccountingError) as refused:
+            PrivacyParams(**kwargs)
+        assert refused.value.field == field
+
+    def test_non_private_form_allows_an_infinite_clip_norm(self):
+        params = PrivacyParams(epsilon=math.inf, noise_multiplier=0.0, clip_norm=math.inf)
+        assert params.clip_norm == math.inf
+
     def test_finite_epsilon_needs_noise(self):
         with pytest.raises(AccountingError, match="noise"):
             PrivacyParams(epsilon=1.0, noise_multiplier=0.0)

@@ -536,6 +536,39 @@ class TestCampaign:
             small_campaign_config(**{field: values})
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"epsilon_grid": (math.nan,)}, "epsilon_grid[0]"),
+    ({"epsilon_grid": (1.0, -1.0)}, "epsilon_grid[1]"),
+    ({"epsilon_grid": ()}, "epsilon_grid"),
+    ({"clip_norm": -1.0}, "clip_norm"),
+    ({"clip_norm": math.nan}, "clip_norm"),
+    ({"clip_norm": math.inf}, "clip_norm"),
+    ({"hidden_units": ()}, "hidden_units"),
+    ({"hidden_units": (0,)}, "hidden_units[0]"),
+    ({"hidden_units": (8, 2.0)}, "hidden_units[1]"),
+    ({"seed": -3}, "seed"),
+    ({"n_members": 0}, "n_members"),
+    ({"n_nonmembers": 1.5}, "n_nonmembers"),
+    ({"repetitions": 0}, "repetitions"),
+    ({"delta": math.nan}, "delta"),
+    ({"attack_names": ("average_threshold", "mystery")}, "attack_names[1]"),
+    ({"attack_names": ()}, "attack_names"),
+])
+def test_experiment_config_refuses_a_value_naming_its_field(change, field):
+    with pytest.raises(MialabError) as refused:
+        small_campaign_config(**change)
+    assert refused.value.field == field
+
+
+def test_entry_rules_name_their_field(blob_pools):
+    cfg = small_campaign_config(train=nn.TrainConfig(epochs=1, batch_size=61))
+    with pytest.raises(MialabError, match="^train.batch_size: 61 exceeds n_members 60$"):
+        batch_mm_campaign(cfg, pools=blob_pools)
+    with pytest.raises(MialabError, match="needs exactly one epsilon, got 2$") as refused:
+        run_games("mm", small_campaign_config(), blob_pools, None)
+    assert refused.value.field == "epsilon_grid"
+
+
 def train_alone(inits, member_sets, cfgs, privacy=None):
     """nn.train_replicas, each replica trained on its own."""
     privacies = list(privacy) if isinstance(privacy, (list, tuple)) else [privacy] * len(inits)
@@ -593,12 +626,20 @@ def test_failing_cell_is_named_after_grouping(monkeypatch, blob_pools, grid, cel
 
 
 @pytest.mark.parametrize("grid", [(math.inf,), (math.inf, 1.0)])
-def test_non_finite_parameters_name_the_cell(blob_pools, grid):
-    # An infinite learning rate makes every target's parameters infinite at
-    # its first Adam step; the first cell in (scenario, epsilon) order is
-    # named, whichever group trained first.
+def test_non_finite_parameters_name_the_cell(monkeypatch, blob_pools, grid):
+    # Every target's parameters turn infinite at its first Adam step, as an
+    # infinite learning rate would make them if TrainConfig took one; the
+    # first cell in (scenario, epsilon) order is named, whichever group
+    # trained first.
+    real_adam = nn._adam
+
+    def adam(params, *rest):
+        real_adam(params, *rest)
+        params[...] = math.inf
+
+    monkeypatch.setattr(nn, "_adam", adam)
     cfg = small_campaign_config(epsilon_grid=grid, repetitions=1, train=nn.TrainConfig(
-        epochs=2, batch_size=60, learning_rate=math.inf))
+        epochs=2, batch_size=60))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         MialabError, match=r"^rep 0 non-IID eps=inf: layer 0: non-finite parameter$"
     ):

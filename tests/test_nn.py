@@ -286,6 +286,31 @@ class TestGhostClipping:
             nn._check_clipping(model, X, y, 1e-3, norms, scale * 1.01, 0.1, step=0)
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"l2_coefficient": math.nan}, "l2_coefficient"),
+    ({"l2_coefficient": math.inf}, "l2_coefficient"),
+    ({"l2_coefficient": -1e-5}, "l2_coefficient"),
+    ({"learning_rate": math.inf}, "learning_rate"),
+    ({"learning_rate": math.nan}, "learning_rate"),
+    ({"learning_rate": 0.0}, "learning_rate"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"epochs": True}, "epochs"),
+    ({"epochs": 0}, "epochs"),
+    ({"batch_size": 10.0}, "batch_size"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"adam_betas": (math.nan, 0.999)}, "adam_betas[0]"),
+    ({"adam_betas": (0.9, 1.0)}, "adam_betas[1]"),
+    ({"adam_betas": (0.9,)}, "adam_betas"),
+    ({"adam_epsilon": math.inf}, "adam_epsilon"),
+    ({"adam_epsilon": 0.0}, "adam_epsilon"),
+])
+def test_train_config_refuses_a_value_naming_its_field(change, field):
+    with pytest.raises(MialabError) as refused:
+        TrainConfig(**change)
+    assert refused.value.field == field
+    assert str(refused.value).startswith(f"{field}: ")
+
+
 class TestTrain:
     def test_separable_data_fits(self):
         samples = separable_samples()
@@ -541,8 +566,11 @@ class TestTrainReplicas:
     @pytest.mark.parametrize("dp_on", [False, True], ids=["plain", "dp"])
     def test_non_finite_parameters_name_the_layer_as_the_oracle(self, dp_on):
         privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.0) if dp_on else None
-        args = self.group((2, 8, 2), [20, 30], TrainConfig(
-            epochs=2, batch_size=10, learning_rate=math.inf))
+        args = self.group((2, 8, 2), [20, 30], TrainConfig(epochs=2, batch_size=10))
+        for cfg in args[2]:
+            # An infinite learning rate, which TrainConfig refuses, makes
+            # the parameters infinite at the first Adam step.
+            object.__setattr__(cfg, "learning_rate", math.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(MialabError) as oracle:
                 reference_train(*(a[0] for a in args), privacy)
