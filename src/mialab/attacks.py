@@ -137,23 +137,24 @@ def train_shadow_ensemble(
             f"{2 * size or 2} disjoint in/out samples"
         )
     n_classes = int(layer_dims[-1])
-    halves, jobs = [], []
+    outs, jobs = [], []  # each shadow's out-half stays indices until it is queried
     for j in range(DEFAULT_N_SHADOWS):
         rng = as_generator(subseed(seed, 101, j))
         idx = rng.choice(len(shadow_pool), size=2 * size, replace=False)
-        halves.append((shadow_pool[idx[:size]], shadow_pool[idx[size:]]))
+        outs.append(idx[size:])
         shadow_cfg = replace(
             cfg,
             batch_size=min(cfg.batch_size, size),
             seed=int(np.random.default_rng(subseed(seed, 103, j)).integers(2**31)),
         )
-        jobs.append((nn.init_model(layer_dims, subseed(seed, 102, j)), halves[-1][0], shadow_cfg))
+        jobs.append((nn.init_model(layer_dims, subseed(seed, 102, j)), shadow_pool[idx[:size]],
+                     shadow_cfg))
     shadows = nn.train_replicas(*zip(*jobs), privacy)
     # One record per shadow query, in order: the shadow's probability
     # vector, the queried row's label, and the membership bit.
     probs, labels, membership = [], [], []
-    for shadow, (in_rows, out_rows) in zip(shadows, halves):
-        for queried, bit in ((in_rows, MEMBER), (out_rows, NONMEMBER)):
+    for shadow, (_, in_rows, _), out in zip(shadows, jobs, outs):
+        for queried, bit in ((in_rows, MEMBER), (shadow_pool[out], NONMEMBER)):
             probs.append(nn.forward(shadow, queried.X))
             labels.append(queried.y)
             membership.append(np.full(len(queried), bit))

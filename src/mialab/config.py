@@ -2,10 +2,10 @@
 and materialization into datasets and pools.
 
 The dataclasses a config fills (TrainConfig, ExperimentConfig,
-GaussianComponent) own their value rules; resolve re-raises a refusal as a
-ConfigError at the field's config path. Unknown keys are rejected with the
-offending field path so a typo in an epsilon grid or attack list cannot
-silently change an experiment.
+GaussianComponent) and halfspace_label own their value rules; resolve
+re-raises a refusal as a ConfigError at the field's config path. Unknown
+keys are rejected with the offending field path so a typo in an epsilon
+grid or attack list cannot silently change an experiment.
 """
 
 from __future__ import annotations
@@ -104,9 +104,10 @@ def parse_epsilon(value, field: str) -> float:
     return _as_number(value, field, allow_inf=True)
 
 
-# The config path of each dataclass field that resolve fills. A refusal
-# names its field, plus an index or subfield (adam_betas[0], train.batch_size);
-# resolve re-raises it as a ConfigError at the path, {} a component's index.
+# The config path of each dataclass field that resolve fills, and of
+# halfspace_label's arguments. A refusal names its field, plus an index or
+# subfield (adam_betas[0], train.batch_size); resolve re-raises it as a
+# ConfigError at the path, {} a component's index.
 _CONFIG_PATHS = {
     nn.TrainConfig: {
         "epochs": "train.epochs", "batch_size": "train.batch_size",
@@ -120,12 +121,14 @@ _CONFIG_PATHS = {
         "clip_norm": "privacy.clip_norm",
     },
     GaussianComponent: {f: f"data.components[{{}}].{f}" for f in ("mean", "cov", "label")},
+    halfspace_label: {"weights": "data.label_rule.weights", "bias": "data.label_rule.bias"},
 }
 
 
 @contextlib.contextmanager
 def _config_paths(cls, index=None):
-    """Re-raise a value that cls refuses as a ConfigError at its config path."""
+    """Re-raise a value that cls (a dataclass, or halfspace_label) refuses
+    as a ConfigError at its config path."""
     try:
         yield
     except MialabError as exc:
@@ -233,10 +236,7 @@ def _validate_data(doc: dict) -> dict:
                 raise ConfigError(
                     "data.label_rule.weights", f"expected a list of {dim} numbers, got {weights!r}"
                 )
-            for j, w in enumerate(weights):
-                _as_number(w, f"data.label_rule.weights[{j}]")
-            if "bias" in rule:
-                _as_number(rule["bias"], "data.label_rule.bias")
+            _label_rule(rule)
         else:
             missing = [i for i, c in enumerate(comps) if "label" not in c]
             if missing:
@@ -409,11 +409,15 @@ def _components_from_spec(data_spec: dict):
     """The mixture components and label rule of a synthetic_mixture data
     block."""
     components = [_component(spec, i) for i, spec in enumerate(data_spec["components"])]
-    rule = None
-    if "label_rule" in data_spec:
-        spec = data_spec["label_rule"]
-        rule = halfspace_label(spec["weights"], spec.get("bias", 0.0))
+    rule = _label_rule(data_spec["label_rule"]) if "label_rule" in data_spec else None
     return components, rule
+
+
+def _label_rule(spec: dict) -> Callable:
+    """The halfspace rule of a label_rule block; a weight or bias it
+    refuses raises a ConfigError at its config path."""
+    with _config_paths(halfspace_label):
+        return halfspace_label(spec["weights"], spec.get("bias", 0.0))
 
 
 @dataclass(frozen=True)

@@ -107,15 +107,24 @@ class Rows:
 
     def __init__(self, X, y, attribute=None):
         # Copies, so that no caller keeps a writable alias of the store.
-        X = np.array(X, dtype=np.float64)
-        y = np.array(y, dtype=np.int64)
+        self._hold(np.array(X, dtype=np.float64), np.array(y, dtype=np.int64),
+                   None if attribute is None else np.array(attribute, dtype=object))
+
+    @classmethod
+    def _adopt(cls, X, y, attribute=None) -> "Rows":
+        """Rows over arrays that indexing or concatenation just made and
+        nothing else holds (float64 X, int64 y, an object attribute or
+        None): they are frozen in place, not copied."""
+        rows = cls.__new__(cls)
+        rows._hold(X, y, attribute)
+        return rows
+
+    def _hold(self, X, y, attribute):
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise PreprocessError(f"rows need X of shape (n, d) and y of shape (n,), "
                                   f"got {X.shape} and {y.shape}")
-        if attribute is not None:
-            attribute = np.array(attribute, dtype=object)
-            if attribute.shape != y.shape:
-                raise PreprocessError(f"attribute shape {attribute.shape} != {y.shape}")
+        if attribute is not None and attribute.shape != y.shape:
+            raise PreprocessError(f"attribute shape {attribute.shape} != {y.shape}")
         for name, arr in (("X", X), ("y", y), ("attribute", attribute)):
             if arr is not None:
                 arr.flags.writeable = False
@@ -130,7 +139,7 @@ class Rows:
                 [np.full(len(p), None, dtype=object) if p.attribute is None else p.attribute
                  for p in parts]
             )
-        return cls(
+        return cls._adopt(
             np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts]), attribute
         )
 
@@ -138,11 +147,14 @@ class Rows:
         """The distinct row keys, sorted: one opaque value per distinct
         (feature bits, label) pair, so two rows share a key exactly when
         their features are bitwise equal and their labels match."""
+        keys = self._sorted_keys()
+        return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+    def _sorted_keys(self) -> np.ndarray:
+        """Every row's key, repeats included, sorted."""
         keys = _row_keys(self.X, self.y)
         keys.sort()
-        distinct = np.ones(len(keys), dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        return keys[distinct]
+        return keys
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -152,7 +164,9 @@ class Rows:
             raise TypeError(f"Rows takes a slice, an index array or a mask; "
                             f"for one row use rows[[{index}]]")
         attribute = None if self.attribute is None else self.attribute[index]
-        return Rows(self.X[index], self.y[index], attribute)
+        if isinstance(index, slice):  # views of the store: copy them
+            return Rows(self.X[index], self.y[index], attribute)
+        return Rows._adopt(self.X[index], self.y[index], attribute)
 
     __iter__ = None
 
@@ -206,7 +220,8 @@ class Dataset:
             raise PreprocessError("zero-width feature space")
         if not np.all(np.isfinite(self.samples.X)):
             raise PreprocessError("non-finite feature value")
-        if len(self.samples.keys()) != len(self.samples):
+        keys = self.samples._sorted_keys()
+        if (keys[1:] == keys[:-1]).any():
             raise PreprocessError("dataset contains duplicate (features, label) rows")
 
     @property
@@ -350,21 +365,24 @@ def preprocess(raw: RawTable, schema: Schema, seed: int) -> Dataset:
     y = np.array([classes[v] for v in cells], dtype=np.int64)
     # Rows with one key form a group, and one row of each survives: the
     # only one, or one drawn with the seed, in the order of first rows.
-    _, first, group_of, counts = np.unique(
-        _row_keys(X, y), return_index=True, return_inverse=True, return_counts=True)
-    by_group = np.argsort(group_of, kind="stable")  # each group's rows, in row order
-    starts = np.cumsum(counts) - counts
-    survivors = first.copy()
+    keys = _row_keys(X, y)
+    del X  # the keys hold every feature bit; the survivors are taken from them
+    order = np.argsort(keys, kind="stable")  # groups in key order, each in row order
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    del ordered
+    counts = np.diff(starts, append=len(keys))
+    survivors = order[starts]  # each group's first row
     rng = np.random.default_rng(seed)
     repeated = np.flatnonzero(counts > 1)
-    for g in repeated[np.argsort(first[repeated])]:
-        survivors[g] = by_group[starts[g] + int(rng.integers(int(counts[g])))]
+    for g in repeated[np.argsort(survivors[repeated])]:
+        survivors[g] = order[starts[g] + int(rng.integers(int(counts[g])))]
     survivors.sort()
+    X = keys.view(np.int64).reshape(len(keys), -1)[survivors, :-1].view(np.float64)
+    del keys
     split = schema.split_attribute_column
     attribute = None
     if split is not None:
         attrs = _filled_with_mode([row[split.name] for row in raw], split.name)
         attribute = np.array(attrs, dtype=object)[survivors]
-    samples = Rows(X[survivors], y[survivors], attribute)
-    del X  # free the pre-dedup matrix before Dataset's duplicate check builds two of its size
-    return Dataset(schema=schema, samples=samples)
+    return Dataset(schema=schema, samples=Rows._adopt(X, y[survivors], attribute))

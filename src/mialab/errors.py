@@ -20,6 +20,16 @@ class MialabError(Exception):
         message = super().__str__()
         return message if self.field is None else f"{self.field}: {message}"
 
+    def __reduce__(self):
+        # A subclass's __init__ may take other arguments than the message
+        # in args, so unpickling rebuilds the error without calling it.
+        return (_rebuilt, (type(self), self.args), self.__dict__)
+
+
+def _rebuilt(cls, args):
+    """An error of type cls with args, before its attributes are restored."""
+    return cls.__new__(cls, *args)
+
 
 def _refused(field, message, cls=MialabError):
     """The cls(message) error that a dataclass raises when the value of

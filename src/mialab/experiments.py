@@ -336,7 +336,7 @@ def biased_validation(bias: BiasInfo, size: int, seed) -> "Rows | None":
         if k_without
         else []
     )
-    return Rows.concat([bias.reserve_with[wi], bias.reserve_without[wo]])
+    return bias.rows[np.concatenate([bias.reserve_with[wi], bias.reserve_without[wo]])]
 
 
 def _train_cells(cfg: ExperimentConfig, cells: list, dims: tuple, noise: dict, rep: int):

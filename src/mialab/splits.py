@@ -20,15 +20,17 @@ from .errors import SplitError
 from .rngs import as_generator, subseed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasInfo:
-    """How a biased member pool was built, plus leftover samples per side
-    so that equally biased validation sets can be drawn later."""
+    """How a biased member pool was built, plus the leftover rows per side,
+    as indices into the dataset's rows, so that equally biased validation
+    sets can be drawn later."""
 
     attribute_value: str
     p: float
-    reserve_with: Rows
-    reserve_without: Rows
+    rows: Rows
+    reserve_with: np.ndarray
+    reserve_without: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def attribute_bias_pools(
     The split attribute itself stays out of the features (dataio never
     encodes it), so the only trace the bias leaves is statistical. Leftover
     samples, capped at n per attribute value, form the shadow reserve; the
-    rest are kept for drawing equally biased validation sets.
+    indices of all of them are kept for drawing equally biased validation
+    sets.
     """
     if not 0.0 <= p <= 1.0:
         raise SplitError(f"bias p must be in [0, 1], got {p}")
@@ -290,7 +293,7 @@ def attribute_bias_pools(
         k_member=0,
         labels_of_pools=(f"bias[{value}]={p}", "balanced"),
         shadow_reserve=rows[shadow] if shadow.size else None,
-        bias=BiasInfo(value, p, rows[left_w], rows[left_wo]),
+        bias=BiasInfo(value, p, rows, left_w, left_wo),
     )
 
 

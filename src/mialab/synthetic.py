@@ -8,6 +8,8 @@ constant-pool scenario is constructed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,13 +38,18 @@ class GaussianComponent:
             isinstance(self.label, bool) or not isinstance(self.label, int) or self.label < 0
         ):
             raise _refused("label", f"must be an integer >= 0 or None, got {self.label!r}")
-        self.covariance()  # refuses a cov that is not one
+        object.__setattr__(self, "_covariance", self._checked_covariance())
 
     def covariance(self) -> np.ndarray:
+        """The (d, d) covariance matrix, read-only; it was built and checked
+        once, with the component."""
+        return self._covariance
+
+    def _checked_covariance(self) -> np.ndarray:
         """The (d, d) covariance matrix; refuses a cov that is not one."""
         d = len(self.mean)
         try:
-            cov = np.asarray(self.cov, dtype=np.float64)
+            cov = np.array(self.cov, dtype=np.float64)
         except (TypeError, ValueError):
             raise _refused("cov", f"expected a number, list or matrix, got {self.cov!r}") from None
         if not np.all(np.isfinite(cov)):
@@ -60,12 +67,29 @@ class GaussianComponent:
             lowest = np.linalg.eigvalsh((cov + cov.T) / 2).min()
         if lowest < -1e-12:
             raise _refused("cov", "must be positive semidefinite")
+        cov.flags.writeable = False
         return cov
 
 
+def _finite_number(field: str, value) -> float:
+    """value as a float; refuses one that is not a finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _refused(field, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _refused(field, f"expected a finite number, got {value!r}")
+    return number
+
+
 def halfspace_label(weights: Sequence[float], bias: float = 0.0) -> Callable:
-    """Label rule: 1 on the positive side of the hyperplane, else 0."""
-    w = np.asarray(weights, dtype=np.float64)
+    """Label rule: 1 on the positive side of the hyperplane, else 0.
+    Refuses a weight or bias that is not a finite number, naming it
+    (weights[1], bias)."""
+    w = np.array([_finite_number(f"weights[{j}]", v) for j, v in enumerate(weights)])
+    bias = _finite_number("bias", bias)
 
     def rule(x: np.ndarray) -> int:
         return int(float(x @ w) + bias > 0)

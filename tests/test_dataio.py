@@ -461,6 +461,41 @@ class TestSyntheticMixture:
             GaussianComponent(**kwargs)
         assert refused.value.field == field
 
+    def test_full_covariance_is_decomposed_once_per_component(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        cov = [[1.0, 0.5], [0.5, 2.0]]
+        comps = [GaussianComponent(mean=(0.0, 0.0), cov=cov, label=k) for k in range(2)]
+        assert len(calls) == 2
+        for comp in comps:
+            np.testing.assert_array_equal(comp.covariance(), cov)
+            assert comp.covariance() is comp.covariance()
+            assert not comp.covariance().flags.writeable
+        mixture_samples(comps, 5, seed=1)
+        assert len(calls) == 2
+
+    def test_covariance_is_not_the_callers_array(self):
+        cov = np.eye(2)
+        comp = GaussianComponent(mean=(0.0, 0.0), cov=cov, label=0)
+        cov[0, 0] = -1.0
+        assert cov.flags.writeable
+        assert comp.covariance()[0, 0] == 1.0
+
+    @pytest.mark.parametrize("weights, bias, field", [
+        ([math.nan, 1.0], 0.0, "weights[0]"),
+        ([1.0, math.inf], 0.0, "weights[1]"),
+        ([1.0, "0.5"], 0.0, "weights[1]"),
+        ([1.0, 0.0], -math.inf, "bias"),
+        ([1.0, 0.0], 10**400, "bias"),
+        ([1.0, 0.0], True, "bias"),
+    ], ids=["nan-weight", "inf-weight", "string-weight", "inf-bias", "overflowing-bias",
+            "bool-bias"])
+    def test_halfspace_label_refuses_a_value_naming_it(self, weights, bias, field):
+        with pytest.raises(MialabError) as refused:
+            halfspace_label(weights, bias)
+        assert refused.value.field == field
+
     def test_negative_covariance_errors(self):
         with pytest.raises(MialabError, match="semidefinite"):
             mixture_samples(
