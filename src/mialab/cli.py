@@ -91,13 +91,12 @@ def cmd_run(args, phases: _Phases) -> int:
     notes = [FINITE_POOL_CAVEAT]
     summary: dict = {"digest": resolved.digest, "name": resolved.name}
     if resolved.experiment == "batch_mm":
-        pools, pool_builder = mat.pools, mat.pool_builder
+        pools = mat.pools
         del mat  # its union pool, the data before the split, serves only the games
         with phases("campaign"):
             result = experiments.batch_mm_campaign(
                 cfg,
                 pools=pools,
-                pool_builder=pool_builder,
                 jobs=args.jobs,
                 emit_traces=resolved.emit_traces,
             )
@@ -197,8 +196,8 @@ def cmd_split(args, phases: _Phases) -> int:
     info: dict = {"experiment": resolved.experiment}
     with phases("data"):
         mat = config.materialize(resolved)
-        pools = experiments.repetition_pools(resolved.cfg, mat.pools, mat.pool_builder, 0)
-        if mat.pool_builder is not None:
+        pools = experiments.repetition_pools(resolved.cfg, mat.pools, 0)
+        if callable(mat.pools):
             info["note"] = "pools are regenerated per repetition; sizes shown for repetition 0"
     if pools is not None:
         info["pool_sizes"] = list(pools.sizes())
@@ -207,7 +206,7 @@ def cmd_split(args, phases: _Phases) -> int:
             info["pool_labels"] = list(pools.labels_of_pools)
         if pools.shadow_reserve is not None:
             info["shadow_reserve"] = len(pools.shadow_reserve)
-    elif mat.union_pool is not None:
+    else:
         info["pool_sizes"] = [len(mat.union_pool)]
     print(json.dumps(info, indent=2))
     return 0

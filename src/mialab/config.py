@@ -2,10 +2,12 @@
 and materialization into datasets and pools.
 
 The dataclasses a config fills (TrainConfig, ExperimentConfig,
-GaussianComponent) and halfspace_label own their value rules; resolve
-re-raises a refusal as a ConfigError at the field's config path. Unknown
-keys are rejected with the offending field path so a typo in an epsilon
-grid or attack list cannot silently change an experiment.
+GaussianComponent, MixturePools) and halfspace_label own their value
+rules; resolve and materialize re-raise a refusal as a ConfigError at the
+field's config path. Unknown keys are rejected with the offending field
+path so a typo in an epsilon grid or attack list cannot silently change an
+experiment. resolve builds a synthetic mixture's components and label rule
+once, and materialize draws from those.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ _CONFIG_PATHS = {
     },
     GaussianComponent: {f: f"data.components[{{}}].{f}" for f in ("mean", "cov", "label")},
     halfspace_label: {"weights": "data.label_rule.weights", "bias": "data.label_rule.bias"},
+    MixturePools: {"k_member": "split.k_member"},
 }
 
 
@@ -145,6 +148,9 @@ def epsilon_json(eps: float):
 
 @dataclass(frozen=True)
 class ResolvedConfig:
+    """A checked config. components and label_rule are the synthetic
+    mixture's, built once by resolve; a csv config has () and None."""
+
     name: str
     experiment: str
     cfg: experiments.ExperimentConfig
@@ -152,6 +158,8 @@ class ResolvedConfig:
     split_spec: "dict | None"
     emit_traces: bool
     canonical: dict
+    components: "tuple[GaussianComponent, ...]"
+    label_rule: "Callable | None"
 
     @property
     def digest(self) -> str:
@@ -196,11 +204,14 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
     return tc, tuple(hidden), canonical
 
 
-def _validate_data(doc: dict) -> dict:
+def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
+    """The data block, and the mixture components and label rule it
+    builds (none for csv data)."""
     data = _need(doc, "data", "")
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("data.kind", "required key is missing")
     kind = data["kind"]
+    components, label_rule = [], None
     if kind == "csv":
         _check_keys(data, _DATA_CSV_KEYS, "data")
         for key in ("path", "schema"):
@@ -220,7 +231,7 @@ def _validate_data(doc: dict) -> dict:
                 raise ConfigError(f"data.components[{i}].mean", "expected a list")
             for j, v in enumerate(mean):
                 _as_number(v, f"data.components[{i}].mean[{j}]")
-            _component(comp, i)
+            components.append(_component(comp, i))
             if len(mean) != len(comps[0]["mean"]):
                 raise ConfigError(f"data.components[{i}].mean", f"expected {len(comps[0]['mean'])}"
                                   f" entries, as in components[0], got {len(mean)}")
@@ -236,7 +247,7 @@ def _validate_data(doc: dict) -> dict:
                 raise ConfigError(
                     "data.label_rule.weights", f"expected a list of {dim} numbers, got {weights!r}"
                 )
-            _label_rule(rule)
+            label_rule = _label_rule(rule)
         else:
             missing = [i for i, c in enumerate(comps) if "label" not in c]
             if missing:
@@ -246,7 +257,7 @@ def _validate_data(doc: dict) -> dict:
                 )
     else:
         raise ConfigError("data.kind", f"unknown kind {kind!r}")
-    return data
+    return data, tuple(components), label_rule
 
 
 def _validate_split(doc: dict, data_kind: str) -> "dict | None":
@@ -271,7 +282,7 @@ def _validate_split(doc: dict, data_kind: str) -> "dict | None":
     elif kind == "mixture" and data_kind != "synthetic_mixture":
         raise ConfigError("split.kind", "'mixture' needs synthetic_mixture data")
     if "k_member" in split:
-        _as_int(split["k_member"], "split.k_member", 0)
+        _as_int(split["k_member"], "split.k_member")
     return split
 
 
@@ -326,7 +337,7 @@ def resolve(
             seed=seed,
         )
         experiments.check_runnable(experiment, cfg)
-    data_spec = _validate_data(doc)
+    data_spec, components, label_rule = _validate_data(doc)
     split_spec = _validate_split(doc, data_spec["kind"])
     if experiment in ("batch_mm", "mm", "strong"):
         if split_spec is None and data_spec["kind"] != "synthetic_mixture":
@@ -377,6 +388,8 @@ def resolve(
         split_spec=split_spec,
         emit_traces=emit_traces,
         canonical=canonical,
+        components=components,
+        label_rule=label_rule,
     )
 
 
@@ -405,14 +418,6 @@ def _component(spec: dict, i: int) -> GaussianComponent:
         )
 
 
-def _components_from_spec(data_spec: dict):
-    """The mixture components and label rule of a synthetic_mixture data
-    block."""
-    components = [_component(spec, i) for i, spec in enumerate(data_spec["components"])]
-    rule = _label_rule(data_spec["label_rule"]) if "label_rule" in data_spec else None
-    return components, rule
-
-
 def _label_rule(spec: dict) -> Callable:
     """The halfspace rule of a label_rule block; a weight or bias it
     refuses raises a ConfigError at its config path."""
@@ -422,65 +427,54 @@ def _label_rule(spec: dict) -> Callable:
 
 @dataclass(frozen=True)
 class Materialized:
-    pools: "MixturePools | None"
-    pool_builder: "Callable | None"
-    union_pool: "Rows | None"
+    """pools are the split's fixed pools, or for an attribute-bias split a
+    callable from a seed to pools, or None without a split; union_pool is
+    the data before the split."""
+
+    pools: "MixturePools | Callable[[int], MixturePools] | None"
+    union_pool: Rows
 
 
 def materialize(resolved: ResolvedConfig) -> Materialized:
-    """Produce the pools (or pool builder) and the union pool a config describes."""
+    """Produce the pools and the union pool a config describes."""
     cfg = resolved.cfg
     data_spec = resolved.data_spec
+    split_spec = resolved.split_spec or {}
+    kind = split_spec.get("kind")
     dataset = None
-    base_pools = None
+    pools = None
     if data_spec["kind"] == "csv":
         schema = Schema.from_json_file(data_spec["schema"])
         raw = load_csv(data_spec["path"], schema)
         dataset = preprocess(raw, schema, data_spec.get("preprocess_seed", 0))
     else:
-        components, rule = _components_from_spec(data_spec)
-        n_per = data_spec["n_per_component"]
-        if resolved.split_spec is not None and resolved.split_spec["kind"] == "mixture":
-            base_pools = synthetic_mixture(components, n_per, cfg.seed, rule)
-        else:
-            dataset = mixture_dataset(components, n_per, cfg.seed, rule)
-    split_spec = resolved.split_spec
-    pools = None
-    pool_builder = None
-    if split_spec is not None:
-        kind = split_spec["kind"]
+        mixture = (resolved.components, data_spec["n_per_component"], cfg.seed,
+                   resolved.label_rule)
         if kind == "mixture":
-            pools = base_pools
-        elif kind == "cluster":
-            pools = cluster_split(dataset, cfg.seed, k=split_spec.get("k", 2))
-        elif kind == "source":
-            pools = source_split(dataset, split_spec["member_value"])
-        elif kind == "attribute_bias":
-            declared = split_spec.get("attribute")
-            actual = dataset.schema.split_attribute_column
-            if actual is None:
-                raise ConfigError("split.kind", "schema has no split-attribute column")
-            if declared is not None and declared != actual.name:
-                raise ConfigError(
-                    "split.attribute",
-                    f"schema's split-attribute column is {actual.name!r}, not {declared!r}",
-                )
-            pool_builder = functools.partial(
-                attribute_bias_pools,
-                dataset,
-                split_spec["value"],
-                float(split_spec["p"]),
-                cfg.n_members,
+            pools = synthetic_mixture(*mixture)
+        else:
+            dataset = mixture_dataset(*mixture)
+    if kind in ("source", "attribute_bias"):
+        column = dataset.schema.split_attribute_column
+        if column is None:
+            raise ConfigError("split.kind", "schema has no split-attribute column")
+        declared = split_spec.get("attribute")
+        if declared is not None and declared != column.name:
+            raise ConfigError(
+                "split.attribute",
+                f"schema's split-attribute column is {column.name!r}, not {declared!r}",
             )
-        if pools is not None and "k_member" in split_spec:
-            k_member = split_spec["k_member"]
-            if k_member >= pools.n_pools:
-                raise ConfigError("split.k_member", f"only {pools.n_pools} pools exist")
-            pools = pools.with_member(k_member)
-    if dataset is not None:
-        union = dataset.samples
-    elif base_pools is not None:
-        union = base_pools.flatten()
-    else:
-        union = None
-    return Materialized(pools=pools, pool_builder=pool_builder, union_pool=union)
+    if kind == "cluster":
+        pools = cluster_split(dataset, cfg.seed, k=split_spec.get("k", 2))
+    elif kind == "source":
+        pools = source_split(dataset, split_spec["member_value"])
+    elif kind == "attribute_bias":
+        pools = functools.partial(
+            attribute_bias_pools, dataset, split_spec["value"], float(split_spec["p"]),
+            cfg.n_members,
+        )
+    if "k_member" in split_spec:
+        with _config_paths(MixturePools):
+            pools = pools.with_member(split_spec["k_member"])
+    union = dataset.samples if dataset is not None else pools.flatten()
+    return Materialized(pools=pools, union_pool=union)

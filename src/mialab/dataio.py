@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CsvParseError, PreprocessError, SchemaError
+from .errors import CsvParseError, PreprocessError, SchemaError, _refused
 
 KINDS = ("numeric", "categorical")
 ROLES = ("feature", "label", "split-attribute", "ignored")
@@ -57,8 +57,13 @@ class Schema:
         split = [c for c in self.columns if c.role == "split-attribute"]
         if len(split) > 1:
             raise SchemaError(f"schema allows at most one split-attribute column, found {len(split)}")
+        if isinstance(self.label_classes, bool) or not isinstance(
+            self.label_classes, (int, np.integer)
+        ):
+            raise _refused("label_classes", f"expected an integer, got {self.label_classes!r}",
+                           SchemaError)
         if self.label_classes < 2:
-            raise SchemaError(f"label_classes must be >= 2, got {self.label_classes}")
+            raise _refused("label_classes", f"must be >= 2, got {self.label_classes}", SchemaError)
 
     @property
     def label_column(self) -> Column:
@@ -78,7 +83,7 @@ class Schema:
             columns = tuple(
                 Column(c["name"], c["kind"], c.get("role", "feature")) for c in obj["columns"]
             )
-            return cls(columns=columns, label_classes=int(obj["label_classes"]))
+            return cls(columns=columns, label_classes=obj["label_classes"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema document: {exc}") from exc
 

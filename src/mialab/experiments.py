@@ -17,8 +17,10 @@ batch_mm_campaign implements the batch methodology instead: train once per
 privacy level, evaluate every attack on all members and non-members, then
 re-partition the pooled samples (the IID counterfactual) and repeat, so
 the gap between the "non-IID" and "IID" scenarios isolates the effect of
-the data dependency. Repetitions use derived seeds and aggregate into
-mean advantage with 95% Student-t confidence intervals.
+the data dependency. A campaign draws from one pool source: fixed pools,
+or a callable that builds each repetition's pools from its seed.
+Repetitions use derived seeds and aggregate into mean advantage with 95%
+Student-t confidence intervals.
 """
 
 from __future__ import annotations
@@ -395,20 +397,20 @@ def _score(model: nn.MlpModel, rows: Rows) -> tuple[np.ndarray, float]:
     return nn.loglosses_of(probs, rows.y), nn.accuracy_of(probs, rows.y)
 
 
-def repetition_pools(cfg: ExperimentConfig, pools: "MixturePools | None", pool_builder,
+def repetition_pools(cfg: ExperimentConfig, pools: "MixturePools | Callable | None",
                      rep: int) -> "MixturePools | None":
-    """The pools repetition rep draws from: the fixed pools, or the pool
-    builder's pools at the repetition's seed."""
-    return pools if pool_builder is None else pool_builder(subseed(cfg.seed, 1, rep))
+    """The pools repetition rep draws from: the fixed pools, or, when pools
+    is a callable from a seed, its pools at the repetition's seed."""
+    return pools(subseed(cfg.seed, 1, rep)) if callable(pools) else pools
 
 
-def _run_repetition(cfg: ExperimentConfig, pools: MixturePools,
-                    pool_builder, noise: dict, rep: int, emit_traces: bool):
+def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
+                    noise: dict, rep: int, emit_traces: bool):
     """One repetition's cells, one per (scenario, epsilon), in three steps:
     (a) train every cell's models, (b) score each target on its members and
     non-members, and (c) let each attack turn the scores into decisions,
     from which the cell's result rows and trace rows follow."""
-    pools = repetition_pools(cfg, pools, pool_builder, rep)
+    pools = repetition_pools(cfg, pools, rep)
     n, m = cfg.n_members, cfg.n_nonmembers
     base = draw(pools, n, m, subseed(cfg.seed, 2, rep),
                 with_shadow_pool="shadow" in cfg.attack_names)
@@ -536,22 +538,19 @@ def _aggregate(rows: Sequence[CampaignRow]) -> tuple[Aggregate, ...]:
 
 def batch_mm_campaign(
     cfg: ExperimentConfig,
-    pools: "MixturePools | None" = None,
-    pool_builder: "Callable | None" = None,
+    pools: "MixturePools | Callable[[int], MixturePools]",
     jobs: int = 1,
     emit_traces: bool = False,
 ) -> CampaignResult:
     """Run the full advantage-estimation campaign.
 
-    Pass fixed pools (cluster/source splits build them once) or a
-    pool_builder callable taking a seed (attribute-bias pools are
+    pools are fixed pools (cluster, source and mixture splits build them
+    once) or a callable from a seed to pools (attribute-bias pools are
     regenerated per repetition). Repetitions may run in parallel, on at
     most one worker process per repetition; results are identical
     regardless of jobs. With emit_traces, the result also carries one
     trace row per evaluated sample and attack.
     """
-    if (pools is None) == (pool_builder is None):
-        raise MialabError("pass exactly one of pools or pool_builder")
     check_runnable("batch_mm", cfg)
     noise = noise_for_grid(cfg)
     all_rows: list[CampaignRow] = []
@@ -563,7 +562,7 @@ def batch_mm_campaign(
         if order == top_order
     ]
     all_traces: list[dict] = []
-    args = (cfg, pools, pool_builder, noise)
+    args = (cfg, pools, noise)
     # A fork-started pool launches all its workers at the first submit, so
     # workers beyond the repetition count would only fork and idle.
     workers = min(jobs, cfg.repetitions)

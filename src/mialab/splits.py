@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import Dataset, Rows, distinct
-from .errors import SplitError
+from .errors import SplitError, _refused
 from .rngs import as_generator, subseed
 
 
@@ -45,7 +45,8 @@ class MixturePools:
         if len(self.pools) < 2:
             raise SplitError(f"need at least 2 pools, got {len(self.pools)}")
         if not 0 <= self.k_member < len(self.pools):
-            raise SplitError(f"k_member {self.k_member} out of range")
+            raise _refused("k_member", f"{self.k_member} out of range for {len(self.pools)} pools",
+                           SplitError)
         # A row may repeat inside a pool (zero-variance components) but not
         # across pools: after per-pool dedup every key must be unique.
         keys = [pool.keys() for pool in self.pools]
@@ -87,7 +88,6 @@ class KmeansResult:
     centroids: np.ndarray
     sse: float
     sse_history: tuple[float, ...]
-    n_iter: int
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,7 +135,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
                 centroids[j] = points[pick]
                 labels[pick] = j
     sse = float(np.sum((points - centroids[labels]) ** 2))
-    return labels, centroids, sse, tuple(history), len(history)
+    return labels, centroids, sse, tuple(history)
 
 
 def _exact_two_means(pts: np.ndarray) -> KmeansResult:
@@ -168,7 +168,7 @@ def _exact_two_means(pts: np.ndarray) -> KmeansResult:
     centroids = np.stack(
         [pts[labels == 0].mean(axis=0), pts[labels == 1].mean(axis=0)]
     )
-    return KmeansResult(labels, centroids, best_sse, (best_sse,), 1)
+    return KmeansResult(labels, centroids, best_sse, (best_sse,))
 
 
 _EXACT_TWO_MEANS_LIMIT = 16
@@ -201,9 +201,9 @@ def kmeans(points, k: int, seed) -> KmeansResult:
     best = None
     for _ in range(_KMEANS_RESTARTS):
         centroids = _plusplus_init(pts, k, rng)
-        labels, centroids, sse, history, n_iter = _lloyd(pts, centroids)
-        if best is None or sse < best.sse:
-            best = KmeansResult(labels, centroids, sse, history, n_iter)
+        result = KmeansResult(*_lloyd(pts, centroids))
+        if best is None or result.sse < best.sse:
+            best = result
     return best
 
 

@@ -259,7 +259,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "[data]" in err and "no such" in err
 
-    def test_mixture_split_needs_synthetic_data(self, tmp_path, capsys):
+    def tiny_csv_doc(self, tmp_path, split, label_classes=2):
         csv_path = tmp_path / "tiny.csv"
         csv_path.write_text("a,y\n1,p\n2,q\n3,p\n4,q\n")
         schema_path = tmp_path / "tiny.schema.json"
@@ -268,20 +268,81 @@ class TestRunCommand:
                 {"name": "a", "kind": "numeric"},
                 {"name": "y", "kind": "categorical", "role": "label"},
             ],
-            "label_classes": 2,
+            "label_classes": label_classes,
         }))
-        doc = synthetic_doc(
+        return synthetic_doc(
             n_members=2,
             n_nonmembers=2,
             train={"hidden_units": [4], "epochs": 2, "batch_size": 2},
             data={"kind": "csv", "path": str(csv_path), "schema": str(schema_path)},
-            split={"kind": "mixture"},
+            split=split,
         )
-        path = write_doc(tmp_path, doc)
+
+    def test_mixture_split_needs_synthetic_data(self, tmp_path, capsys):
+        path = write_doc(tmp_path, self.tiny_csv_doc(tmp_path, {"kind": "mixture"}))
         code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "mixture" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("split", [
+        {"kind": "source", "member_value": "a"},
+        {"kind": "attribute_bias", "value": "a", "p": 0.5},
+    ])
+    def test_split_without_split_attribute_exits_two_before_writing(
+        self, tmp_path, capsys, split
+    ):
+        path = write_doc(tmp_path, self.tiny_csv_doc(tmp_path, split))
+        code, _ = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert ("config error: split.kind: schema has no split-attribute column\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "expected an integer, got 'x'"),
+        (2.9, "expected an integer, got 2.9"),
+    ])
+    def test_label_classes_not_an_integer_is_a_data_error(self, tmp_path, capsys, value, message):
+        doc = self.tiny_csv_doc(tmp_path, {"kind": "cluster"}, label_classes=value)
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)),
+                          "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error [data]: label_classes: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("split, n_components, message", [
+        ({"kind": "cluster", "k_member": 2}, 2, "2 out of range for 2 pools"),
+        ({"kind": "mixture", "k_member": -1}, 2, "-1 out of range for 2 pools"),
+        ({"kind": "mixture", "k_member": 4}, 4, "4 out of range for 4 pools"),
+    ])
+    def test_k_member_out_of_range_exits_two_before_writing(
+        self, tmp_path, capsys, split, n_components, message
+    ):
+        doc = synthetic_doc(split=split)
+        doc["data"]["components"] = [
+            {"mean": [3.0 * k, 0.0], "cov": 0.3, "label": k % 2} for k in range(n_components)
+        ]
+        code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)),
+                          "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: split.k_member: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_components_are_built_once_by_resolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        doc = synthetic_doc()
+        doc["data"]["components"] = [
+            {"mean": [3.0 * k, 0.0], "cov": [[0.3, 0.1], [0.1, 0.3]], "label": k % 2}
+            for k in range(4)
+        ]
+        resolved = config.resolve(doc)
+        assert len(calls) == 4
+        mat = config.materialize(resolved)
+        assert len(calls) == 4
+        assert mat.pools.n_pools == 4
 
     @pytest.mark.parametrize("field, data", [
         ("data.label_rule.weights", {"label_rule": {"kind": "halfspace", "weights": ["a", 1]}}),

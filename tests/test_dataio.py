@@ -58,6 +58,14 @@ class TestSchema:
                 label_classes=2,
             )
 
+    @pytest.mark.parametrize("value", ["x", 2.9, True, None, 1])
+    def test_label_classes_must_be_an_integer_of_at_least_two(self, value):
+        doc = {"columns": [{"name": "y", "kind": "numeric", "role": "label"}],
+               "label_classes": value}
+        with pytest.raises(SchemaError, match="^label_classes: ") as refused:
+            Schema.from_json(doc)
+        assert refused.value.field == "label_classes"
+
 
 class TestLoadCsv:
     def test_three_rows_pass_through(self, tmp_path, basic_schema):

@@ -455,13 +455,6 @@ class TestCampaign:
         assert order == dp.account(q, sigma, steps, cfg.delta).order
         assert noise[math.inf] == (0.0, math.inf, None)
 
-    def test_requires_exactly_one_pool_source(self, blob_pools):
-        cfg = small_campaign_config()
-        with pytest.raises(MialabError, match="exactly one"):
-            batch_mm_campaign(cfg, pools=blob_pools, pool_builder=lambda s: blob_pools)
-        with pytest.raises(MialabError, match="exactly one"):
-            batch_mm_campaign(cfg)
-
     def test_pool_builder_regenerates_per_repetition(self, attr_schema):
         from mialab.dataio import Dataset
         from mialab.splits import attribute_bias_pools
@@ -480,7 +473,7 @@ class TestCampaign:
             repetitions=2, epsilon_grid=(math.inf,), seed=13,
             attack_names=("average_threshold",),
         )
-        result = batch_mm_campaign(cfg, pool_builder=builder)
+        result = batch_mm_campaign(cfg, pools=builder)
         assert len(seen) == 2 and seen[0] != seen[1]
         # biased validation accuracy recorded for the dependent scenario
         dependent_rows = [r for r in result.rows if r.scenario == "non-IID"]
