@@ -86,21 +86,40 @@ def noisy_mean(
     noise_multiplier: float,
     expected_batch: float,
     seed,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """(gradient_sum + N(0, (noise_multiplier * clip_norm)^2 I)) / expected_batch,
     where gradient_sum is the sum of the batch's clipped gradients (zeros
-    for an empty Poisson batch)."""
-    if noise_multiplier < 0:
-        raise AccountingError(f"noise_multiplier must be >= 0, got {noise_multiplier}")
-    if expected_batch <= 0:
-        raise AccountingError(f"expected_batch must be > 0, got {expected_batch}")
+    for an empty Poisson batch).
+
+    The noise is z * noise_multiplier * clip_norm for standard normal draws
+    z: what rng.normal(0, noise_multiplier * clip_norm) draws from the same
+    stream positions, less its + 0.0, which can change only the sign of a
+    zero. A zero noise multiplier draws nothing. The result is written into
+    out when one is given, a float64 array of gradient_sum's shape that
+    does not overlap it, and out is returned: a step then allocates
+    nothing."""
+    if not 0 <= noise_multiplier < math.inf:
+        raise _refused("noise_multiplier", f"must be finite and >= 0, got {noise_multiplier}",
+                       AccountingError)
+    if not 0 < expected_batch < math.inf:
+        raise _refused("expected_batch", f"must be finite and > 0, got {expected_batch}",
+                       AccountingError)
     if noise_multiplier > 0 and not math.isfinite(clip_norm):
-        raise AccountingError("noise with an infinite clip norm is unbounded")
+        raise _refused("clip_norm", "must be finite when noise is added", AccountingError)
     total = np.asarray(gradient_sum, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(total)
+    elif np.may_share_memory(out, total):
+        raise AccountingError("out must not overlap gradient_sum")
     if noise_multiplier > 0:
-        rng = as_generator(seed)
-        total = total + rng.normal(0.0, noise_multiplier * clip_norm, size=total.shape)
-    return total / expected_batch
+        as_generator(seed).standard_normal(out=out)
+        out *= noise_multiplier * clip_norm
+        out += total
+        out /= expected_batch
+    else:
+        np.divide(total, expected_batch, out=out)
+    return out
 
 
 _LOG_FACTORIALS: list[float] = []  # log(j!) at index j, extended on demand
@@ -160,8 +179,8 @@ def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> dict[int, flo
 def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float, ...]:
     """Renyi divergence of one subsampled-Gaussian step at each order, from
     one _log_moments pass over the integer orders they need."""
-    if sigma <= 0:
-        raise AccountingError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise _refused("sigma", f"must be finite and > 0, got {sigma}", AccountingError)
     if 2.0 * sigma * sigma == 0.0:
         raise AccountingError(f"sigma={sigma} is too small: 2 sigma^2 underflows to 0")
     if not 0 < q <= 1:
@@ -200,8 +219,9 @@ def account(q: float, sigma: float, steps: int, delta: float,
         raise AccountingError("RDP values must be non-negative")
     if not 0 < delta < 1:
         raise AccountingError(f"delta must be in (0, 1), got {delta}")
-    if steps < 1:
-        raise AccountingError(f"steps must be >= 1, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise _refused("steps", f"the number of steps must be an integer >= 1, got {steps!r}",
+                       AccountingError)
     log_inv_delta = math.log(1.0 / delta)
     best_eps, best_order = math.inf, float(orders[0])
     for order, value in zip(orders, values):

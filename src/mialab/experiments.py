@@ -349,19 +349,21 @@ def _train_cells(cfg: ExperimentConfig, cells: list, dims: tuple, noise: dict, r
     and each cell trains once. A group that fails names the cell that
     failed in it (nn.train_replicas sets the error's replica); the first
     failure in (scenario, epsilon) order, each target before its ensemble,
-    is raised with the cell named."""
+    is raised with the cell named. A group's initial models are built
+    when it trains, so no other group's are alive meanwhile."""
     jobs, groups = [], {}
     for si, _, d, ei, eps in cells:
         privacy = _privacy_for(cfg, eps, noise[eps][0])
         groups.setdefault(None if privacy is None else si, []).append(len(jobs))
         jobs.append((
-            nn.init_model(dims, subseed(cfg.seed, 6, rep, si, ei)), d.members,
+            subseed(cfg.seed, 6, rep, si, ei), d.members,
             replace(cfg.train, seed=_seed_int(subseed(cfg.seed, 5, rep, si, ei))), privacy,
         ))
     models, failures = [None] * len(jobs), {}
     for ks in groups.values():
+        init_seeds, *rest = zip(*(jobs[k] for k in ks))
         try:
-            group = nn.train_replicas(*zip(*(jobs[k] for k in ks)))
+            group = nn.train_replicas([nn.init_model(dims, s) for s in init_seeds], *rest)
         except MialabError as exc:
             if exc.replica is None:
                 raise

@@ -272,46 +272,52 @@ def _backprop_rows(weights: list, acts: list, delta: np.ndarray, counts, outs: l
     return deltas
 
 
-def _mean_losses(p_true: np.ndarray, weights: list, l2_coefficient: float, counts) -> np.ndarray:
+def _mean_losses(p_true: np.ndarray, weights: list, l2_coefficient: float, counts,
+                 scratch: list) -> np.ndarray:
     """Each replica's mean logloss over its rows plus l2/2 * ||weights||^2,
-    given every row's probability of its true class."""
+    given every row's probability of its true class; scratch holds one
+    array of each weight's shape to work in."""
     per_row = _nll(p_true)
     if counts is None:
         loss = per_row.sum(axis=1) / per_row.shape[1]
     else:
         loss = np.array([per_row[r, :k].sum() / k for r, k in enumerate(counts)])
     if l2_coefficient:
-        for W in weights:
-            loss += 0.5 * l2_coefficient * (W * W).sum(axis=(1, 2))
+        for W, sq in zip(weights, scratch):
+            np.multiply(W, W, out=sq)
+            loss += 0.5 * l2_coefficient * sq.sum(axis=(1, 2))
     return loss
 
 
 def _ghost_norms(weights: list, acts: list, products: list, deltas: list,
-                 l2_coefficient: float) -> np.ndarray:
+                 l2_coefficient: float, scratch: list) -> np.ndarray:
     """Per-example gradient norms, (R, rows), from each layer's inputs a,
-    products a @ W and errors d alone.
+    products a @ W and errors d alone; scratch holds one array of each
+    weight's shape to work in.
 
     Example i's weight gradient in a dense layer is a_i d_i^T + l2 W, whose
     squared norm is |a_i|^2 |d_i|^2 + 2 l2 a_i^T W d_i + l2^2 |W|^2; its bias
     gradient adds |d_i|^2 (Goodfellow, arXiv:1510.01799).
     """
     sq = np.zeros(deltas[0].shape[:2])
-    for a, aw, d, W in zip(acts, products, deltas, weights):
+    for a, aw, d, W, w2 in zip(acts, products, deltas, weights, scratch):
         dd = np.einsum("rij,rij->ri", d, d)
         sq += np.einsum("rij,rij->ri", a, a) * dd + dd
         if l2_coefficient:
             sq += 2.0 * l2_coefficient * np.einsum("rij,rij->ri", aw, d)
-            sq += l2_coefficient * l2_coefficient * (W * W).sum(axis=(1, 2))[:, None]
+            np.multiply(W, W, out=w2)
+            sq += l2_coefficient * l2_coefficient * w2.sum(axis=(1, 2))[:, None]
     # rounding in the cross term can push an exact 0 just below it; NaN stays NaN
     return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _grad_sum(weights: list, acts: list, deltas: list, l2_factor, counts,
-              grad_weights: list, grad_biases: list) -> None:
+              grad_weights: list, grad_biases: list, scratch: list) -> None:
     """Per replica and layer, the sum over rows of a_i d_i^T, plus
     l2_factor * W unless it is None, and the sum of d_i, written into the
-    gradient buffer's views."""
-    for a, d, W, gW, gb in zip(acts, deltas, weights, grad_weights, grad_biases):
+    gradient buffer's views; scratch holds one array of each weight's
+    shape to work in."""
+    for a, d, W, gW, gb, l2W in zip(acts, deltas, weights, grad_weights, grad_biases, scratch):
         if counts is None:
             np.matmul(a.transpose(0, 2, 1), d, out=gW)
             d.sum(axis=1, out=gb)
@@ -320,7 +326,8 @@ def _grad_sum(weights: list, acts: list, deltas: list, l2_factor, counts,
                 np.matmul(a[r, :k].T, d[r, :k], out=gW[r])
                 d[r, :k].sum(axis=0, out=gb[r])
         if l2_factor is not None:
-            gW += l2_factor * W
+            np.multiply(l2_factor, W, out=l2W)
+            gW += l2W
 
 
 def _check_shared(inits: Sequence[MlpModel], cfgs: Sequence[TrainConfig], privacies: list) -> None:
@@ -479,15 +486,21 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
     params = np.stack([inits[r].flatten() for r in order])
     m, v, grad, temp = (np.zeros_like(params), np.zeros_like(params), np.empty_like(params),
                         np.empty_like(params))
+    # A step builds its gradient in grad, and Adam works in temp. Until
+    # Adam runs, temp is idle and holds the l2 terms; a private step draws
+    # its noisy mean of the clipped sum in grad into temp, so Adam reads
+    # temp and works in grad.
+    step_grad, adam_work = (grad, temp) if privacy is None else (temp, grad)
     # Row buffers for the widest batch a step is expected to draw; a wider
     # Poisson batch reallocates them.
     rows = max(sizes) if privacy is None else max(map(_poisson_width, ns, rates))
     X_buf, y_buf, layer_bufs, error_bufs = _row_buffers(R, rows, dims)
 
     def gradient(step: int, Xb: np.ndarray, yb: np.ndarray, counts) -> None:
-        """Write every live replica's step gradient into grad, after the
-        loss (or clipping-norm) checks that train makes; weights, biases
-        and grad_views are the loop's views of the live replicas."""
+        """Write every live replica's step gradient into step_grad, after
+        the loss (or clipping-norm) checks that train makes; weights,
+        biases, grad_views and scratch are the loop's views of the live
+        replicas."""
         live, width = yb.shape
         acts, products, probs = _forward_rows(
             weights, biases, Xb, counts, [[a[:live, :width] for a in bs] for bs in layer_bufs])
@@ -497,7 +510,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
         losses = None
         if privacy is None or (loss_callback is not None and width):
             p_true = probs.reshape(-1, dims[-1])[true_class].reshape(live, width)
-            losses = _mean_losses(p_true, weights, l2, counts)
+            losses = _mean_losses(p_true, weights, l2, counts, scratch)
         delta = probs
         delta.reshape(-1, dims[-1])[true_class] -= 1.0
         if privacy is None:
@@ -509,10 +522,10 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
                 loss_callback(step, float(losses[0]))
             delta /= width if counts is None else np.array(counts)[:, None, None]
             deltas = _backprop_rows(weights, acts, delta, counts, errors)
-            _grad_sum(weights, acts, deltas, l2 if l2 else None, counts, *grad_views)
+            _grad_sum(weights, acts, deltas, l2 if l2 else None, counts, *grad_views, scratch)
             return
         deltas = _backprop_rows(weights, acts, delta, counts, errors)
-        norms = _ghost_norms(weights, acts, products, deltas, l2)
+        norms = _ghost_norms(weights, acts, products, deltas, l2, scratch)
         ks = [width] * live if counts is None else counts
         finite = np.isfinite(norms) | (np.arange(width) >= np.array(ks)[:, None])
         failed = {order[r]: TrainingDiverged(step, float(norms[r, : ks[r]].max()),
@@ -533,10 +546,9 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
             l2_factor = (l2 * scale_sums)[:, None, None]
         for d in deltas:
             d *= scale[:, :, None]
-        _grad_sum(weights, acts, deltas, l2_factor, counts, *grad_views)
+        _grad_sum(weights, acts, deltas, l2_factor, counts, *grad_views, scratch)
         for r in range(live):
-            grad[r] = dp.noisy_mean(grad[r], privacy.clip_norm, sigmas[r], rates[r] * ns[r],
-                                    rngs[r])
+            dp.noisy_mean(grad[r], privacy.clip_norm, sigmas[r], rates[r] * ns[r], rngs[r], temp[r])
 
     live = 0
     for step in range(steps[0]):
@@ -545,6 +557,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
             live = now_live
             weights, biases = _layer_views(params[:live], dims)
             grad_views = _layer_views(grad[:live], dims)
+            scratch = _layer_views(temp[:live], dims)[0]
         # Each replica's batch, drawn from its stream as train draws it.
         batches = []
         for r in range(live):
@@ -566,7 +579,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
             np.take(sets[r].X, idx, axis=0, out=Xb[r, : idx.size], mode="clip")
             np.take(sets[r].y, idx, out=yb[r, : idx.size], mode="clip")
         gradient(step, Xb, yb, counts)
-        _adam(params[:live], m[:live], v[:live], grad[:live], step + 1, cfg, temp[:live])
+        _adam(params[:live], m[:live], v[:live], step_grad[:live], step + 1, cfg, adam_work[:live])
         if not np.isfinite(params[:live]).all():
             failed = {}
             for r in range(live):
@@ -575,6 +588,10 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
                 except MialabError as exc:  # the model names the non-finite layer
                     failed[order[r]] = exc
             fail(failed)
+    # Every buffer but params, and every view of one, is freed before the
+    # models are built.
+    del m, v, grad, temp, step_grad, adam_work, grad_views, scratch
+    del X_buf, y_buf, Xb, yb, layer_bufs, error_bufs
     models = [None] * R
     for pos, r in enumerate(order):
         models[r] = MlpModel.unflatten(dims, params[pos])

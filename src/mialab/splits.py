@@ -48,15 +48,16 @@ class MixturePools:
             raise _refused("k_member", f"{self.k_member} out of range for {len(self.pools)} pools",
                            SplitError)
         # A row may repeat inside a pool (zero-variance components) but not
-        # across pools: after per-pool dedup every key must be unique.
-        keys = [pool.keys() for pool in self.pools]
-        owner = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
-        merged = np.concatenate(keys)
-        order = np.argsort(merged, kind="stable")
-        shared = np.flatnonzero(merged[order[1:]] == merged[order[:-1]])
+        # across pools: after per-pool dedup every key must be unique. One
+        # array of all keys is sorted in place and compared with itself
+        # shifted; the pools are searched only for a key that repeats.
+        merged = np.concatenate([pool.keys() for pool in self.pools])
+        merged.sort()
+        shared = np.flatnonzero(merged[1:] == merged[:-1])
         if shared.size:
-            i = shared[0]
-            raise SplitError(f"pools {owner[order[i]]} and {owner[order[i + 1]]} share a sample")
+            key = merged[shared[0]]
+            first, second = [p for p, pool in enumerate(self.pools) if key in pool.keys()][:2]
+            raise SplitError(f"pools {first} and {second} share a sample")
 
     @property
     def n_pools(self) -> int:

@@ -124,6 +124,64 @@ class TestNoisyMean:
         b = noisy_mean(np.ones(2), 1.0, 1.0, 2.0, seed=7)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n_params", [1_218, 92_162])
+    @pytest.mark.parametrize("sigma", [0.5, 2.36, 616.4])
+    @pytest.mark.parametrize("batch", ["clipped", "empty"])
+    def test_buffer_form_is_the_allocating_form(self, n_params, sigma, batch):
+        # the sum (rng.normal(0, s) draws 0.0 + s * z) and the stream
+        # position, bit for bit; an empty Poisson batch's sum is a zero
+        # vector, here with -0 entries
+        clip_norm, expected_batch = 0.5, 79.2
+        total = np.random.default_rng(n_params).normal(size=n_params)
+        if batch == "empty":
+            total = np.where(np.arange(n_params) % 2, 0.0, -0.0)
+        before = total.copy()
+        gens = [np.random.default_rng(5) for _ in range(3)]
+        expected = (total + gens[0].normal(0.0, sigma * clip_norm, size=n_params)) / expected_batch
+        allocated = noisy_mean(total, clip_norm, sigma, expected_batch, gens[1])
+        out = np.full((2, n_params), np.nan)
+        row = out[1]
+        assert noisy_mean(total, clip_norm, sigma, expected_batch, gens[2], row) is row
+        for got in (allocated, row):
+            assert got.tobytes() == expected.tobytes()
+        assert np.isnan(out[0]).all()
+        assert total.tobytes() == before.tobytes()
+        assert gens[1].bit_generator.state == gens[2].bit_generator.state == (
+            gens[0].bit_generator.state)
+
+    def test_zero_noise_with_an_infinite_clip_norm_draws_nothing(self):
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        out = np.empty(2)
+        noisy_mean(np.array([4.0, -0.0]), math.inf, 0.0, 4.0, gen, out)
+        assert out.tobytes() == np.array([1.0, -0.0]).tobytes()
+        assert gen.bit_generator.state == state
+
+    def test_refuses_a_buffer_that_overlaps_the_sum(self):
+        buf = np.zeros(4)
+        with pytest.raises(AccountingError, match="overlap"):
+            noisy_mean(buf, 1.0, 1.0, 2.0, 0, buf)
+
+
+@pytest.mark.parametrize("fn, args, field", [
+    (noisy_mean, ([4.0, 6.0], 1.0, math.nan, 2.0, 0), "noise_multiplier"),
+    (noisy_mean, ([4.0, 6.0], 1.0, math.inf, 2.0, 0), "noise_multiplier"),
+    (noisy_mean, ([4.0, 6.0], 1.0, 1.0, math.nan, 0), "expected_batch"),
+    (noisy_mean, ([4.0, 6.0], 1.0, 1.0, math.inf, 0), "expected_batch"),
+    (noisy_mean, ([4.0, 6.0], math.nan, 1.0, 2.0, 0), "clip_norm"),
+    (account, (0.4, math.nan, 90, 1e-5), "sigma"),
+    (account, (0.4, math.inf, 90, 1e-5), "sigma"),
+    (account, (0.4, 1.0, math.nan, 1e-5), "steps"),
+    (account, (0.4, 1.0, 2.5, 1e-5), "steps"),
+    (account, (0.4, 1.0, True, 1e-5), "steps"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_finite_or_fractional_arguments_fail_closed(fn, args, field):
+    # the rules PrivacyParams applies: a NaN, an infinity or a
+    # non-integer step count is refused with the argument named
+    with pytest.raises(AccountingError) as refused:
+        fn(*args)
+    assert refused.value.field == field
+
 
 class TestRdpSgm:
     def test_q_one_closed_form(self):

@@ -1,5 +1,6 @@
-"""Memory bounds of the CSV data path, measured with tracemalloc (numpy
-reports its array buffers to it) above what the test itself holds."""
+"""Memory bounds of the CSV data path, the pools' cross-pool check and
+one training call, measured with tracemalloc (numpy reports its array
+buffers to it) above what the test itself holds."""
 
 import math
 import tracemalloc
@@ -7,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mialab import dp, nn
 from mialab.dataio import Column, Rows, Schema, preprocess
 from mialab.experiments import biased_validation
 from mialab.rngs import as_generator
-from mialab.splits import attribute_bias_pools
+from mialab.splits import MixturePools, attribute_bias_pools
 
 N_ROWS = 6000
 LEVELS = 30
@@ -146,3 +148,30 @@ def test_adopted_arrays_are_read_only_and_own_no_caller_memory(mixed_dataset):
             if rows is not store:
                 assert not any(np.shares_memory(arr, c) for c in callers), name
     assert not any(np.shares_memory(store.X, c) for c in (X, y, attribute))
+
+
+def test_pools_check_peaks_under_two_and_a_half_key_arrays():
+    rng = np.random.default_rng(4)
+    pools = tuple(Rows(rng.normal(size=(1000, 100)), rng.integers(2, size=1000))
+                  for _ in range(2))
+    keys = sum(p.X.nbytes + p.y.nbytes for p in pools)  # every row's key, 1.62 MB
+    _, peak, _ = traced(MixturePools, pools)
+    assert peak <= 2.5 * keys, f"peak {peak / keys:.2f}x all keys"
+
+
+@pytest.mark.parametrize("private", [False, True])
+def test_training_call_peaks_at_its_buffers(private):
+    # the paper's 2x256 net on 100 features: Adam's parameters, moments,
+    # gradient and work buffer, and one block of row buffers; no step
+    # allocates a parameter-sized array
+    dims, n = (100, 256, 256, 2), 500
+    rng = np.random.default_rng(6)
+    members = Rows(rng.normal(size=(n, dims[0])), rng.integers(2, size=n))
+    init = nn.init_model(dims, 1)
+    cfg = nn.TrainConfig(epochs=2, batch_size=100, seed=2)
+    privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.1) if private else None
+    rows = nn._poisson_width(n, nn.sampling_rate(n, cfg)) if private else cfg.batch_size
+    row_floats = dims[0] + 1 + 2 * sum(dims[1:]) + sum(dims[1:-1])
+    buffers = 8 * (5 * init.n_params + rows * row_floats)
+    _, peak, _ = traced(nn.train_replicas, [init], [members], [cfg], privacy)
+    assert peak <= 1.05 * buffers, f"peak {peak / buffers:.3f}x the buffers"

@@ -188,7 +188,8 @@ class TestPerExampleGrad:
 def ghost_norms(model, X, y, l2):
     weights, acts, deltas = nn._errors(model, X, y)
     products = [a @ W for a, W in zip(acts, weights)]
-    return nn._ghost_norms(weights, acts, products, deltas, l2)[0]
+    scratch = [np.empty_like(W) for W in weights]
+    return nn._ghost_norms(weights, acts, products, deltas, l2, scratch)[0]
 
 
 class TestGhostClipping:
@@ -202,7 +203,8 @@ class TestGhostClipping:
         clipped = np.empty((1, model.n_params))
         grad_views = nn._layer_views(clipped, model.layer_dims)
         nn._grad_sum(weights, acts, [d * scale[None, :, None] for d in deltas],
-                     l2 * scale.sum() if l2 else None, None, *grad_views)
+                     l2 * scale.sum() if l2 else None, None, *grad_views,
+                     [np.empty_like(W) for W in weights])
         return norms, clipped[0]
 
     @pytest.mark.parametrize("batch", [0, 1, 64, 65, 200])

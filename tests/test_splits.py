@@ -308,6 +308,11 @@ class TestMixturePoolsInvariants:
         with pytest.raises(SplitError, match="share"):
             MixturePools(pools=(Rows([[1.0]], [0]), Rows([[1.0]], [0])))
 
+    def test_names_the_two_pools_that_share_a_sample(self):
+        pools = (Rows([[1.0], [3.0]], [0, 0]), Rows([[2.0]], [1]), Rows([[0.5], [3.0]], [1, 0]))
+        with pytest.raises(SplitError, match="^pools 0 and 2 share a sample$"):
+            MixturePools(pools=pools)
+
     def test_k_member_range(self):
         pools = (Rows([[1.0]], [0]), Rows([[2.0]], [1]))
         with pytest.raises(SplitError, match="out of range"):
