@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .errors import MialabError
+from .errors import MialabError, _refused
 
 _EXP_CAP = 700.0  # exp() overflows just above this; beyond it treat e^eps as inf
 
 
 def _check_rates(epsilon: float, delta: float) -> None:
     if epsilon < 0 or math.isnan(epsilon):
-        raise MialabError(f"epsilon must be >= 0, got {epsilon}")
+        raise _refused("epsilon", f"must be >= 0, got {epsilon}")
     if not 0 <= delta <= 1:
-        raise MialabError(f"delta must be in [0, 1], got {delta}")
+        raise _refused("delta", f"must be in [0, 1], got {delta}")
 
 
 def bound_yeom(epsilon: float) -> float:

@@ -8,6 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (with a phase tag), 2 invalid
 config or argument (with the field named).
+
+The CLI only parses its arguments: account and bounds report a value the
+library refuses at its flag (--steps, epsilons[2]).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, config, dp, experiments
-from .errors import ConfigError, MialabError
+from .errors import ConfigError, MialabError, _at_paths
 
 RESULT_COLUMNS = tuple(f.name for f in fields(experiments.CampaignRow))
 SUMMARY_COLUMNS = tuple(f.name for f in fields(experiments.Aggregate))
@@ -35,6 +38,10 @@ TRACE_COLUMNS = (
     "sample_id", "truth", "loss", "decision", "attack_name",
 )
 GAME_COLUMNS = ("experiment", "repetition", "epsilon", "success")
+
+# The flag of each field a library refusal names; {} is the epsilon's position.
+_BOUNDS_FLAGS = {"epsilon": "epsilons[{}]", "delta": "--delta"}
+_ACCOUNT_FLAGS = {"q": "--q", "sigma": "--sigma", "steps": "--steps", "delta": "--delta"}
 
 FINITE_POOL_CAVEAT = (
     "members and non-members are drawn without replacement from finite pools; "
@@ -152,40 +159,27 @@ def cmd_run(args, phases: _Phases) -> int:
 
 
 def cmd_bounds(args, phases: _Phases) -> int:
-    eps_values = []
+    # All rows come before the header, so a refused value leaves stdout empty.
+    rows = []
     for i, token in enumerate(args.epsilons.split(",")):
-        token = token.strip()
         try:
-            eps = math.inf if token.lower() in ("inf", "infinity") else float(token)
+            eps = float(token)
         except ValueError:
-            raise ConfigError(f"epsilons[{i}]", f"not a number: {token!r}") from None
-        if eps < 0 or math.isnan(eps):
-            raise ConfigError(f"epsilons[{i}]", f"epsilon must be >= 0, got {eps}")
-        eps_values.append(eps)
-    if not 0 <= args.delta <= 1:
-        raise ConfigError("--delta", f"must be in [0, 1], got {args.delta}")
+            raise ConfigError(f"epsilons[{i}]", f"not a number: {token.strip()!r}") from None
+        with _at_paths(_BOUNDS_FLAGS, i):
+            rows += [(eps, "new", bounds.bound_new(eps, args.delta)),
+                     (eps, "erlingsson", bounds.bound_erlingsson(eps, args.delta)),
+                     (eps, "yeom", bounds.bound_yeom(eps))]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epsilon", "delta", "bound_name", "value"])
-    for eps in eps_values:
-        writer.writerow([_cell(float(eps)), _cell(args.delta), "new",
-                         _cell(bounds.bound_new(eps, args.delta))])
-        writer.writerow([_cell(float(eps)), _cell(args.delta), "erlingsson",
-                         _cell(bounds.bound_erlingsson(eps, args.delta))])
-        writer.writerow([_cell(float(eps)), _cell(args.delta), "yeom",
-                         _cell(bounds.bound_yeom(eps))])
+    for eps, name, value in rows:
+        writer.writerow([_cell(eps), _cell(args.delta), name, _cell(value)])
     return 0
 
 
 def cmd_account(args, phases: _Phases) -> int:
-    for flag, ok, want in (
-        ("--q", 0 < args.q <= 1, "in (0, 1]"),
-        ("--sigma", 0 < args.sigma < math.inf, "finite and > 0"),
-        ("--steps", args.steps >= 1, ">= 1"),
-        ("--delta", 0 < args.delta < 1, "in (0, 1)"),
-    ):
-        if not ok:
-            raise ConfigError(flag, f"must be {want}, got {getattr(args, flag[2:])}")
-    result = dp.account(args.q, args.sigma, args.steps, args.delta)
+    with _at_paths(_ACCOUNT_FLAGS):
+        result = dp.account(args.q, args.sigma, args.steps, args.delta)
     print(json.dumps({"epsilon": result.epsilon, "order": result.order}))
     return 0
 

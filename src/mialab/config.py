@@ -2,17 +2,17 @@
 and materialization into datasets and pools.
 
 The dataclasses a config fills (TrainConfig, ExperimentConfig,
-GaussianComponent, MixturePools) and halfspace_label own their value
-rules; resolve and materialize re-raise a refusal as a ConfigError at the
-field's config path. Unknown keys are rejected with the offending field
-path so a typo in an epsilon grid or attack list cannot silently change an
-experiment. resolve builds a synthetic mixture's components and label rule
+GaussianComponent, MixturePools), halfspace_label and mixture_samples own
+their value rules, and config only types the JSON: resolve and
+materialize re-raise a refusal as a ConfigError at the field's config
+path. Unknown keys are rejected with the offending field path so a typo
+in an epsilon grid or attack list cannot silently change an experiment.
+resolve builds a synthetic mixture's components and label rule
 once, and materialize draws from those.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -21,17 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import experiments, nn
+from . import experiments, nn, synthetic
 from .dataio import Rows, Schema, load_csv, preprocess
-from .errors import ConfigError, MialabError
+from .errors import ConfigError, _at_paths
+from .experiments import GAME_KINDS
 from .splits import MixturePools, attribute_bias_pools, cluster_split, source_split
 from .synthetic import GaussianComponent, halfspace_label, mixture_dataset, synthetic_mixture
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = ("batch_mm", "iid", "mm", "alt", "strong")
-GAME_KINDS = ("iid", "mm", "alt", "strong")
-SPLIT_KINDS = ("cluster", "attribute_bias", "source", "mixture")
+EXPERIMENT_KINDS = ("batch_mm", *GAME_KINDS)
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, math.inf)
 
@@ -60,6 +59,7 @@ _SPLIT_KEYS = {
     "source": {"kind", "member_value", "k_member"},
     "mixture": {"kind", "k_member"},
 }
+SPLIT_KINDS = tuple(_SPLIT_KEYS)
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -106,10 +106,11 @@ def parse_epsilon(value, field: str) -> float:
     return _as_number(value, field, allow_inf=True)
 
 
-# The config path of each dataclass field that resolve fills, and of
-# halfspace_label's arguments. A refusal names its field, plus an index or
-# subfield (adam_betas[0], train.batch_size); resolve re-raises it as a
-# ConfigError at the path, {} a component's index.
+# The config path of each dataclass field that resolve fills, and of the
+# arguments of halfspace_label and mixture_samples. A refusal names its
+# field, plus an index or subfield (adam_betas[0], train.batch_size);
+# resolve and materialize re-raise it as a ConfigError at the path, {} a
+# component's index.
 _CONFIG_PATHS = {
     nn.TrainConfig: {
         "epochs": "train.epochs", "batch_size": "train.batch_size",
@@ -125,21 +126,10 @@ _CONFIG_PATHS = {
     GaussianComponent: {f: f"data.components[{{}}].{f}" for f in ("mean", "cov", "label")},
     halfspace_label: {"weights": "data.label_rule.weights", "bias": "data.label_rule.bias"},
     MixturePools: {"k_member": "split.k_member"},
+    synthetic.mixture_samples: {
+        "n_per_component": "data.n_per_component", "components": "data.components",
+    },
 }
-
-
-@contextlib.contextmanager
-def _config_paths(cls, index=None):
-    """Re-raise a value that cls (a dataclass, or halfspace_label) refuses
-    as a ConfigError at its config path."""
-    try:
-        yield
-    except MialabError as exc:
-        if exc.field is None:
-            raise
-        name = exc.field.split("[")[0].split(".")[0]
-        path = _CONFIG_PATHS[cls][name].format(index) + exc.field[len(name):]
-        raise ConfigError(path, exc.args[0]) from exc
 
 
 def epsilon_json(eps: float):
@@ -183,7 +173,7 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
         raise ConfigError("train.adam_betas", f"expected two numbers, got {betas!r}")
     betas = [_as_number(b, f"train.adam_betas[{i}]") for i, b in enumerate(betas)]
     adam_eps = _as_number(block.get("adam_epsilon", 1e-8), "train.adam_epsilon")
-    with _config_paths(nn.TrainConfig):
+    with _at_paths(_CONFIG_PATHS[nn.TrainConfig]):
         tc = nn.TrainConfig(
             epochs=epochs,
             batch_size=batch_size,
@@ -235,7 +225,7 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
             if len(mean) != len(comps[0]["mean"]):
                 raise ConfigError(f"data.components[{i}].mean", f"expected {len(comps[0]['mean'])}"
                                   f" entries, as in components[0], got {len(mean)}")
-        _as_int(_need(data, "n_per_component", "data"), "data.n_per_component", 1)
+        _as_int(_need(data, "n_per_component", "data"), "data.n_per_component")
         if "label_rule" in data:
             rule = data["label_rule"]
             _check_keys(rule, _LABEL_RULE_KEYS, "data.label_rule")
@@ -248,13 +238,6 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
                     "data.label_rule.weights", f"expected a list of {dim} numbers, got {weights!r}"
                 )
             label_rule = _label_rule(rule)
-        else:
-            missing = [i for i, c in enumerate(comps) if "label" not in c]
-            if missing:
-                raise ConfigError(
-                    f"data.components[{missing[0]}].label",
-                    "required when no label_rule is given",
-                )
     else:
         raise ConfigError("data.kind", f"unknown kind {kind!r}")
     return data, tuple(components), label_rule
@@ -323,7 +306,7 @@ def resolve(
     _check_keys(privacy_block, _PRIVACY_KEYS, "privacy")
     clip_norm = _as_number(privacy_block.get("clip_norm", 1.0), "privacy.clip_norm")
     train_cfg, hidden_units, train_canonical = _resolve_train(doc, profile)
-    with _config_paths(experiments.ExperimentConfig):
+    with _at_paths(_CONFIG_PATHS[experiments.ExperimentConfig]):
         cfg = experiments.ExperimentConfig(
             n_members=n_members,
             n_nonmembers=n_nonmembers,
@@ -410,7 +393,7 @@ def load_config(path: "str | Path") -> dict:
 def _component(spec: dict, i: int) -> GaussianComponent:
     """Component i of a synthetic_mixture data block; a value it refuses
     raises a ConfigError at its config path."""
-    with _config_paths(GaussianComponent, i):
+    with _at_paths(_CONFIG_PATHS[GaussianComponent], i):
         return GaussianComponent(
             mean=tuple(float(v) for v in spec["mean"]),
             cov=spec.get("cov", 1.0),
@@ -421,7 +404,7 @@ def _component(spec: dict, i: int) -> GaussianComponent:
 def _label_rule(spec: dict) -> Callable:
     """The halfspace rule of a label_rule block; a weight or bias it
     refuses raises a ConfigError at its config path."""
-    with _config_paths(halfspace_label):
+    with _at_paths(_CONFIG_PATHS[halfspace_label]):
         return halfspace_label(spec["weights"], spec.get("bias", 0.0))
 
 
@@ -450,10 +433,11 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
     else:
         mixture = (resolved.components, data_spec["n_per_component"], cfg.seed,
                    resolved.label_rule)
-        if kind == "mixture":
-            pools = synthetic_mixture(*mixture)
-        else:
-            dataset = mixture_dataset(*mixture)
+        with _at_paths(_CONFIG_PATHS[synthetic.mixture_samples]):
+            if kind == "mixture":
+                pools = synthetic_mixture(*mixture)
+            else:
+                dataset = mixture_dataset(*mixture)
     if kind in ("source", "attribute_bias"):
         column = dataset.schema.split_attribute_column
         if column is None:
@@ -474,7 +458,7 @@ def materialize(resolved: ResolvedConfig) -> Materialized:
             cfg.n_members,
         )
     if "k_member" in split_spec:
-        with _config_paths(MixturePools):
+        with _at_paths(_CONFIG_PATHS[MixturePools]):
             pools = pools.with_member(split_spec["k_member"])
     union = dataset.samples if dataset is not None else pools.flatten()
     return Materialized(pools=pools, union_pool=union)

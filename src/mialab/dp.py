@@ -182,9 +182,10 @@ def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float,
     if not 0 < sigma < math.inf:
         raise _refused("sigma", f"must be finite and > 0, got {sigma}", AccountingError)
     if 2.0 * sigma * sigma == 0.0:
-        raise AccountingError(f"sigma={sigma} is too small: 2 sigma^2 underflows to 0")
+        raise _refused("sigma", f"must be large enough that 2 sigma^2 > 0, got {sigma}, "
+                       "where 2 sigma^2 underflows to 0", AccountingError)
     if not 0 < q <= 1:
-        raise AccountingError(f"q must be in (0, 1], got {q}")
+        raise _refused("q", f"must be in (0, 1], got {q}", AccountingError)
     for order in orders:
         if order <= 1:
             raise AccountingError(f"order must be > 1, got {order}")
@@ -218,10 +219,9 @@ def account(q: float, sigma: float, steps: int, delta: float,
     if any(v < 0 for v in values):
         raise AccountingError("RDP values must be non-negative")
     if not 0 < delta < 1:
-        raise AccountingError(f"delta must be in (0, 1), got {delta}")
+        raise _refused("delta", f"must be in (0, 1), got {delta}", AccountingError)
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise _refused("steps", f"the number of steps must be an integer >= 1, got {steps!r}",
-                       AccountingError)
+        raise _refused("steps", f"must be an integer >= 1, got {steps!r}", AccountingError)
     log_inv_delta = math.log(1.0 / delta)
     best_eps, best_order = math.inf, float(orders[0])
     for order, value in zip(orders, values):

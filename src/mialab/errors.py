@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class MialabError(Exception):
     """Base class for all errors raised by this package.
@@ -37,6 +39,21 @@ def _refused(field, message, cls=MialabError):
     exc = cls(message)
     exc.field = field
     return exc
+
+
+@contextlib.contextmanager
+def _at_paths(paths, index=None):
+    """Re-raise a refusal whose field paths maps as a ConfigError at the
+    mapped config path or CLI flag, {} filled with index and the field's
+    own index or subfield (adam_betas[0], train.batch_size) kept; any other
+    error passes unchanged."""
+    try:
+        yield
+    except MialabError as exc:
+        name = exc.field and exc.field.split("[")[0].split(".")[0]
+        if name not in paths:
+            raise
+        raise ConfigError(paths[name].format(index) + exc.field[len(name):], exc.args[0]) from exc
 
 
 class SchemaError(MialabError):

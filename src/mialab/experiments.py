@@ -42,6 +42,7 @@ SCENARIO_DEPENDENT = "non-IID"
 SCENARIO_IID = "IID"
 
 KNOWN_ATTACKS = ("average_threshold", "optimal_threshold", "shadow")
+GAME_KINDS = ("iid", "mm", "alt", "strong")
 
 # Trainer: (members, seed) -> model. AttackBuilder: (model, members) ->
 # decide(rows), one decision bit per row.
@@ -157,10 +158,10 @@ def strong_challenge(pools: MixturePools, n: int, seed) -> tuple[Rows, Rows]:
 
 def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | None",
               union_pool: "Rows | None") -> list[int]:
-    """Play the named game ("iid", "alt", "mm" or "strong") cfg.repetitions
-    times at the grid's single epsilon; returns the success bit of each
-    round. iid and alt draw from union_pool, mm and strong from pools."""
-    if experiment not in ("iid", "alt", "mm", "strong"):
+    """Play the named game (one of GAME_KINDS) cfg.repetitions times at the
+    grid's single epsilon; returns the success bit of each round. iid and
+    alt draw from union_pool, mm and strong from pools."""
+    if experiment not in GAME_KINDS:
         raise MialabError(f"unknown game {experiment!r}")
     check_runnable(experiment, cfg)
     eps = cfg.epsilon_grid[0]

@@ -26,7 +26,6 @@ class BiasInfo:
     as indices into the dataset's rows, so that equally biased validation
     sets can be drawn later."""
 
-    attribute_value: str
     p: float
     rows: Rows
     reserve_with: np.ndarray
@@ -294,7 +293,7 @@ def attribute_bias_pools(
         k_member=0,
         labels_of_pools=(f"bias[{value}]={p}", "balanced"),
         shadow_reserve=rows[shadow] if shadow.size else None,
-        bias=BiasInfo(value, p, rows, left_w, left_wo),
+        bias=BiasInfo(p, rows, left_w, left_wo),
     )
 
 

@@ -104,16 +104,20 @@ def mixture_samples(
     label_rule: "Callable | None" = None,
 ) -> list[Rows]:
     """Draw n_per_component samples from every component, one Rows per
-    component; deterministic given the seed."""
+    component; deterministic given the seed. Refuses an n_per_component
+    that is not an integer >= 1, and a component without a label when no
+    label_rule is given, naming it (components[1].label)."""
     if not components:
         raise MialabError("need at least one mixture component")
-    if n_per_component < 1:
-        raise MialabError(f"n_per_component must be >= 1, got {n_per_component}")
+    if (isinstance(n_per_component, bool) or not isinstance(n_per_component, numbers.Integral)
+            or n_per_component < 1):
+        raise _refused("n_per_component", f"must be an integer >= 1, got {n_per_component!r}")
+    missing = [k for k, comp in enumerate(components) if comp.label is None]
+    if missing and label_rule is None:
+        raise _refused(f"components[{missing[0]}].label", "required when no label_rule is given")
     rng = as_generator(subseed(seed, 31) if isinstance(seed, (int, np.integer)) else seed)
     pools: list[Rows] = []
-    for k, comp in enumerate(components):
-        if comp.label is None and label_rule is None:
-            raise MialabError(f"component {k} has no label and no label rule was given")
+    for comp in components:
         mean = np.asarray(comp.mean, dtype=np.float64)
         cov = comp.covariance()
         draws = rng.multivariate_normal(mean, cov, size=n_per_component, method="svd")

@@ -40,6 +40,24 @@ class TestFormulas:
         with pytest.raises(MialabError):
             bound_new(1.0, -0.5)
 
+    @pytest.mark.parametrize("bound, args, field", [
+        (bound_new, (-0.1, 1e-5), "epsilon"),
+        (bound_new, (math.nan, 1e-5), "epsilon"),
+        (bound_new, (1.0, -0.5), "delta"),
+        (bound_new, (1.0, math.nan), "delta"),
+        (bound_erlingsson, (-0.1, 1e-5), "epsilon"),
+        (bound_erlingsson, (math.nan, 1e-5), "epsilon"),
+        (bound_erlingsson, (1.0, 1.5), "delta"),
+        (bound_erlingsson, (1.0, math.nan), "delta"),
+        (bound_yeom, (-0.1,), "epsilon"),
+        (bound_yeom, (math.nan,), "epsilon"),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_refusal_names_its_field(self, bound, args, field):
+        with pytest.raises(MialabError) as refused:
+            bound(*args)
+        assert refused.value.field == field
+        assert str(refused.value).startswith(f"{field}: must be ")
+
 
 class TestOrderingAndMonotonicity:
     def test_new_below_erlingsson_everywhere(self):

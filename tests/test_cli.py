@@ -54,6 +54,11 @@ def synthetic_doc(**overrides):
     return doc
 
 
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -81,8 +86,10 @@ class TestBoundsCommand:
         assert eps == [10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1]
 
     def test_bad_epsilon_exits_two(self, capsys):
-        code, _ = run_cli("bounds", "--epsilons", "1,-2")
-        assert code == 2
+        for epsilons in ("1,-2", "1,nan"):
+            code, out = run_cli("bounds", "--epsilons", epsilons)
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err.startswith("config error: epsilons[1]: must be >= 0")
 
     def test_bad_delta_exits_two_naming_the_flag(self, capsys):
         code, out = run_cli("bounds", "--epsilons", "1", "--delta", "2")
@@ -107,6 +114,15 @@ class TestAccountCommand:
         _, out2 = run_cli("account", "--q", "0.02", "--sigma", "4.0", "--steps", "100")
         assert json.loads(out2)["epsilon"] < json.loads(out1)["epsilon"]
 
+    def test_zero_steps_reach_the_accountant(self, capsys, monkeypatch):
+        calls = []
+        account = dp.account
+        monkeypatch.setattr(dp, "account", lambda *args: calls.append(args) or account(*args))
+        code, out = run_cli("account", "--q", "0.1", "--sigma", "1", "--steps", "0")
+        assert calls == [(0.1, 1.0, 0, 1e-5)]
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "config error: --steps: must be an integer >= 1, got 0\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--q", "2"), ("--q", "0"), ("--q", "nan"), ("--sigma", "-1"), ("--sigma", "0"),
         ("--sigma", "inf"), ("--steps", "0"), ("--delta", "3"), ("--delta", "0"),
@@ -125,7 +141,7 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
         assert code == 0
-        rows = list(csv.DictReader(open(out_dir / "results.csv")))
+        rows = read_csv(out_dir / "results.csv")
         assert len(rows) == 2 * 2 * 2 * 2  # reps x eps x attacks x scenarios
         header = (out_dir / "summary.csv").read_text().splitlines()[0]
         assert header == "epsilon,attack,scenario,mean_advantage,ci_half_width,repetitions"
@@ -353,6 +369,9 @@ class TestRunCommand:
             {"mean": [0.0, 0.0], "label": 0}, {"mean": [2.0, 2.0, 2.0], "label": 1}]}),
         ("data.path", {"kind": "csv", "path": 3, "schema": "s.json"}),
         ("data.schema", {"kind": "csv", "path": "d.csv", "schema": 3}),
+        ("data.n_per_component", {"n_per_component": 0}),
+        ("data.components[1].label", {"components": [
+            {"mean": [0.0, 0.0], "label": 0}, {"mean": [2.0, 2.0]}]}),
     ])
     def test_bad_data_field_exits_two_before_writing(self, tmp_path, capsys, field, data):
         doc = synthetic_doc()
@@ -473,7 +492,7 @@ class TestRunCommand:
         path = write_doc(tmp_path, doc)
         out_dir = tmp_path / "out"
         run_cli("run", "--config", str(path), "--out", str(out_dir))
-        row = next(csv.DictReader(open(out_dir / "results.csv")))
+        row = read_csv(out_dir / "results.csv")[0]
         sigma = float(row["sigma"])
         q = 40 / 40  # batch >= n, so the sampling rate caps at 1
         steps = 5
@@ -491,7 +510,7 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
         assert code == 0
-        rows = list(csv.DictReader(open(out_dir / "traces.csv")))
+        rows = read_csv(out_dir / "traces.csv")
         # 80 eval samples x 2 attacks x 2 scenarios
         assert len(rows) == 80 * 2 * 2
         assert {r["attack_name"] for r in rows} == {"average_threshold", "optimal_threshold"}
@@ -550,7 +569,7 @@ class TestRunCommand:
         out = tmp_path / "o"
         code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc)), "--out", str(out))
         assert code == 0
-        rows = list(csv.DictReader(open(out / "results.csv")))
+        rows = read_csv(out / "results.csv")
         assert len(rows) == 2 * 2 * 4 * 3  # reps x scenarios x eps x attacks, none skipped
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.PINNED_TRACED_CAMPAIGN}
@@ -565,7 +584,7 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
         assert code == 0
-        rows = list(csv.DictReader(open(out_dir / "games.csv")))
+        rows = read_csv(out_dir / "games.csv")
         assert len(rows) == 8
         assert set(r["success"] for r in rows) <= {"0", "1"}
         timings = json.loads((out_dir / "manifest.json").read_text())["timings_seconds"]
@@ -658,7 +677,7 @@ class TestCsvPipeline:
         out_dir = tmp_path / "out"
         code, _ = run_cli("run", "--config", str(csv_config), "--out", str(out_dir))
         assert code == 0
-        rows = list(csv.DictReader(open(out_dir / "results.csv")))
+        rows = read_csv(out_dir / "results.csv")
         assert len(rows) == 2 * 1 * 2 * 2
 
     def test_attribute_bias_builder_run(self, csv_config, tmp_path):
@@ -670,7 +689,7 @@ class TestCsvPipeline:
         out_dir = tmp_path / "out-bias"
         code, _ = run_cli("run", "--config", str(path), "--out", str(out_dir))
         assert code == 0
-        rows = list(csv.DictReader(open(out_dir / "results.csv")))
+        rows = read_csv(out_dir / "results.csv")
         dependent = [r for r in rows if r["scenario"] == "non-IID"]
         assert all(r["validation_acc"] != "" for r in dependent)
 
@@ -691,7 +710,7 @@ class TestCsvPipeline:
         serial = (tmp_path / "1" / "results.csv").read_bytes()
         rows = list(csv.DictReader(io.StringIO(serial.decode())))
         assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2
-        traces = list(csv.DictReader(open(tmp_path / "1" / "traces.csv")))
+        traces = read_csv(tmp_path / "1" / "traces.csv")
         assert {r["repetition"] for r in traces} == {"0", "1"}
 
     # sha256 of results.csv and summary.csv of the campaign below, captured
@@ -711,7 +730,7 @@ class TestCsvPipeline:
         code, _ = run_cli("run", "--config", str(write_doc(tmp_path, doc, "pinned.json")),
                           "--out", str(out))
         assert code == 0
-        rows = list(csv.DictReader(open(out / "results.csv")))
+        rows = read_csv(out / "results.csv")
         assert sum(r["attack"] == "shadow" for r in rows) == 2 * 2 * 2  # none skipped
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.PINNED_SHADOW_CAMPAIGN}

@@ -450,8 +450,18 @@ class TestSyntheticMixture:
             assert pool.y.tolist() == (pool.X[:, 0] > 0).astype(int).tolist()
 
     def test_nonpositive_count_errors(self):
-        with pytest.raises(MialabError):
-            mixture_samples([GaussianComponent(mean=(0.0,), label=0)], 0, seed=1)
+        for n in (0, -3, 2.5, True):
+            with pytest.raises(MialabError) as refused:
+                mixture_samples([GaussianComponent(mean=(0.0,), label=0)], n, seed=1)
+            assert refused.value.field == "n_per_component"
+            assert str(refused.value) == f"n_per_component: must be an integer >= 1, got {n!r}"
+
+    def test_component_without_label_or_rule_is_named(self):
+        comps = [GaussianComponent(mean=(0.0,), label=0), GaussianComponent(mean=(1.0,))]
+        with pytest.raises(MialabError) as refused:
+            mixture_samples(comps, 5, seed=1)
+        assert refused.value.field == "components[1].label"
+        assert str(refused.value).startswith("components[1].label: required ")
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"mean": (math.nan, 0.0), "label": 0}, "mean[0]"),

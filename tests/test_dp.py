@@ -339,15 +339,23 @@ class TestComposeAndConvert:
         with pytest.raises(AccountingError, match="empty"):
             account(0.02, 1.5, 100, 1e-5, orders=())
 
-    @pytest.mark.parametrize("args, message", [
-        ((0.02, 1.5, 100, 0.0), "delta must"),
-        ((0.02, 1.5, 100, 1.0), "delta must"),
-        ((0.02, 1.5, 0, 1e-5), "steps must"),
-        ((0.0, 1.5, 0, 0.0), "q must"),  # the mechanism's inputs are checked first
+    @pytest.mark.parametrize("args, field", [
+        ((0.02, 1.5, 100, 0.0), "delta"),
+        ((0.02, 1.5, 100, 1.0), "delta"),
+        ((0.02, 1.5, 0, 1e-5), "steps"),
+        ((0.0, 1.5, 0, 0.0), "q"),  # the mechanism's inputs are checked first
+        ((0.02, 1.5, 100, math.nan), "delta"),
+        ((1.5, 1.5, 100, 1e-5), "q"),
+        ((math.nan, 1.5, 100, 1e-5), "q"),
+        ((0.02, 0.0, 100, 1e-5), "sigma"),
+        ((0.02, math.nan, 100, 1e-5), "sigma"),
+        ((0.02, 1e-170, 100, 1e-5), "sigma"),
     ])
-    def test_bad_inputs_rejected(self, args, message):
-        with pytest.raises(AccountingError, match=message):
+    def test_bad_inputs_rejected(self, args, field):
+        with pytest.raises(AccountingError) as refused:
             account(*args)
+        assert refused.value.field == field
+        assert str(refused.value).startswith(f"{field}: must be ")
 
 
 class TestCalibrateSigma:

@@ -14,6 +14,7 @@ from mialab.errors import (
     ShadowPoolTooSmall,
     SplitError,
     TrainingDiverged,
+    _at_paths,
     _refused,
 )
 
@@ -56,3 +57,28 @@ def test_pickle_round_trip_keeps_type_message_and_attributes(name):
         # repr, so that a NaN value compares equal to itself
         assert repr(getattr(back, attr, None)) == repr(getattr(exc, attr, None)), attr
 
+
+
+@pytest.mark.parametrize("exc, paths, index, path", [
+    (_refused("components[1].label", "required"), {"components": "data.components"}, None,
+     "data.components[1].label"),
+    (_refused("adam_betas[0]", "must be in [0, 1)"), {"adam_betas": "train.adam_betas"}, None,
+     "train.adam_betas[0]"),
+    (_refused("epsilon", "must be >= 0, got -2.0"), {"epsilon": "epsilons[{}]"}, 3, "epsilons[3]"),
+])
+def test_at_paths_reraises_a_named_refusal_at_its_path(exc, paths, index, path):
+    with pytest.raises(ConfigError) as raised:
+        with _at_paths(paths, index):
+            raise exc
+    assert raised.value.field == path
+    assert raised.value.args == exc.args
+    assert raised.value.__cause__ is exc
+
+
+@pytest.mark.parametrize("exc", [SplitError("need at least 2 pools, got 1"),
+                                 _refused("order", "must be > 1", AccountingError)])
+def test_at_paths_passes_an_unnamed_or_unmapped_error(exc):
+    with pytest.raises(MialabError) as raised:
+        with _at_paths({"q": "--q"}):
+            raise exc
+    assert raised.value is exc
