@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MialabError, _refused
+from .errors import _refused
 
 _EXP_CAP = 700.0  # exp() overflows just above this; beyond it treat e^eps as inf
 
@@ -64,8 +64,9 @@ def tradeoff_feasible(tpr: float, fpr: float, epsilon: float, delta: float) -> b
         (1 - TPR) + e^eps * FPR >= 1 - delta
     """
     _check_rates(epsilon, delta)
-    if not (0 <= tpr <= 1 and 0 <= fpr <= 1):
-        raise MialabError(f"rates must be in [0, 1], got tpr={tpr}, fpr={fpr}")
+    for field, rate in (("tpr", tpr), ("fpr", fpr)):
+        if not 0 <= rate <= 1:  # NaN too
+            raise _refused(field, f"must be in [0, 1], got {rate}")
     lhs1 = fpr + _exp_times(epsilon, 1.0 - tpr)
     lhs2 = (1.0 - tpr) + _exp_times(epsilon, fpr)
     return lhs1 >= 1.0 - delta and lhs2 >= 1.0 - delta

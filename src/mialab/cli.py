@@ -24,6 +24,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -68,19 +69,27 @@ class _Phases:
 
 def _cell(value) -> str:
     """One CSV cell: floats in repr form; None and NaN (not applicable) empty."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
     if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+        return "" if math.isnan(value) else repr(float(value))
+    return "" if value is None else str(value)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
+    """The header, then one line per row of values in column order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def _trace_lines(traces):
+    """traces.csv's rows, in TRACE_COLUMNS order: one per evaluated sample
+    of each traced result row, made as it is written."""
+    for row, losses, outcome in traces:
+        head = (float(row.epsilon), row.attack, row.scenario, row.repetition)
+        samples = zip(outcome.truth.tolist(), losses.tolist(), outcome.decisions.tolist())
+        for i, sample in enumerate(samples):
+            yield (*head, i, *sample, row.attack)
 
 
 def cmd_run(args, phases: _Phases) -> int:
@@ -108,11 +117,13 @@ def cmd_run(args, phases: _Phases) -> int:
                 emit_traces=resolved.emit_traces,
             )
         with phases("write"):
-            _write_csv(out_dir / "results.csv", RESULT_COLUMNS, map(vars, result.rows))
-            _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, map(vars, result.aggregates))
+            _write_csv(out_dir / "results.csv", RESULT_COLUMNS,
+                       map(attrgetter(*RESULT_COLUMNS), result.rows))
+            _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS,
+                       map(attrgetter(*SUMMARY_COLUMNS), result.aggregates))
             artifacts += ["results.csv", "summary.csv"]
             if resolved.emit_traces:
-                _write_csv(out_dir / "traces.csv", TRACE_COLUMNS, result.traces)
+                _write_csv(out_dir / "traces.csv", TRACE_COLUMNS, _trace_lines(result.traces))
                 artifacts.append("traces.csv")
         notes.extend(result.notes)
         summary["noise"] = {
@@ -124,10 +135,7 @@ def cmd_run(args, phases: _Phases) -> int:
         with phases("games"):
             bits = experiments.run_games(resolved.experiment, cfg, mat.pools, mat.union_pool)
         eps = float(cfg.epsilon_grid[0])
-        rows = (
-            {"experiment": resolved.experiment, "repetition": g, "epsilon": eps, "success": bit}
-            for g, bit in enumerate(bits)
-        )
+        rows = ((resolved.experiment, g, eps, bit) for g, bit in enumerate(bits))
         with phases("write"):
             _write_csv(out_dir / "games.csv", GAME_COLUMNS, rows)
             artifacts.append("games.csv")

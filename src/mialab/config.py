@@ -222,9 +222,6 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
             for j, v in enumerate(mean):
                 _as_number(v, f"data.components[{i}].mean[{j}]")
             components.append(_component(comp, i))
-            if len(mean) != len(comps[0]["mean"]):
-                raise ConfigError(f"data.components[{i}].mean", f"expected {len(comps[0]['mean'])}"
-                                  f" entries, as in components[0], got {len(mean)}")
         _as_int(_need(data, "n_per_component", "data"), "data.n_per_component")
         if "label_rule" in data:
             rule = data["label_rule"]
@@ -327,19 +324,9 @@ def resolve(
             raise ConfigError("split", f"experiment {experiment!r} needs a split block")
         if split_spec is None:
             split_spec = {"kind": "mixture"}
-    if experiment in GAME_KINDS:
-        if attack_names != ["average_threshold"]:
-            raise ConfigError(
-                "attacks", f"game experiment {experiment!r} supports only ['average_threshold']"
-            )
-        if experiment in ("mm", "strong") and split_spec is not None and (
-            split_spec["kind"] == "attribute_bias"
-        ):
-            raise ConfigError(
-                "split.kind",
-                f"game experiment {experiment!r} needs fixed pools "
-                "(cluster, source, or mixture)",
-            )
+    if experiment in ("mm", "strong") and split_spec["kind"] == "attribute_bias":
+        raise ConfigError("split.kind", f"game experiment {experiment!r} needs fixed pools "
+                          "(cluster, source, or mixture)")
     emit_traces = doc.get("emit_traces", False)
     if not isinstance(emit_traces, bool):
         raise ConfigError("emit_traces", f"expected true/false, got {emit_traces!r}")

@@ -160,10 +160,14 @@ def run_games(experiment: str, cfg: ExperimentConfig, pools: "MixturePools | Non
               union_pool: "Rows | None") -> list[int]:
     """Play the named game (one of GAME_KINDS) cfg.repetitions times at the
     grid's single epsilon; returns the success bit of each round. iid and
-    alt draw from union_pool, mm and strong from pools."""
+    alt draw from union_pool, mm and strong from fixed pools."""
     if experiment not in GAME_KINDS:
         raise MialabError(f"unknown game {experiment!r}")
     check_runnable(experiment, cfg)
+    if experiment in ("iid", "alt") and union_pool is None:
+        raise MialabError(f"game {experiment!r} needs a union pool")
+    if experiment in ("mm", "strong") and not isinstance(pools, MixturePools):
+        raise MialabError(f"game {experiment!r} needs fixed pools (cluster, source or mixture)")
     eps = cfg.epsilon_grid[0]
     privacy = _privacy_for(cfg, eps, noise_for_grid(cfg)[eps][0])
     n_classes = _n_classes([union_pool] if experiment in ("iid", "alt") else pools.pools)
@@ -240,8 +244,9 @@ class ExperimentConfig:
 def check_runnable(experiment: str, cfg: ExperimentConfig) -> None:
     """The rules an experiment kind adds to cfg's own: a batch_mm
     campaign's batch fits in its member set, and a game runs at one
-    epsilon. batch_mm_campaign and run_games check them on entry, and
-    config.resolve before a run writes anything."""
+    epsilon with the average-threshold attack. batch_mm_campaign and
+    run_games check them on entry, and config.resolve before a run writes
+    anything."""
     if experiment == "batch_mm":
         if cfg.train.batch_size > cfg.n_members:
             raise _refused("train.batch_size", f"{cfg.train.batch_size} exceeds n_members "
@@ -249,6 +254,9 @@ def check_runnable(experiment: str, cfg: ExperimentConfig) -> None:
     elif len(cfg.epsilon_grid) != 1:
         raise _refused("epsilon_grid", f"game experiment {experiment!r} needs exactly one "
                        f"epsilon, got {len(cfg.epsilon_grid)}")
+    elif cfg.attack_names != ("average_threshold",):
+        raise _refused("attack_names", f"must be ['average_threshold'] for game experiment "
+                       f"{experiment!r}, got {list(cfg.attack_names)}")
 
 
 @dataclass(frozen=True)
@@ -279,10 +287,14 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class CampaignResult:
+    """With emit_traces, traces holds one (row, losses, outcome) entry per
+    result row: the cell's loss per evaluated sample, members first (one
+    array shared by the cell's attacks), and the row's AttackOutcome."""
+
     rows: tuple[CampaignRow, ...]
     noise: dict
     notes: tuple[str, ...] = ()
-    traces: tuple[dict, ...] = ()
+    traces: "tuple[tuple[CampaignRow, np.ndarray, attacks.AttackOutcome], ...]" = ()
 
     @functools.cached_property
     def aggregates(self) -> tuple[Aggregate, ...]:
@@ -412,7 +424,8 @@ def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
     """One repetition's cells, one per (scenario, epsilon), in three steps:
     (a) train every cell's models, (b) score each target on its members and
     non-members, and (c) let each attack turn the scores into decisions,
-    from which the cell's result rows and trace rows follow."""
+    from which the cell's result rows, and with emit_traces their traces,
+    follow."""
     pools = repetition_pools(cfg, pools, rep)
     n, m = cfg.n_members, cfg.n_nonmembers
     base = draw(pools, n, m, subseed(cfg.seed, 2, rep),
@@ -432,7 +445,7 @@ def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
     models, ensembles, notes = _train_cells(cfg, cells, dims, noise, rep)
     truth = np.concatenate([np.full(n, attacks.MEMBER), np.full(m, attacks.NONMEMBER)])
     rows: list[CampaignRow] = []
-    traces: list[dict] = []
+    traces = []
     for (_, scenario, d, _, eps), model, ensemble in zip(cells, models, ensembles):
         member_losses, member_acc = _score(model, d.members)
         nonmember_losses, nonmember_acc = _score(model, d.nonmembers)
@@ -461,13 +474,7 @@ def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
                 validation_acc=validation_acc, sigma=sigma, realized_epsilon=realized,
             ))
             if emit_traces:
-                traces.extend(
-                    {"epsilon": float(eps), "attack": name, "scenario": scenario,
-                     "repetition": rep, "sample_id": i, "truth": int(truth[i]),
-                     "loss": float(losses[i]), "decision": int(decision),
-                     "attack_name": name}
-                    for i, decision in enumerate(outcome.decisions)
-                )
+                traces.append((rows[-1], losses, outcome))
     return rows, notes, traces
 
 
@@ -551,20 +558,18 @@ def batch_mm_campaign(
     once) or a callable from a seed to pools (attribute-bias pools are
     regenerated per repetition). Repetitions may run in parallel, on at
     most one worker process per repetition; results are identical
-    regardless of jobs. With emit_traces, the result also carries one
-    trace row per evaluated sample and attack.
+    regardless of jobs. With emit_traces, the result also carries each
+    result row's losses and decisions (CampaignResult.traces).
     """
     check_runnable("batch_mm", cfg)
     noise = noise_for_grid(cfg)
-    all_rows: list[CampaignRow] = []
     top_order = max(dp.DEFAULT_ORDERS)
-    all_notes = [
+    order_notes = [
         f"eps={eps}: RDP order {order} is the largest order accounted; "
         "a wider order grid may need less noise"
         for eps, (_, _, order) in noise.items()
         if order == top_order
     ]
-    all_traces: list[dict] = []
     args = (cfg, pools, noise)
     # A fork-started pool launches all its workers at the first submit, so
     # workers beyond the repetition count would only fork and idle.
@@ -580,13 +585,6 @@ def batch_mm_campaign(
             results = [f.result() for f in futures]
     else:
         results = [_run_repetition(*args, rep, emit_traces) for rep in range(cfg.repetitions)]
-    for rows, notes, traces in results:
-        all_rows.extend(rows)
-        all_notes.extend(notes)
-        all_traces.extend(traces)
-    return CampaignResult(
-        rows=tuple(all_rows),
-        noise=noise,
-        notes=tuple(all_notes),
-        traces=tuple(all_traces),
-    )
+    # Each repetition's rows, notes and traces, joined in repetition order.
+    rows, notes, traces = (tuple(x for part in parts for x in part) for parts in zip(*results))
+    return CampaignResult(rows=rows, noise=noise, notes=(*order_notes, *notes), traces=traces)

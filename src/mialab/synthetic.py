@@ -105,16 +105,21 @@ def mixture_samples(
 ) -> list[Rows]:
     """Draw n_per_component samples from every component, one Rows per
     component; deterministic given the seed. Refuses an n_per_component
-    that is not an integer >= 1, and a component without a label when no
-    label_rule is given, naming it (components[1].label)."""
+    that is not an integer >= 1, a component whose mean's length differs
+    from the first's, and one without a label when no label_rule is given,
+    naming it (components[1].mean, components[1].label)."""
     if not components:
         raise MialabError("need at least one mixture component")
     if (isinstance(n_per_component, bool) or not isinstance(n_per_component, numbers.Integral)
             or n_per_component < 1):
         raise _refused("n_per_component", f"must be an integer >= 1, got {n_per_component!r}")
-    missing = [k for k, comp in enumerate(components) if comp.label is None]
-    if missing and label_rule is None:
-        raise _refused(f"components[{missing[0]}].label", "required when no label_rule is given")
+    dim = len(components[0].mean)
+    for k, comp in enumerate(components):
+        if len(comp.mean) != dim:
+            raise _refused(f"components[{k}].mean", f"must have {dim} entries, as components[0] "
+                           f"does, got {len(comp.mean)}")
+        if comp.label is None and label_rule is None:
+            raise _refused(f"components[{k}].label", "required when no label_rule is given")
     rng = as_generator(subseed(seed, 31) if isinstance(seed, (int, np.integer)) else seed)
     pools: list[Rows] = []
     for comp in components:

@@ -51,6 +51,12 @@ class TestFormulas:
         (bound_erlingsson, (1.0, math.nan), "delta"),
         (bound_yeom, (-0.1,), "epsilon"),
         (bound_yeom, (math.nan,), "epsilon"),
+        (tradeoff_feasible, (1.5, 0.0, 1.0, 0.0), "tpr"),
+        (tradeoff_feasible, (-0.1, 0.0, 1.0, 0.0), "tpr"),
+        (tradeoff_feasible, (math.nan, 0.0, 1.0, 0.0), "tpr"),
+        (tradeoff_feasible, (0.5, 1.5, 1.0, 0.0), "fpr"),
+        (tradeoff_feasible, (0.5, -0.1, 1.0, 0.0), "fpr"),
+        (tradeoff_feasible, (0.5, math.nan, 1.0, 0.0), "fpr"),
     ], ids=lambda v: v.__name__ if callable(v) else None)
     def test_refusal_names_its_field(self, bound, args, field):
         with pytest.raises(MialabError) as refused:
@@ -114,5 +120,5 @@ class TestTradeoffRegion:
                             assert tpr - fpr <= cap + 1e-12
 
     def test_rates_validated(self):
-        with pytest.raises(MialabError, match="rates"):
+        with pytest.raises(MialabError, match=r"^tpr: must be in \[0, 1\], got 1.5$"):
             tradeoff_feasible(1.5, 0.0, 1.0, 0.0)

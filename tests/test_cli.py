@@ -426,6 +426,9 @@ class TestRunCommand:
          "train.batch_size: 41 exceeds n_members 40"),
         ({"experiment": "iid", "attacks": ["average_threshold"]},
          "epsilon_grid: game experiment 'iid' needs exactly one epsilon, got 2"),
+        ({"experiment": "strong", "epsilon_grid": [1.0], "attacks": ["optimal_threshold"]},
+         "attacks: must be ['average_threshold'] for game experiment 'strong', "
+         "got ['optimal_threshold']"),
     ])
     def test_entry_rule_exits_two_before_writing(self, tmp_path, capsys, overrides, named):
         path = write_doc(tmp_path, synthetic_doc(**overrides))

@@ -16,7 +16,9 @@ from mialab.dataio import (
     preprocess,
 )
 from mialab.errors import CsvParseError, MialabError, PreprocessError, SchemaError
-from mialab.synthetic import GaussianComponent, halfspace_label, mixture_samples, synthetic_mixture
+from mialab.synthetic import (
+    GaussianComponent, halfspace_label, mixture_dataset, mixture_samples, synthetic_mixture,
+)
 
 from conftest import make_raw, row_keys
 
@@ -462,6 +464,17 @@ class TestSyntheticMixture:
             mixture_samples(comps, 5, seed=1)
         assert refused.value.field == "components[1].label"
         assert str(refused.value).startswith("components[1].label: required ")
+
+    @pytest.mark.parametrize("draw", [mixture_samples, synthetic_mixture, mixture_dataset])
+    def test_components_of_another_dimension_are_named(self, draw):
+        comps = [GaussianComponent(mean=(0.0, 0.0), label=0),
+                 GaussianComponent(mean=(1.0, 1.0), label=1),
+                 GaussianComponent(mean=(2.0, 2.0, 2.0), label=1)]
+        with pytest.raises(MialabError) as refused:
+            draw(comps, 5, seed=1)
+        assert refused.value.field == "components[2].mean"
+        assert str(refused.value) == ("components[2].mean: must have 2 entries, as components[0] "
+                                      "does, got 3")
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"mean": (math.nan, 0.0), "label": 0}, "mean[0]"),

@@ -562,6 +562,47 @@ def test_entry_rules_name_their_field(blob_pools):
     assert refused.value.field == "epsilon_grid"
 
 
+@pytest.mark.parametrize("experiment", ["iid", "mm", "alt", "strong"])
+def test_games_refuse_other_attacks(blob_pools, experiment):
+    cfg = small_campaign_config(epsilon_grid=(1.0,), attack_names=("shadow",))
+    with pytest.raises(MialabError, match=r"^attack_names: must be \['average_threshold'\] "
+                       rf"for game experiment '{experiment}', got \['shadow'\]$") as refused:
+        run_games(experiment, cfg, blob_pools, blob_pools.flatten())
+    assert refused.value.field == "attack_names"
+
+
+@pytest.mark.parametrize("experiment, pools, union, message", [
+    ("mm", None, True, "needs fixed pools"),
+    ("strong", None, True, "needs fixed pools"),
+    ("mm", "per repetition", True, "needs fixed pools"),
+    ("strong", "per repetition", True, "needs fixed pools"),
+    ("iid", "fixed", False, "needs a union pool"),
+    ("alt", "fixed", False, "needs a union pool"),
+])
+def test_games_refuse_missing_pools(blob_pools, experiment, pools, union, message):
+    cfg = small_campaign_config(epsilon_grid=(1.0,), attack_names=("average_threshold",))
+    pools = {None: None, "fixed": blob_pools, "per repetition": lambda seed: blob_pools}[pools]
+    with pytest.raises(MialabError, match=f"^game '{experiment}' {message}"):
+        run_games(experiment, cfg, pools, blob_pools.flatten() if union else None)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_traces_hold_each_rows_arrays(blob_pools, jobs):
+    cfg = small_campaign_config(train=nn.TrainConfig(epochs=2, batch_size=60, seed=0))
+    assert batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs).traces == ()
+    result = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs, emit_traces=True)
+    assert len(result.traces) == len(result.rows) == 2 * 2 * 2 * 2
+    for row, (traced_row, losses, outcome) in zip(result.rows, result.traces):
+        assert traced_row is row
+        assert losses.shape == outcome.decisions.shape == outcome.truth.shape == (120,)
+        assert outcome.advantage == row.advantage
+    # a cell's two attacks share its loss vector
+    for average, optimal in zip(result.traces[::2], result.traces[1::2]):
+        assert (average[0].attack, optimal[0].attack) == ("average_threshold",
+                                                           "optimal_threshold")
+        assert average[1] is optimal[1]
+
+
 def train_alone(inits, member_sets, cfgs, privacy=None):
     """nn.train_replicas, each replica trained on its own."""
     privacies = list(privacy) if isinstance(privacy, (list, tuple)) else [privacy] * len(inits)
@@ -585,7 +626,14 @@ def test_grouped_cells_match_cells_trained_alone(monkeypatch, blob_pools, jobs):
     one_by_one = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs, emit_traces=True)
     assert len(grouped.rows) == 2 * 2 * 4 * 3  # reps x scenarios x eps x attacks
     assert grouped.rows == one_by_one.rows
-    assert grouped.traces == one_by_one.traces
+    assert len(grouped.traces) == len(one_by_one.traces) == len(grouped.rows)
+    for (row, losses, outcome), (row_alone, losses_alone, outcome_alone) in zip(
+        grouped.traces, one_by_one.traces
+    ):
+        assert row == row_alone
+        np.testing.assert_array_equal(losses, losses_alone)
+        np.testing.assert_array_equal(outcome.decisions, outcome_alone.decisions)
+        np.testing.assert_array_equal(outcome.truth, outcome_alone.truth)
     assert grouped.notes == one_by_one.notes
     if jobs == 1:
         # each scenario's three private targets, then the two non-private ones

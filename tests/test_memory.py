@@ -1,6 +1,7 @@
-"""Memory bounds of the CSV data path, the pools' cross-pool check and
-one training call, measured with tracemalloc (numpy reports its array
-buffers to it) above what the test itself holds."""
+"""Memory bounds of the CSV data path, the pools' cross-pool check, one
+training call and a traced campaign's result, measured with tracemalloc
+(numpy reports its array buffers to it) above what the test itself
+holds."""
 
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 from mialab import dp, nn
 from mialab.dataio import Column, Rows, Schema, preprocess
-from mialab.experiments import biased_validation
+from mialab.experiments import ExperimentConfig, batch_mm_campaign, biased_validation
 from mialab.rngs import as_generator
 from mialab.splits import MixturePools, attribute_bias_pools
 
@@ -175,3 +176,20 @@ def test_training_call_peaks_at_its_buffers(private):
     buffers = 8 * (5 * init.n_params + rows * row_floats)
     _, peak, _ = traced(nn.train_replicas, [init], [members], [cfg], privacy)
     assert peak <= 1.05 * buffers, f"peak {peak / buffers:.3f}x the buffers"
+
+
+def test_traced_campaign_keeps_arrays_not_per_sample_objects(blob_pools):
+    # Each traced result row holds its decisions and truth and shares its
+    # cell's losses with the cell's other attack: a few 8-byte numbers per
+    # evaluated sample, and no Python object per sample.
+    cfg = ExperimentConfig(
+        n_members=150, n_nonmembers=150, epsilon_grid=(1.0, math.inf),
+        train=nn.TrainConfig(epochs=2, batch_size=150, seed=0), hidden_units=(8,),
+        repetitions=2, seed=77,
+    )
+    batch_mm_campaign(cfg, blob_pools)  # fills what the first call caches
+    _, _, untraced = traced(batch_mm_campaign, cfg, blob_pools)
+    result, _, kept = traced(batch_mm_campaign, cfg, blob_pools, 1, True)
+    samples_by_rows = 8 * (cfg.n_members + cfg.n_nonmembers) * len(result.rows)
+    assert kept - untraced <= 3 * samples_by_rows, (
+        f"traces kept {(kept - untraced) / samples_by_rows:.1f}x 8 bytes per sample and row")

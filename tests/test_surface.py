@@ -2,10 +2,13 @@
 edit PUBLIC_NAMES here, and README.md and CHANGES.md with it."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import mialab
+from mialab import experiments, nn
 
 PUBLIC_NAMES = [
     # dataio
@@ -40,9 +43,10 @@ def test_public_names_are_exactly_the_listed_ones():
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
-    # perfbench/traced_cli.py wraps these functions by name; one that is gone
-    # or renamed would fail every traced benchmark run. The tracer is read,
-    # not imported, since importing it starts its clock and imports the CLI.
+    # perfbench/traced_cli.py wraps these functions by name and reads some of
+    # their arguments and results; one that is gone or renamed would fail
+    # every traced benchmark run. The tracer is read, not imported, since
+    # importing it starts its clock and imports the CLI.
     source = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
     (targets,) = [
@@ -55,3 +59,23 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         assert module.startswith("mialab."), module
         value = getattr(importlib.import_module(module), attribute, None)
         assert callable(value), f"{module}.{attribute}"
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # _train_info reads nn.train's arguments: bound.arguments["cfg"],
+    # bound.arguments.get("privacy")
+    arguments = {
+        node.args[0].value if isinstance(node, ast.Call) else node.slice.value
+        for node in ast.walk(functions["_train_info"])
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "bound.arguments"
+        or isinstance(node, ast.Call) and ast.unparse(node.func) == "bound.arguments.get"
+    }
+    assert arguments == {"members", "cfg", "privacy"}
+    assert arguments <= set(inspect.signature(nn.train).parameters)
+    # _cells_info reads the campaign result's rows and three fields of each
+    attributes = {
+        (ast.unparse(node.value), node.attr) for node in ast.walk(functions["_cells_info"])
+        if isinstance(node, ast.Attribute)
+    }
+    assert attributes == {("out", "rows"), ("r", "repetition"), ("r", "scenario"), ("r", "epsilon")}
+    owners = {"out": experiments.CampaignResult, "r": experiments.CampaignRow}
+    for owner, attribute in attributes:
+        assert attribute in {f.name for f in dataclasses.fields(owners[owner])}, attribute
