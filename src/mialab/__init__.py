@@ -11,7 +11,6 @@ games whose challenge is a row of a pool and the batch campaign
 __version__ = "0.1.0"  # the one version source; pyproject.toml reads it
 
 from .attacks import (
-    AttackOutcome,
     ShadowEnsemble,
     advantage,
     average_threshold,

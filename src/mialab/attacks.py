@@ -1,9 +1,11 @@
 """Black-box membership attacks and the advantage metric.
 
-Bit conventions, used everywhere: decision 0 claims "member", 1 claims
-"non-member"; truth 0 marks an actual member. TPR is the member-claim rate
-on true members, FPR the member-claim rate on true non-members, and the
-advantage is TPR - FPR.
+Each attack returns one decision per row it is given, whatever the row
+set; advantage alone scores decisions against the truth. Bit conventions,
+used everywhere: decision 0 claims "member", 1 claims "non-member"; truth
+0 marks an actual member. TPR is the member-claim rate on true members,
+FPR the member-claim rate on true non-members, and the advantage is
+TPR - FPR.
 """
 
 from __future__ import annotations
@@ -42,41 +44,23 @@ def advantage(decisions, truth) -> tuple[float, float, float]:
     return float(tpr), float(fpr), float(tpr - fpr)
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
-    decisions: np.ndarray
-    truth: np.ndarray
-    tpr: float
-    fpr: float
-    advantage: float
-
-    @classmethod
-    def from_decisions(cls, decisions, truth) -> "AttackOutcome":
-        d = np.asarray(decisions, dtype=np.int64)
-        t = np.asarray(truth, dtype=np.int64)
-        tpr, fpr, adv = advantage(d, t)
-        return cls(decisions=d, truth=t, tpr=tpr, fpr=fpr, advantage=adv)
-
-
 def threshold_decisions(losses, tau: float) -> np.ndarray:
     """Claim member exactly when loss < tau (ties go to non-member)."""
     losses = np.asarray(losses, dtype=np.float64)
     return np.where(losses < tau, MEMBER, NONMEMBER)
 
 
-def average_threshold(train_losses, eval_losses, truth) -> AttackOutcome:
-    """Threshold attack using the mean training loss as the decision
-    threshold on the evaluation losses."""
+def average_threshold(train_losses, eval_losses) -> np.ndarray:
+    """Threshold attack: one decision per evaluation loss, with the mean
+    training loss as the threshold."""
     if len(train_losses) == 0:
         raise MialabError("average_threshold needs at least one training loss")
-    tau = float(np.mean(train_losses))
-    return AttackOutcome.from_decisions(threshold_decisions(eval_losses, tau), truth)
+    return threshold_decisions(eval_losses, float(np.mean(train_losses)))
 
 
-def optimal_threshold(
-    member_losses, nonmember_losses
-) -> tuple[float, AttackOutcome]:
-    """Threshold attack with the advantage-maximizing threshold.
+def optimal_threshold(member_losses, nonmember_losses) -> float:
+    """The threshold that maximizes the advantage on these very losses (in
+    sample); threshold_decisions applies it.
 
     Sweeps midpoints between consecutive distinct pooled losses (the upper
     loss where the two are adjacent floats) plus both infinities; among
@@ -98,10 +82,7 @@ def optimal_threshold(
     fpr = np.searchsorted(nm_sorted, candidates, side="left") / nm.size
     adv = tpr - fpr
     best = int(np.argmax(adv))  # argmax returns the first (smallest) maximizer
-    tau = float(candidates[best])
-    losses = np.concatenate([m, nm])
-    truth = np.concatenate([np.full(m.size, MEMBER), np.full(nm.size, NONMEMBER)])
-    return tau, AttackOutcome.from_decisions(threshold_decisions(losses, tau), truth)
+    return float(candidates[best])
 
 
 @dataclass(frozen=True)
@@ -188,11 +169,10 @@ def shadow_attack(
     ensemble: ShadowEnsemble,
     target_model: nn.MlpModel,
     rows: Rows,
-    truth,
-) -> AttackOutcome:
-    """Query the target's probability vector for each row, route it to the
-    attack model of the row's class (or the pooled fallback), and claim
-    member when the member score exceeds 0.5."""
+) -> np.ndarray:
+    """One decision per row: query the target's probability vector for the
+    row, route it to the attack model of the row's class (or the pooled
+    fallback), and claim member when the member score exceeds 0.5."""
     probs = nn.forward(target_model, rows.X)
     decisions = np.empty(len(rows), dtype=np.int64)
     for c in distinct(rows.y):
@@ -201,7 +181,7 @@ def shadow_attack(
             raise MialabError(f"no attack model for class {int(c)} and no fallback")
         scores = nn.forward(attack_model, probs[rows.y == c])[:, MEMBER]
         decisions[rows.y == c] = np.where(scores > 0.5, MEMBER, NONMEMBER)
-    return AttackOutcome.from_decisions(decisions, truth)
+    return decisions
 
 
 def strong_loss_attack(model: nn.MlpModel, candidates: Rows) -> int:
@@ -214,12 +194,8 @@ def strong_loss_attack(model: nn.MlpModel, candidates: Rows) -> int:
 def average_threshold_decider(
     model: nn.MlpModel, members: Rows
 ) -> Callable[[Rows], np.ndarray]:
-    """Decision function for the membership games: one bit per row, member
-    exactly when the row's loss is below the mean training loss."""
-    tau = float(nn.loglosses(model, members).mean())
-
-    def decide(rows: Rows) -> np.ndarray:
-        return threshold_decisions(nn.loglosses(model, rows), tau)
-
-    return decide
+    """Decision function for the membership games: average_threshold of
+    the members' losses, one bit per row."""
+    member_losses = nn.loglosses(model, members)
+    return lambda rows: average_threshold(member_losses, nn.loglosses(model, rows))
 

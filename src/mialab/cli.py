@@ -85,9 +85,9 @@ def _write_csv(path: Path, columns, rows) -> None:
 def _trace_lines(traces):
     """traces.csv's rows, in TRACE_COLUMNS order: one per evaluated sample
     of each traced result row, made as it is written."""
-    for row, losses, outcome in traces:
+    for row, losses, truth, decisions in traces:
         head = (float(row.epsilon), row.attack, row.scenario, row.repetition)
-        samples = zip(outcome.truth.tolist(), losses.tolist(), outcome.decisions.tolist())
+        samples = zip(truth.tolist(), losses.tolist(), decisions.tolist())
         for i, sample in enumerate(samples):
             yield (*head, i, *sample, row.attack)
 

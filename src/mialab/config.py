@@ -222,7 +222,7 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
             for j, v in enumerate(mean):
                 _as_number(v, f"data.components[{i}].mean[{j}]")
             components.append(_component(comp, i))
-        _as_int(_need(data, "n_per_component", "data"), "data.n_per_component")
+        _need(data, "n_per_component", "data")
         if "label_rule" in data:
             rule = data["label_rule"]
             _check_keys(rule, _LABEL_RULE_KEYS, "data.label_rule")
@@ -261,8 +261,6 @@ def _validate_split(doc: dict, data_kind: str) -> "dict | None":
         _as_int(split["k"], "split.k", 2)
     elif kind == "mixture" and data_kind != "synthetic_mixture":
         raise ConfigError("split.kind", "'mixture' needs synthetic_mixture data")
-    if "k_member" in split:
-        _as_int(split["k_member"], "split.k_member")
     return split
 
 

@@ -254,7 +254,7 @@ def check_runnable(experiment: str, cfg: ExperimentConfig) -> None:
     elif len(cfg.epsilon_grid) != 1:
         raise _refused("epsilon_grid", f"game experiment {experiment!r} needs exactly one "
                        f"epsilon, got {len(cfg.epsilon_grid)}")
-    elif cfg.attack_names != ("average_threshold",):
+    elif tuple(cfg.attack_names) != ("average_threshold",):
         raise _refused("attack_names", f"must be ['average_threshold'] for game experiment "
                        f"{experiment!r}, got {list(cfg.attack_names)}")
 
@@ -287,14 +287,16 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """With emit_traces, traces holds one (row, losses, outcome) entry per
-    result row: the cell's loss per evaluated sample, members first (one
-    array shared by the cell's attacks), and the row's AttackOutcome."""
+    """With emit_traces, traces holds one (row, losses, truth, decisions)
+    entry per result row, one value per evaluated sample, members first:
+    the cell's losses (one array shared by the cell's attacks), the
+    repetition's truth (one array shared by its rows) and the attack's
+    decisions."""
 
     rows: tuple[CampaignRow, ...]
     noise: dict
     notes: tuple[str, ...] = ()
-    traces: "tuple[tuple[CampaignRow, np.ndarray, attacks.AttackOutcome], ...]" = ()
+    traces: "tuple[tuple[CampaignRow, np.ndarray, np.ndarray, np.ndarray], ...]" = ()
 
     @functools.cached_property
     def aggregates(self) -> tuple[Aggregate, ...]:
@@ -424,7 +426,8 @@ def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
     """One repetition's cells, one per (scenario, epsilon), in three steps:
     (a) train every cell's models, (b) score each target on its members and
     non-members, and (c) let each attack turn the scores into decisions,
-    from which the cell's result rows, and with emit_traces their traces,
+    which one advantage call per attack scores against the repetition's
+    truth; the cell's result rows, and with emit_traces their traces,
     follow."""
     pools = repetition_pools(cfg, pools, rep)
     n, m = cfg.n_members, cfg.n_nonmembers
@@ -456,25 +459,27 @@ def _run_repetition(cfg: ExperimentConfig, pools: "MixturePools | Callable",
         sigma, realized, _ = noise[eps]
         for name in cfg.attack_names:
             if name == "average_threshold":
-                outcome = attacks.average_threshold(member_losses, losses, truth)
+                decisions = attacks.average_threshold(member_losses, losses)
             elif name == "optimal_threshold":
-                outcome = attacks.optimal_threshold(member_losses, nonmember_losses)[1]
+                tau = attacks.optimal_threshold(member_losses, nonmember_losses)
+                decisions = attacks.threshold_decisions(losses, tau)
             elif ensemble is not None:
                 # The shadow attack queries the target on all rows at once,
                 # not on step (b)'s row sets: BLAS may round a row of a
                 # product differently when the product's row count changes.
                 rows_queried = Rows.concat([d.members, d.nonmembers])
-                outcome = attacks.shadow_attack(ensemble, model, rows_queried, truth)
+                decisions = attacks.shadow_attack(ensemble, model, rows_queried)
             else:
                 continue  # skipped; step (a) noted why
+            tpr, fpr, adv = attacks.advantage(decisions, truth)
             rows.append(CampaignRow(
                 epsilon=eps, attack=name, scenario=scenario, repetition=rep,
-                tpr=outcome.tpr, fpr=outcome.fpr, advantage=outcome.advantage,
+                tpr=tpr, fpr=fpr, advantage=adv,
                 member_acc=member_acc, nonmember_acc=nonmember_acc,
                 validation_acc=validation_acc, sigma=sigma, realized_epsilon=realized,
             ))
             if emit_traces:
-                traces.append((rows[-1], losses, outcome))
+                traces.append((rows[-1], losses, truth, decisions))
     return rows, notes, traces
 
 

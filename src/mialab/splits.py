@@ -43,6 +43,8 @@ class MixturePools:
     def __post_init__(self):
         if len(self.pools) < 2:
             raise SplitError(f"need at least 2 pools, got {len(self.pools)}")
+        if isinstance(self.k_member, bool) or not isinstance(self.k_member, (int, np.integer)):
+            raise _refused("k_member", f"must be an integer, got {self.k_member!r}", SplitError)
         if not 0 <= self.k_member < len(self.pools):
             raise _refused("k_member", f"{self.k_member} out of range for {len(self.pools)} pools",
                            SplitError)

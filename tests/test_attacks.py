@@ -7,7 +7,6 @@ from mialab import nn
 from mialab.attacks import (
     MEMBER,
     NONMEMBER,
-    AttackOutcome,
     advantage,
     average_threshold,
     average_threshold_decider,
@@ -75,41 +74,57 @@ class TestAverageThreshold:
         eval_losses = nn.loglosses(model, Rows([[8.0]] * 3 + [[-8.0]] * 3, [0] * 6))
         truth = [MEMBER] * 3 + [NONMEMBER] * 3
         train_losses = nn.loglosses(model, members)
-        outcome = average_threshold(train_losses, eval_losses, truth)
-        assert outcome.advantage == pytest.approx(0.0)  # tau = mean member loss, ties lose
+        decisions = average_threshold(train_losses, eval_losses)
+        assert advantage(decisions, truth)[2] == pytest.approx(0.0)  # tau = mean, ties lose
         # nudging the threshold above the member losses flips all members in
-        outcome2 = AttackOutcome.from_decisions(
-            threshold_decisions(eval_losses, float(train_losses.mean()) + 1e-6), truth
-        )
-        assert outcome2.advantage == pytest.approx(1.0)
+        nudged = threshold_decisions(eval_losses, float(train_losses.mean()) + 1e-6)
+        assert advantage(nudged, truth)[2] == pytest.approx(1.0)
 
     def test_mixed_losses(self):
         model = constant_model()
         train_losses = nn.loglosses(model, Rows([[4.0], [-4.0]], [0, 0]))  # small, large
         eval_losses = nn.loglosses(model, Rows([[4.0], [-4.0], [0.0]], [0, 0, 0]))
         truth = [MEMBER, MEMBER, NONMEMBER]
-        outcome = average_threshold(train_losses, eval_losses, truth)
+        decisions = average_threshold(train_losses, eval_losses)
         # tau ~ 2.0; losses ~ (0.0003, 4.02, 0.69) -> claims member, non, member
-        assert outcome.decisions.tolist() == [MEMBER, NONMEMBER, MEMBER]
-        assert outcome.tpr == 0.5 and outcome.fpr == 1.0
+        assert decisions.dtype == np.int64
+        assert decisions.tolist() == [MEMBER, NONMEMBER, MEMBER]
+        assert advantage(decisions, truth)[:2] == (0.5, 1.0)
+
+    def test_decides_rows_that_hold_only_non_members(self):
+        # a row set such as fresh member-pool rows the target never saw
+        # has one class of truth, which advantage refuses; the attack
+        # still decides each row
+        decisions = average_threshold([0.25, 0.75], [0.125, 0.75, 0.5, 1.0])  # tau 0.5
+        assert decisions.tolist() == [MEMBER, NONMEMBER, NONMEMBER, NONMEMBER]
+        with pytest.raises(MialabError, match="both"):
+            advantage(decisions, [NONMEMBER] * 4)
+
+
+def in_sample(m, nm) -> tuple[float, float]:
+    """optimal_threshold's tau and the advantage it scores on the losses it
+    was picked on."""
+    tau = optimal_threshold(m, nm)
+    decisions = threshold_decisions(np.concatenate([m, nm]), tau)
+    return tau, advantage(decisions, [MEMBER] * len(m) + [NONMEMBER] * len(nm))[2]
 
 
 class TestOptimalThreshold:
     def test_perfect_separation(self):
-        tau, outcome = optimal_threshold([0.1, 0.2], [0.8, 0.9])
-        assert outcome.advantage == 1.0
+        tau, adv = in_sample([0.1, 0.2], [0.8, 0.9])
+        assert adv == 1.0
         assert 0.2 < tau < 0.8
 
     def test_interleaved(self):
-        tau, outcome = optimal_threshold([0.1, 0.9], [0.2, 0.8])
-        assert outcome.advantage == pytest.approx(0.5)
+        tau, adv = in_sample([0.1, 0.9], [0.2, 0.8])
+        assert adv == pytest.approx(0.5)
 
     def test_identical_multisets_zero(self):
-        _, outcome = optimal_threshold([0.1, 0.5, 0.9], [0.1, 0.5, 0.9])
-        assert outcome.advantage == 0.0
+        _, adv = in_sample([0.1, 0.5, 0.9], [0.1, 0.5, 0.9])
+        assert adv == 0.0
 
     def test_ties_break_toward_smaller_threshold(self):
-        tau, outcome = optimal_threshold([0.0], [1.0])
+        tau = optimal_threshold([0.0], [1.0])
         # every tau in (0, 1] achieves advantage 1; the swept midpoints give 0.5
         assert tau == pytest.approx(0.5)
 
@@ -118,8 +133,8 @@ class TestOptimalThreshold:
     )
     def test_adjacent_floats_separate(self, lo, hi):
         # the midpoint of adjacent floats rounds onto the lower one
-        tau, outcome = optimal_threshold([lo], [hi])
-        assert outcome.advantage == 1.0
+        tau, adv = in_sample([lo], [hi])
+        assert adv == 1.0
         assert lo < tau <= hi
 
     @given(
@@ -130,9 +145,9 @@ class TestOptimalThreshold:
     @example(m=[1.0], nm=[float(np.nextafter(1.0, 2.0))])
     @example(m=[0.0], nm=[5e-324])
     def test_matches_brute_force(self, m, nm):
-        _, outcome = optimal_threshold(m, nm)
+        _, adv = in_sample(m, nm)
         _, best = brute_force_best_threshold(m, nm)
-        assert outcome.advantage == pytest.approx(best, abs=1e-12)
+        assert adv == pytest.approx(best, abs=1e-12)
 
     @given(
         m=st.lists(st.floats(min_value=0.01, max_value=5, allow_nan=False), min_size=2, max_size=30),
@@ -143,9 +158,9 @@ class TestOptimalThreshold:
         # Rounding can map two close floats to one log value (4.999999999999999
         # and 5.0 do); the invariance holds only where log stays one-to-one.
         assume(np.unique(np.log(m + nm)).size == np.unique(m + nm).size)
-        _, base = optimal_threshold(m, nm)
-        transformed = optimal_threshold(np.log(m).tolist(), np.log(nm).tolist())[1]
-        assert transformed.advantage == pytest.approx(base.advantage, abs=1e-12)
+        _, base = in_sample(m, nm)
+        _, transformed = in_sample(np.log(m).tolist(), np.log(nm).tolist())
+        assert transformed == pytest.approx(base, abs=1e-12)
 
     @given(
         losses=st.lists(
@@ -158,12 +173,11 @@ class TestOptimalThreshold:
         m, nm = losses[:half], losses[half:]
         if not m or not nm:
             return
-        _, optimal = optimal_threshold(m, nm)
-        tau = float(np.mean(m))
-        decisions = threshold_decisions(np.array(m + nm), tau)
+        _, optimal = in_sample(m, nm)
+        decisions = average_threshold(m, m + nm)
         truth = [MEMBER] * len(m) + [NONMEMBER] * len(nm)
         avg_adv = advantage(decisions, truth)[2]
-        assert optimal.advantage >= avg_adv - 1e-12
+        assert optimal >= avg_adv - 1e-12
 
 
 def shadow_setup(pool_size=240, seed=0):
@@ -261,11 +275,10 @@ class TestShadowEnsemble:
         for c in a.attack_models:
             assert np.array_equal(a.attack_models[c].flatten(), b.attack_models[c].flatten())
         eval_rows = Rows.concat([d.members, d.nonmembers])
-        truth = [MEMBER] * 60 + [NONMEMBER] * 60
         target = nn.init_model((2, 8, 2), seed=0)
-        oa = shadow_attack(a, target, eval_rows, truth)
-        ob = shadow_attack(b, target, eval_rows, truth)
-        assert oa.decisions.tolist() == ob.decisions.tolist()
+        da = shadow_attack(a, target, eval_rows)
+        db = shadow_attack(b, target, eval_rows)
+        assert da.tolist() == db.tolist()
 
     def test_half_score_everywhere_claims_nonmember(self):
         d = shadow_setup()
@@ -282,11 +295,11 @@ class TestShadowEnsemble:
             fallback_model=zero,
         )
         truth = [MEMBER] * 60 + [NONMEMBER] * 60
-        outcome = shadow_attack(
-            neutral, nn.init_model((2, 8, 2), 0), Rows.concat([d.members, d.nonmembers]), truth
+        decisions = shadow_attack(
+            neutral, nn.init_model((2, 8, 2), 0), Rows.concat([d.members, d.nonmembers])
         )
-        assert set(outcome.decisions.tolist()) == {NONMEMBER}
-        assert outcome.advantage == 0.0
+        assert set(decisions.tolist()) == {NONMEMBER}
+        assert advantage(decisions, truth)[2] == 0.0
 
     def test_perfectly_separating_attack_model(self):
         # target gives members prob ~1 on class 0 and non-members prob ~0;
@@ -304,8 +317,13 @@ class TestShadowEnsemble:
         rigged = replace(ensemble, attack_models={0: scorer}, fallback_model=scorer)
         rows = Rows([[5.0]] * 4 + [[-5.0]] * 4, [0] * 8)
         truth = [MEMBER] * 4 + [NONMEMBER] * 4
-        outcome = shadow_attack(rigged, target, rows, truth)
-        assert outcome.advantage == 1.0
+        decisions = shadow_attack(rigged, target, rows)
+        assert advantage(decisions, truth)[2] == 1.0
+        # the non-members alone, a set of one truth class: decided, not scored
+        fresh = shadow_attack(rigged, target, rows[4:])
+        assert fresh.tolist() == [NONMEMBER] * 4
+        with pytest.raises(MialabError, match="both"):
+            advantage(fresh, truth[4:])
 
     def test_unseen_class_routes_to_fallback(self):
         ensemble = train_shadow_ensemble(
@@ -320,8 +338,8 @@ class TestShadowEnsemble:
         rigged = replace(ensemble, attack_models={c: claims[NONMEMBER] for c in (0, 1)},
                          fallback_model=claims[MEMBER])
         rows = Rows([[0.5, 0.5], [0.1, 0.1], [2.0, 2.0], [0.3, 0.9]], [2, 0, 1, 2])
-        outcome = shadow_attack(rigged, nn.init_model((2, 8, 3), 0), rows, [0, 1, 0, 1])
-        assert outcome.decisions.tolist() == [MEMBER, NONMEMBER, NONMEMBER, MEMBER]
+        decisions = shadow_attack(rigged, nn.init_model((2, 8, 3), 0), rows)
+        assert decisions.tolist() == [MEMBER, NONMEMBER, NONMEMBER, MEMBER]
 
     def test_class_without_any_model_is_refused(self):
         ensemble = train_shadow_ensemble(
@@ -332,7 +350,7 @@ class TestShadowEnsemble:
         pruned = replace(ensemble, attack_models={0: ensemble.attack_models[0]})
         with pytest.raises(MialabError, match="class 1"):
             shadow_attack(pruned, nn.init_model((2, 8, 2), 0),
-                          Rows([[0.5, 0.5], [0.1, 0.1]], [1, 0]), [0, 1])
+                          Rows([[0.5, 0.5], [0.1, 0.1]], [1, 0]))
 
 
 class TestGameHelpers:

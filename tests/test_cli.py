@@ -331,6 +331,8 @@ class TestRunCommand:
         ({"kind": "cluster", "k_member": 2}, 2, "2 out of range for 2 pools"),
         ({"kind": "mixture", "k_member": -1}, 2, "-1 out of range for 2 pools"),
         ({"kind": "mixture", "k_member": 4}, 4, "4 out of range for 4 pools"),
+        ({"kind": "mixture", "k_member": 0.5}, 2, "must be an integer, got 0.5"),
+        ({"kind": "cluster", "k_member": True}, 2, "must be an integer, got True"),
     ])
     def test_k_member_out_of_range_exits_two_before_writing(
         self, tmp_path, capsys, split, n_components, message
@@ -372,6 +374,8 @@ class TestRunCommand:
         ("data.n_per_component", {"n_per_component": 0}),
         ("data.components[1].label", {"components": [
             {"mean": [0.0, 0.0], "label": 0}, {"mean": [2.0, 2.0]}]}),
+        ("data.n_per_component", {"n_per_component": 2.5}),
+        ("data.n_per_component", {"n_per_component": True}),
     ])
     def test_bad_data_field_exits_two_before_writing(self, tmp_path, capsys, field, data):
         doc = synthetic_doc()

@@ -1,6 +1,6 @@
 import concurrent.futures
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from mialab.experiments import (
     CampaignRow,
     ExperimentConfig,
     batch_mm_campaign,
+    check_runnable,
     exp_alt,
     exp_iid,
     exp_mm,
@@ -60,7 +61,7 @@ def optimal_vs_pool_builder(pool):
     attacker knows the sampling distribution)."""
 
     def build(model, members):
-        tau, _ = attacks.optimal_threshold(nn.loglosses(model, members), nn.loglosses(model, pool))
+        tau = attacks.optimal_threshold(nn.loglosses(model, members), nn.loglosses(model, pool))
         return lambda rows: attacks.threshold_decisions(nn.loglosses(model, rows), tau)
 
     return build
@@ -569,6 +570,10 @@ def test_games_refuse_other_attacks(blob_pools, experiment):
                        rf"for game experiment '{experiment}', got \['shadow'\]$") as refused:
         run_games(experiment, cfg, blob_pools, blob_pools.flatten())
     assert refused.value.field == "attack_names"
+    # a list names its attacks as the equal tuple does
+    check_runnable(experiment, replace(cfg, attack_names=["average_threshold"]))
+    with pytest.raises(MialabError, match=r"got \['shadow'\]$"):
+        check_runnable(experiment, replace(cfg, attack_names=["shadow"]))
 
 
 @pytest.mark.parametrize("experiment, pools, union, message", [
@@ -592,10 +597,15 @@ def test_traces_hold_each_rows_arrays(blob_pools, jobs):
     assert batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs).traces == ()
     result = batch_mm_campaign(cfg, pools=blob_pools, jobs=jobs, emit_traces=True)
     assert len(result.traces) == len(result.rows) == 2 * 2 * 2 * 2
-    for row, (traced_row, losses, outcome) in zip(result.rows, result.traces):
+    for row, (traced_row, losses, truth, decisions) in zip(result.rows, result.traces):
         assert traced_row is row
-        assert losses.shape == outcome.decisions.shape == outcome.truth.shape == (120,)
-        assert outcome.advantage == row.advantage
+        assert losses.shape == truth.shape == decisions.shape == (120,)
+        assert attacks.advantage(decisions, truth) == (row.tpr, row.fpr, row.advantage)
+    # a repetition's rows share its one truth array, members first
+    for rep in range(cfg.repetitions):
+        truths = {id(t) for row, _, t, _ in result.traces if row.repetition == rep}
+        assert len(truths) == 1
+    assert result.traces[0][2].tolist() == [attacks.MEMBER] * 60 + [attacks.NONMEMBER] * 60
     # a cell's two attacks share its loss vector
     for average, optimal in zip(result.traces[::2], result.traces[1::2]):
         assert (average[0].attack, optimal[0].attack) == ("average_threshold",
@@ -627,13 +637,10 @@ def test_grouped_cells_match_cells_trained_alone(monkeypatch, blob_pools, jobs):
     assert len(grouped.rows) == 2 * 2 * 4 * 3  # reps x scenarios x eps x attacks
     assert grouped.rows == one_by_one.rows
     assert len(grouped.traces) == len(one_by_one.traces) == len(grouped.rows)
-    for (row, losses, outcome), (row_alone, losses_alone, outcome_alone) in zip(
-        grouped.traces, one_by_one.traces
-    ):
+    for (row, *arrays), (row_alone, *arrays_alone) in zip(grouped.traces, one_by_one.traces):
         assert row == row_alone
-        np.testing.assert_array_equal(losses, losses_alone)
-        np.testing.assert_array_equal(outcome.decisions, outcome_alone.decisions)
-        np.testing.assert_array_equal(outcome.truth, outcome_alone.truth)
+        for array, array_alone in zip(arrays, arrays_alone):  # losses, truth, decisions
+            np.testing.assert_array_equal(array, array_alone)
     assert grouped.notes == one_by_one.notes
     if jobs == 1:
         # each scenario's three private targets, then the two non-private ones

@@ -317,6 +317,12 @@ class TestMixturePoolsInvariants:
         pools = (Rows([[1.0]], [0]), Rows([[2.0]], [1]))
         with pytest.raises(SplitError, match="out of range"):
             MixturePools(pools=pools, k_member=2)
+        for k_member in (0.5, True, "1"):
+            with pytest.raises(SplitError, match=f"^k_member: must be an integer, got "
+                               f"{k_member!r}$") as refused:
+                MixturePools(pools=pools, k_member=k_member)
+            assert refused.value.field == "k_member"
+        assert MixturePools(pools=pools, k_member=np.int64(1)).k_member == 1
 
     def test_with_member_flips_designation(self, blob_pools):
         flipped = blob_pools.with_member(1)

@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     # dp
     "AccountResult", "PrivacyParams", "account", "calibrate_sigma", "noisy_mean",
     # attacks and bounds
-    "AttackOutcome", "ShadowEnsemble", "advantage", "average_threshold", "optimal_threshold",
+    "ShadowEnsemble", "advantage", "average_threshold", "optimal_threshold",
     "shadow_attack", "train_shadow_ensemble",
     "bound_erlingsson", "bound_new", "bound_yeom", "tradeoff_feasible",
     # experiments
