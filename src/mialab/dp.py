@@ -83,8 +83,8 @@ class AccountResult:
 def noisy_mean(
     gradient_sum: np.ndarray,
     clip_norm: float,
-    noise_multiplier: float,
-    expected_batch: float,
+    noise_multiplier,
+    expected_batch,
     seed,
     out: "np.ndarray | None" = None,
 ) -> np.ndarray:
@@ -92,33 +92,56 @@ def noisy_mean(
     where gradient_sum is the sum of the batch's clipped gradients (zeros
     for an empty Poisson batch).
 
+    A 2-D gradient_sum is a stack of such sums, one per row, as a lockstep
+    trainer holds them; noise_multiplier, expected_batch and seed are then
+    sequences with one entry per row. Row r of the result is what the call
+    on row r's sum and entries returns, the rows draw from their own
+    generators in row order, and a refusal names the row's entry
+    (noise_multiplier[r]).
+
     The noise is z * noise_multiplier * clip_norm for standard normal draws
     z: what rng.normal(0, noise_multiplier * clip_norm) draws from the same
     stream positions, less its + 0.0, which can change only the sign of a
     zero. A zero noise multiplier draws nothing. The result is written into
     out when one is given, a float64 array of gradient_sum's shape that
     does not overlap it, and out is returned: a step then allocates
-    nothing."""
-    if not 0 <= noise_multiplier < math.inf:
-        raise _refused("noise_multiplier", f"must be finite and >= 0, got {noise_multiplier}",
-                       AccountingError)
-    if not 0 < expected_batch < math.inf:
-        raise _refused("expected_batch", f"must be finite and > 0, got {expected_batch}",
-                       AccountingError)
-    if noise_multiplier > 0 and not math.isfinite(clip_norm):
-        raise _refused("clip_norm", "must be finite when noise is added", AccountingError)
+    nothing parameter-sized."""
     total = np.asarray(gradient_sum, dtype=np.float64)
+    if total.ndim == 2:
+        sigmas, batches, seeds = (list(v) for v in (noise_multiplier, expected_batch, seed))
+        if not len(sigmas) == len(batches) == len(seeds) == len(total):
+            raise AccountingError(
+                f"need one noise multiplier, expected batch and seed per row of the "
+                f"{len(total)} sums, got {len(sigmas)}, {len(batches)} and {len(seeds)}")
+        indices = [f"[{r}]" for r in range(len(total))]
+    else:
+        sigmas, batches, seeds, indices = [noise_multiplier], [expected_batch], [seed], [""]
+    for sigma, batch, index in zip(sigmas, batches, indices):
+        if not 0 <= sigma < math.inf:
+            raise _refused(f"noise_multiplier{index}", f"must be finite and >= 0, got {sigma}",
+                           AccountingError)
+        if not 0 < batch < math.inf:
+            raise _refused(f"expected_batch{index}", f"must be finite and > 0, got {batch}",
+                           AccountingError)
+        if sigma > 0 and not math.isfinite(clip_norm):
+            raise _refused("clip_norm", "must be finite when noise is added", AccountingError)
     if out is None:
         out = np.empty_like(total)
     elif np.may_share_memory(out, total):
         raise AccountingError("out must not overlap gradient_sum")
-    if noise_multiplier > 0:
-        as_generator(seed).standard_normal(out=out)
-        out *= noise_multiplier * clip_norm
-        out += total
-        out /= expected_batch
-    else:
-        np.divide(total, expected_batch, out=out)
+    stack, sums = (out, total) if total.ndim == 2 else (out[None], total[None])
+    scales = np.empty(len(stack))
+    for r, (sigma, gen) in enumerate(zip(sigmas, seeds)):
+        if sigma > 0:
+            as_generator(gen).standard_normal(out=stack[r])
+            scales[r] = sigma * clip_norm
+        else:
+            # -0.0 + x is x, a zero's sign included, so the row is sum / batch
+            stack[r] = -0.0
+            scales[r] = 1.0
+    stack *= scales[:, None]
+    stack += sums
+    stack /= np.array(batches, dtype=np.float64)[:, None]
     return out
 
 
@@ -157,7 +180,7 @@ def _logsumexp(a: np.ndarray, starts: Sequence[int] = (0,)) -> np.ndarray:
     return out
 
 
-def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> dict[int, float]:
+def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> np.ndarray:
     """kappa(alpha) = log E[(mixture/base)^alpha] of the subsampled Gaussian
     with q < 1, for each integer alpha >= 2, by the binomial expansion
     sum_i C(alpha, i) q^i (1-q)^(alpha-i) exp((i^2 - i) / (2 sigma^2)).
@@ -173,12 +196,13 @@ def _log_moments(q: float, sigma: float, alphas: Sequence[int]) -> dict[int, flo
         + (alpha - i) * math.log1p(-q)
         + (i * i - i) / (2.0 * sigma * sigma)
     )
-    return dict(zip(alphas, _logsumexp(terms, starts).tolist()))
+    return _logsumexp(terms, starts)
 
 
-def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float, ...]:
+def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> np.ndarray:
     """Renyi divergence of one subsampled-Gaussian step at each order, from
-    one _log_moments pass over the integer orders they need."""
+    one _log_moments pass over the integer orders they need; every order's
+    value takes the arithmetic steps of the scalar formula."""
     if not 0 < sigma < math.inf:
         raise _refused("sigma", f"must be finite and > 0, got {sigma}", AccountingError)
     if 2.0 * sigma * sigma == 0.0:
@@ -186,49 +210,52 @@ def _rdp_values(q: float, sigma: float, orders: Sequence[float]) -> tuple[float,
                        "where 2 sigma^2 underflows to 0", AccountingError)
     if not 0 < q <= 1:
         raise _refused("q", f"must be in (0, 1], got {q}", AccountingError)
-    for order in orders:
-        if order <= 1:
-            raise AccountingError(f"order must be > 1, got {order}")
+    order = np.asarray(orders, dtype=np.float64)
+    refused = ~((1 < order) & (order < math.inf))
+    if refused.any():
+        raise AccountingError(f"order must be finite and > 1, got {order[refused][0]}")
     if q == 1.0:
-        return tuple(order / (2.0 * sigma * sigma) for order in orders)
+        return order / (2.0 * sigma * sigma)
+    if not order.size:
+        return order
     # An integer order needs kappa there; a fractional one needs kappa at
     # both neighbouring integers, where kappa(1) = 0.
-    floors = [math.floor(order) for order in orders]
-    needed = {lo for lo in floors if lo > 1}
-    needed.update(lo + 1 for lo, order in zip(floors, orders) if order != lo)
-    kappa = _log_moments(q, sigma, sorted(needed)) if needed else {}
-    values = []
-    for lo, order in zip(floors, orders):
-        if order == lo:
-            values.append(kappa[lo] / (order - 1.0))
-        else:
-            t = order - lo
-            kappa_lo = 0.0 if lo == 1 else kappa[lo]
-            values.append(((1.0 - t) * kappa_lo + t * kappa[lo + 1]) / (order - 1.0))
-    return tuple(values)
+    floor = np.floor(order)
+    fractional = order != floor
+    lo = floor.astype(np.int64)
+    needed = np.zeros(lo.max() + 2, dtype=bool)
+    needed[lo[lo > 1]] = True
+    needed[lo[fractional] + 1] = True
+    kappa = np.zeros(needed.size)
+    if needed.any():
+        kappa[needed] = _log_moments(q, sigma, np.flatnonzero(needed).tolist())
+    values = kappa[lo]
+    t = order[fractional] - floor[fractional]
+    values[fractional] = (1.0 - t) * values[fractional] + t * kappa[lo[fractional] + 1]
+    return values / (order - 1.0)
 
 
 def account(q: float, sigma: float, steps: int, delta: float,
             orders: Sequence[float] = DEFAULT_ORDERS) -> AccountResult:
     """Epsilon at delta after `steps` steps of the Poisson-subsampled Gaussian
     mechanism (rate q, noise multiplier sigma), and the order achieving it:
-    min over orders of steps * rdp(order) + log(1/delta) / (order - 1)."""
-    values = _rdp_values(q, sigma, orders)
-    if not values:
+    min over orders of steps * rdp(order) + log(1/delta) / (order - 1), the
+    first order in the grid on a tie."""
+    order = np.asarray(orders, dtype=np.float64)
+    values = _rdp_values(q, sigma, order)
+    if not values.size:
         raise AccountingError("empty RDP order grid")
-    if any(v < 0 for v in values):
+    if (values < 0).any():
         raise AccountingError("RDP values must be non-negative")
     if not 0 < delta < 1:
         raise _refused("delta", f"must be in (0, 1), got {delta}", AccountingError)
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise _refused("steps", f"must be an integer >= 1, got {steps!r}", AccountingError)
-    log_inv_delta = math.log(1.0 / delta)
-    best_eps, best_order = math.inf, float(orders[0])
-    for order, value in zip(orders, values):
-        eps = steps * value + log_inv_delta / (order - 1.0)
-        if eps < best_eps:
-            best_eps, best_order = eps, float(order)
-    return AccountResult(epsilon=best_eps, order=best_order)
+    eps = float(steps) * values + math.log(1.0 / delta) / (order - 1.0)
+    # a NaN never wins; with no finite epsilon the first order reports inf
+    eps = np.where(eps < math.inf, eps, math.inf)
+    best = int(np.argmin(eps))
+    return AccountResult(epsilon=float(eps[best]), order=float(order[best]))
 
 
 def calibrate_sigma(

@@ -116,9 +116,23 @@ def init_model(layer_dims: Sequence[int], seed) -> MlpModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, one pass per class column: the classes
+    are few, and a numpy loop along them would run once per row. Each
+    step rounds as the textbook form, max-shifted exp over its sum, does;
+    the one sum over the class axis keeps numpy's pairwise order for any
+    class count."""
+    columns = range(logits.shape[-1])
+    top = logits[..., 0].copy()
+    for c in columns[1:]:
+        np.maximum(top, logits[..., c], out=top)
+    e = np.empty(logits.shape)
+    for c in columns:
+        np.subtract(logits[..., c], top, out=e[..., c])
+    np.exp(e, out=e)
+    total = e.sum(axis=-1)
+    for c in columns:
+        e[..., c] /= total
+    return e
 
 
 def _one_replica_pass(model: MlpModel, X: np.ndarray) -> tuple:
@@ -408,9 +422,12 @@ def _forward_rows(weights: list, biases: list, X: np.ndarray, counts, bufs: list
     acts, products = [X], []
     for i, (W, b, (aw, out)) in enumerate(zip(weights, biases, bufs)):
         _products(acts[-1], W, counts, out=aw)
-        np.add(aw, b[:, None, :], out=out)
         if i < len(weights) - 1:
+            np.add(aw, b[:, None, :], out=out)
             np.maximum(out, 0.0, out=out)
+        else:  # the logits, one class column at a time
+            for c in range(out.shape[-1]):
+                np.add(aw[..., c], b[:, c, None], out=out[..., c])
         products.append(aw)
         acts.append(out)
     return acts[:-1], products, _softmax(acts[-1])
@@ -467,6 +484,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
 
     cfg, privacy = cfgs[0], privacies[0]
     dims = inits[0].layer_dims
+    classes = range(dims[-1])
     l2 = cfg.l2_coefficient
     steps = [training_steps(len(members), c) for members, c in zip(member_sets, cfgs)]
     # Most steps first, so that the replicas with steps left are a prefix.
@@ -481,6 +499,7 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
             privacy.warn_if_delta_large(n)
         rates = [sampling_rate(n, cfgs[r]) for n, r in zip(ns, order)]
         sigmas = [privacies[r].noise_multiplier for r in order]
+        batch_means = [q * n for q, n in zip(rates, ns)]
     rngs = [as_generator(cfgs[r].seed) for r in order]
     perms = [None] * R
     params = np.stack([inits[r].flatten() for r in order])
@@ -505,14 +524,15 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
         acts, products, probs = _forward_rows(
             weights, biases, Xb, counts, [[a[:live, :width] for a in bs] for bs in layer_bufs])
         errors = [d[:live, :width] for d in error_bufs]
-        # each row's true class, in the (rows, classes) view of probs
-        true_class = (np.arange(live * width), yb.ravel())
         losses = None
         if privacy is None or (loss_callback is not None and width):
+            # each row's true class, in the (rows, classes) view of probs
+            true_class = (np.arange(live * width), yb.ravel())
             p_true = probs.reshape(-1, dims[-1])[true_class].reshape(live, width)
             losses = _mean_losses(p_true, weights, l2, counts, scratch)
         delta = probs
-        delta.reshape(-1, dims[-1])[true_class] -= 1.0
+        for c in classes:
+            delta[..., c] -= yb == c
         if privacy is None:
             failed = {order[r]: TrainingDiverged(step, float(losses[r]))
                       for r in np.flatnonzero(~np.isfinite(losses))}
@@ -544,11 +564,13 @@ def _train_lockstep(inits, member_sets, cfgs, privacy, loss_callback=None) -> li
         if l2:
             scale_sums = np.array([scale[r, :k].sum() for r, k in enumerate(ks)])
             l2_factor = (l2 * scale_sums)[:, None, None]
-        for d in deltas:
+        for d in deltas[:-1]:
             d *= scale[:, :, None]
+        for c in classes:
+            delta[..., c] *= scale
         _grad_sum(weights, acts, deltas, l2_factor, counts, *grad_views, scratch)
-        for r in range(live):
-            dp.noisy_mean(grad[r], privacy.clip_norm, sigmas[r], rates[r] * ns[r], rngs[r], temp[r])
+        dp.noisy_mean(grad[:live], privacy.clip_norm, sigmas[:live], batch_means[:live],
+                      rngs[:live], temp[:live])
 
     live = 0
     for step in range(steps[0]):

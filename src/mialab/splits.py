@@ -10,8 +10,9 @@ re-partitions a draw to destroy the dependency between the two sides.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +44,21 @@ class MixturePools:
     def __post_init__(self):
         if len(self.pools) < 2:
             raise SplitError(f"need at least 2 pools, got {len(self.pools)}")
+        self._check_member()
+        self._check_disjoint()
+
+    def _check_member(self) -> None:
         if isinstance(self.k_member, bool) or not isinstance(self.k_member, (int, np.integer)):
             raise _refused("k_member", f"must be an integer, got {self.k_member!r}", SplitError)
         if not 0 <= self.k_member < len(self.pools):
             raise _refused("k_member", f"{self.k_member} out of range for {len(self.pools)} pools",
                            SplitError)
-        # A row may repeat inside a pool (zero-variance components) but not
-        # across pools: after per-pool dedup every key must be unique. One
-        # array of all keys is sorted in place and compared with itself
-        # shifted; the pools are searched only for a key that repeats.
+
+    def _check_disjoint(self) -> None:
+        """A row may repeat inside a pool (zero-variance components) but not
+        across pools: after per-pool dedup every key must be unique. One
+        array of all keys is sorted in place and compared with itself
+        shifted; the pools are searched only for a key that repeats."""
         merged = np.concatenate([pool.keys() for pool in self.pools])
         merged.sort()
         shared = np.flatnonzero(merged[1:] == merged[:-1])
@@ -68,7 +75,12 @@ class MixturePools:
         return tuple(len(p) for p in self.pools)
 
     def with_member(self, k_member: int) -> "MixturePools":
-        return replace(self, k_member=k_member)
+        """These pools with pool k_member as the member pool. Only k_member
+        is checked: the pools, found disjoint when built, do not change."""
+        pools = copy.copy(self)
+        object.__setattr__(pools, "k_member", k_member)
+        pools._check_member()
+        return pools
 
     def flatten(self) -> Rows:
         return Rows.concat(self.pools)

@@ -157,6 +157,56 @@ class TestNoisyMean:
         assert out.tobytes() == np.array([1.0, -0.0]).tobytes()
         assert gen.bit_generator.state == state
 
+    @pytest.mark.parametrize("clip_norm, sigmas", [
+        (0.5, [2.36, 0.0, 616.4, 0.5]),
+        (math.inf, [0.0, 0.0]),  # the non-private form
+    ])
+    def test_stacked_rows_are_the_one_row_calls(self, clip_norm, sigmas):
+        # row 1 is an empty Poisson batch's sum, with -0 entries
+        n_params = 1_218
+        total = np.random.default_rng(4).normal(size=(len(sigmas), n_params))
+        total[1] = np.where(np.arange(n_params) % 2, 0.0, -0.0)
+        batches = [79.2, 3.0, 200.0, 0.4][: len(sigmas)]
+
+        def gens():
+            return [np.random.default_rng(10 + r) for r in range(len(sigmas))]
+
+        stacked, alone = gens(), gens()
+        out = np.full_like(total, np.nan)
+        assert noisy_mean(total, clip_norm, sigmas, batches, stacked, out) is out
+        for r, gen in enumerate(alone):
+            expected = noisy_mean(total[r], clip_norm, sigmas[r], batches[r], gen)
+            assert out[r].tobytes() == expected.tobytes()
+            assert stacked[r].bit_generator.state == gen.bit_generator.state
+        assert noisy_mean(total, clip_norm, sigmas, batches, gens()).tobytes() == out.tobytes()
+
+    def test_rows_draw_in_row_order(self):
+        total = np.ones((3, 5))
+        shared, alone = np.random.default_rng(2), np.random.default_rng(2)
+        out = noisy_mean(total, 1.0, [1.0, 2.0, 3.0], [2.0] * 3, [shared] * 3)
+        expected = [noisy_mean(total[r], 1.0, r + 1.0, 2.0, alone) for r in range(3)]
+        assert out.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("sigmas, batches, clip_norm, field", [
+        ([1.0, math.nan], [2.0, 2.0], 1.0, "noise_multiplier[1]"),
+        ([math.inf, 1.0], [2.0, 2.0], 1.0, "noise_multiplier[0]"),
+        ([1.0, 1.0], [2.0, math.inf], 1.0, "expected_batch[1]"),
+        ([1.0, 1.0], [0.0, 2.0], 1.0, "expected_batch[0]"),
+        ([0.0, 1.0], [2.0, 2.0], math.inf, "clip_norm"),
+    ])
+    def test_stacked_refusals_name_the_row(self, sigmas, batches, clip_norm, field):
+        # every row is checked before any row draws
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        states = [gen.bit_generator.state for gen in gens]
+        with pytest.raises(AccountingError) as refused:
+            noisy_mean(np.zeros((2, 3)), clip_norm, sigmas, batches, gens)
+        assert refused.value.field == field
+        assert [gen.bit_generator.state for gen in gens] == states
+
+    def test_stacked_call_needs_one_entry_per_row(self):
+        with pytest.raises(AccountingError, match="one noise multiplier"):
+            noisy_mean(np.zeros((2, 3)), 1.0, [1.0], [2.0, 2.0], [0, 1])
+
     def test_refuses_a_buffer_that_overlaps_the_sum(self):
         buf = np.zeros(4)
         with pytest.raises(AccountingError, match="overlap"):
@@ -249,7 +299,7 @@ class TestOnePassAccountant:
         orders = DEFAULT_ORDERS + CUSTOM_ORDERS
         for q, sigma in _oracle_grid():
             mine = dp._rdp_values(q, sigma, orders)
-            assert mine == tuple(_oracle_rdp(q, sigma, a) for a in orders), (q, sigma)
+            assert mine.tolist() == [_oracle_rdp(q, sigma, a) for a in orders], (q, sigma)
 
     def test_rdp_sgm_bitwise_equals_oracle(self):
         for q, sigma in _oracle_grid()[::3]:

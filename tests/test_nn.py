@@ -110,6 +110,23 @@ class TestForward:
         _, acts = reference_forward_states(model, X)
         assert np.array_equal(forward(model, X), reference_softmax(acts[-1]))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_softmax_matches_the_reference_on_padded_views(self, data):
+        # The trainer's logits are [:live, :width] views of (R, rows, C)
+        # buffers. A few distinct values make ties; the padding is NaN.
+        R, rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        C = data.draw(st.integers(2, 40))
+        live, width = data.draw(st.integers(1, R)), data.draw(st.integers(0, rows))
+        values = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 300.0, -300.0]),
+                                               st.floats(-300, 300)), min_size=1, max_size=6))
+        picks = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
+            len(values), size=(live, width, C))
+        buf = np.full((R, rows, C), np.nan)
+        buf[:live, :width] = np.array(values)[picks]
+        view = buf[:live, :width]
+        assert nn._softmax(view).tobytes() == reference_softmax(view).tobytes()
+
 
 class TestLogloss:
     def test_certain_prediction_zero_loss(self):
@@ -240,7 +257,7 @@ class TestGhostClipping:
         noisy_mean = dp.noisy_mean
 
         def recording(gradient_sum, *args):
-            sums.append(np.array(gradient_sum))
+            sums.extend(np.array(gradient_sum))  # one row per live replica
             return noisy_mean(gradient_sum, *args)
 
         monkeypatch.setattr(nn.dp, "noisy_mean", recording)
@@ -468,7 +485,7 @@ class TestTrainReplicas:
         noisy_mean = dp.noisy_mean
 
         def recording(gradient_sum, *args):
-            sums.append(not np.any(gradient_sum))
+            sums.extend(not np.any(row) for row in gradient_sum)
             return noisy_mean(gradient_sum, *args)
 
         monkeypatch.setattr(nn.dp, "noisy_mean", recording)
@@ -490,7 +507,7 @@ class TestTrainReplicas:
         noisy_mean = dp.noisy_mean
 
         def recording(gradient_sum, clip_norm, sigma, *args):
-            sigmas.append(sigma)
+            sigmas.extend(sigma)  # one per live replica
             return noisy_mean(gradient_sum, clip_norm, sigma, *args)
 
         monkeypatch.setattr(nn.dp, "noisy_mean", recording)
@@ -499,6 +516,30 @@ class TestTrainReplicas:
         assert sigmas[: len(grid)] == [p.noise_multiplier for p in privacy]
         monkeypatch.setattr(nn.dp, "noisy_mean", noisy_mean)
         self.assert_matches_oracle(*args, privacy)
+
+    @pytest.mark.parametrize("dp_on", [False, True], ids=["plain", "dp"])
+    @pytest.mark.parametrize("classes", [3, 9])
+    def test_group_with_more_classes(self, classes, dp_on):
+        # 3 and 9 classes lie on both sides of the 8 terms from which numpy
+        # sums a softmax row pairwise; batches of 15 from 60, 45 and 52 rows
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.1, clip_norm=0.5)
+        args = self.group((4, 16, classes), [60, 45, 52], TrainConfig(epochs=2, batch_size=15))
+        self.assert_matches_oracle(*args, privacy if dp_on else None)
+
+    def test_a_dp_step_noises_its_live_replicas_in_one_call(self, monkeypatch):
+        rows = []
+        noisy_mean = dp.noisy_mean
+
+        def recording(gradient_sum, *args):
+            rows.append(len(gradient_sum))
+            return noisy_mean(gradient_sum, *args)
+
+        monkeypatch.setattr(nn.dp, "noisy_mean", recording)
+        privacy = dp.PrivacyParams(epsilon=1.0, noise_multiplier=1.1, clip_norm=0.5)
+        # 3, 2 and 1 steps
+        args = self.group((3, 8, 2), [30, 20, 10], TrainConfig(epochs=1, batch_size=10))
+        nn.train_replicas(*args, privacy)
+        assert rows == [3, 2, 1]
 
     def test_dp_group_that_outgrows_its_row_buffers(self, monkeypatch):
         # A Poisson batch at rate 1/100 gets a 6-row buffer. Seed 7 was found

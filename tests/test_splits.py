@@ -1,10 +1,13 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mialab import config
 from mialab.dataio import Rows
 from mialab.errors import SplitError
 from mialab.splits import (
@@ -19,6 +22,8 @@ from mialab.splits import (
 from mialab.synthetic import GaussianComponent, mixture_dataset
 
 from conftest import row_keys, samples_from_array
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def brute_force_two_partition_sse(points):
@@ -328,3 +333,16 @@ class TestMixturePoolsInvariants:
         flipped = blob_pools.with_member(1)
         assert flipped.k_member == 1
         assert flipped.pools == blob_pools.pools
+
+    def test_pools_are_checked_for_overlap_once(self, monkeypatch):
+        # config.materialize builds the cluster demo's pools and then picks
+        # split.k_member: the second step checks k_member alone
+        checks = []
+        check = MixturePools._check_disjoint
+        monkeypatch.setattr(MixturePools, "_check_disjoint",
+                            lambda pools: checks.append(pools) or check(pools))
+        doc = json.loads((CONFIGS / "cluster_amplification.json").read_text(encoding="utf-8"))
+        doc["split"]["k_member"] = 1
+        pools = config.materialize(config.resolve(doc)).pools
+        assert pools.k_member == 1 and len(checks) == 1
+        assert checks[0].pools == pools.pools and checks[0].k_member == 0
