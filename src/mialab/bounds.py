@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 
-from .errors import _refused
+from .errors import _number, _refused
 
 _EXP_CAP = 700.0  # exp() overflows just above this; beyond it treat e^eps as inf
 
 
 def _check_rates(epsilon: float, delta: float) -> None:
-    if epsilon < 0 or math.isnan(epsilon):
+    if not _number("epsilon", epsilon) >= 0:  # NaN too
         raise _refused("epsilon", f"must be >= 0, got {epsilon}")
-    if not 0 <= delta <= 1:
+    if not 0 <= _number("delta", delta) <= 1:
         raise _refused("delta", f"must be in [0, 1], got {delta}")
 
 
@@ -65,7 +65,7 @@ def tradeoff_feasible(tpr: float, fpr: float, epsilon: float, delta: float) -> b
     """
     _check_rates(epsilon, delta)
     for field, rate in (("tpr", tpr), ("fpr", fpr)):
-        if not 0 <= rate <= 1:  # NaN too
+        if not 0 <= _number(field, rate) <= 1:  # NaN too
             raise _refused(field, f"must be in [0, 1], got {rate}")
     lhs1 = fpr + _exp_times(epsilon, 1.0 - tpr)
     lhs2 = (1.0 - tpr) + _exp_times(epsilon, fpr)

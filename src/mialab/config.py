@@ -1,14 +1,14 @@
-"""JSON experiment configs: typing, default resolution, stable digests,
-and materialization into datasets and pools.
+"""JSON experiment configs: shape checks, default resolution, stable
+digests, and materialization into datasets and pools.
 
 The dataclasses a config fills (TrainConfig, ExperimentConfig,
 GaussianComponent, MixturePools), halfspace_label and mixture_samples own
-their value rules, and config only types the JSON: resolve and
-materialize re-raise a refusal as a ConfigError at the field's config
-path. Unknown keys are rejected with the offending field path so a typo
-in an epsilon grid or attack list cannot silently change an experiment.
-resolve builds a synthetic mixture's components and label rule
-once, and materialize draws from those.
+their value rules, types included: resolve and materialize re-raise a
+refusal as a ConfigError at its config path, and the digest reads the
+floats the dataclasses stored. config checks the JSON's shape and keys,
+so a typo cannot silently change an experiment, and with the same rules
+the values no dataclass holds (split.p, split.k, data.preprocess_seed).
+resolve builds a synthetic mixture's components and label rule once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import experiments, nn, synthetic
 from .dataio import Rows, Schema, load_csv, preprocess
-from .errors import ConfigError, _at_paths
+from .errors import ConfigError, _at_paths, _integer, _number
 from .experiments import GAME_KINDS
 from .splits import MixturePools, attribute_bias_pools, cluster_split, source_split
 from .synthetic import GaussianComponent, halfspace_label, mixture_dataset, synthetic_mixture
@@ -76,34 +76,12 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _as_int(value, field: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, field: str, allow_inf: bool = False) -> float:
-    """A finite number; with allow_inf, +inf too. Python's json reads NaN,
-    Infinity and overflowing literals such as 1e999 as floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not (math.isfinite(number) or allow_inf and number == math.inf):
-        raise ConfigError(field, f"expected a finite number, got {value!r}")
-    return number
-
-
-def parse_epsilon(value, field: str) -> float:
+def parse_epsilon(value, field: str):
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(field, f"expected a positive number or 'inf', got {value!r}")
-    return _as_number(value, field, allow_inf=True)
+    return value
 
 
 # The config path of each dataclass field that resolve fills, and of the
@@ -164,32 +142,23 @@ def _resolve_train(doc: dict, profile: "str | None") -> tuple[nn.TrainConfig, tu
     hidden = block.get("hidden_units", prof.get("hidden_units", (256, 256)))
     if not isinstance(hidden, (list, tuple)):
         raise ConfigError("train.hidden_units", f"expected a list of integers, got {hidden!r}")
-    epochs = block.get("epochs", prof.get("epochs", 100))
-    batch_size = block.get("batch_size", 200)
-    lr = _as_number(block.get("learning_rate", 1e-2), "train.learning_rate")
-    l2 = _as_number(block.get("l2", 1e-5), "train.l2")
-    betas = block.get("adam_betas", (0.9, 0.999))
-    if not isinstance(betas, (list, tuple)):
-        raise ConfigError("train.adam_betas", f"expected two numbers, got {betas!r}")
-    betas = [_as_number(b, f"train.adam_betas[{i}]") for i, b in enumerate(betas)]
-    adam_eps = _as_number(block.get("adam_epsilon", 1e-8), "train.adam_epsilon")
     with _at_paths(_CONFIG_PATHS[nn.TrainConfig]):
         tc = nn.TrainConfig(
-            epochs=epochs,
-            batch_size=batch_size,
-            learning_rate=lr,
-            l2_coefficient=l2,
-            adam_betas=tuple(betas),
-            adam_epsilon=adam_eps,
+            epochs=block.get("epochs", prof.get("epochs", 100)),
+            batch_size=block.get("batch_size", 200),
+            learning_rate=block.get("learning_rate", 1e-2),
+            l2_coefficient=block.get("l2", 1e-5),
+            adam_betas=block.get("adam_betas", (0.9, 0.999)),
+            adam_epsilon=block.get("adam_epsilon", 1e-8),
         )
     canonical = {
         "hidden_units": list(hidden),
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "learning_rate": lr,
-        "l2": l2,
-        "adam_betas": betas,
-        "adam_epsilon": adam_eps,
+        "epochs": tc.epochs,
+        "batch_size": tc.batch_size,
+        "learning_rate": tc.learning_rate,
+        "l2": tc.l2_coefficient,
+        "adam_betas": list(tc.adam_betas),
+        "adam_epsilon": tc.adam_epsilon,
     }
     return tc, tuple(hidden), canonical
 
@@ -208,7 +177,7 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
             if not isinstance(_need(data, key, "data"), str):
                 raise ConfigError(f"data.{key}", f"expected a file path, got {data[key]!r}")
         if "preprocess_seed" in data:
-            _as_int(data["preprocess_seed"], "data.preprocess_seed", 0)
+            _integer("data.preprocess_seed", data["preprocess_seed"], 0, ConfigError)
     elif kind == "synthetic_mixture":
         _check_keys(data, _DATA_SYNTH_KEYS, "data")
         comps = _need(data, "components", "data")
@@ -216,11 +185,8 @@ def _validate_data(doc: dict) -> tuple[dict, tuple, "Callable | None"]:
             raise ConfigError("data.components", "expected a non-empty list")
         for i, comp in enumerate(comps):
             _check_keys(comp, _COMPONENT_KEYS, f"data.components[{i}]")
-            mean = _need(comp, "mean", f"data.components[{i}]")
-            if not isinstance(mean, list):
+            if not isinstance(_need(comp, "mean", f"data.components[{i}]"), list):
                 raise ConfigError(f"data.components[{i}].mean", "expected a list")
-            for j, v in enumerate(mean):
-                _as_number(v, f"data.components[{i}].mean[{j}]")
             components.append(_component(comp, i))
         _need(data, "n_per_component", "data")
         if "label_rule" in data:
@@ -252,13 +218,13 @@ def _validate_split(doc: dict, data_kind: str) -> "dict | None":
     _check_keys(split, _SPLIT_KEYS[kind], "split")
     if kind == "attribute_bias":
         _need(split, "value", "split")
-        p = _as_number(_need(split, "p", "split"), "split.p")
+        p = _number("split.p", _need(split, "p", "split"), ConfigError)
         if not 0 <= p <= 1:
             raise ConfigError("split.p", f"must be in [0, 1], got {p}")
     elif kind == "source":
         _need(split, "member_value", "split")
     elif kind == "cluster" and "k" in split:
-        _as_int(split["k"], "split.k", 2)
+        _integer("split.k", split["k"], 2, ConfigError)
     elif kind == "mixture" and data_kind != "synthetic_mixture":
         raise ConfigError("split.kind", "'mixture' needs synthetic_mixture data")
     return split
@@ -291,7 +257,6 @@ def resolve(
     if not isinstance(grid_raw, list):
         raise ConfigError("epsilon_grid", "expected a list")
     grid = tuple(parse_epsilon(v, f"epsilon_grid[{i}]") for i, v in enumerate(grid_raw))
-    delta = _as_number(doc.get("delta", 1e-5), "delta")
     repetitions = doc.get("repetitions", 1)
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     attack_names = doc.get("attacks", ["average_threshold", "optimal_threshold"])
@@ -299,7 +264,6 @@ def resolve(
         raise ConfigError("attacks", "expected a list")
     privacy_block = doc.get("privacy", {})
     _check_keys(privacy_block, _PRIVACY_KEYS, "privacy")
-    clip_norm = _as_number(privacy_block.get("clip_norm", 1.0), "privacy.clip_norm")
     train_cfg, hidden_units, train_canonical = _resolve_train(doc, profile)
     with _at_paths(_CONFIG_PATHS[experiments.ExperimentConfig]):
         cfg = experiments.ExperimentConfig(
@@ -308,10 +272,10 @@ def resolve(
             epsilon_grid=grid,
             train=train_cfg,
             hidden_units=hidden_units,
-            delta=delta,
+            delta=doc.get("delta", 1e-5),
             repetitions=repetitions,
             attack_names=tuple(attack_names),
-            clip_norm=clip_norm,
+            clip_norm=privacy_block.get("clip_norm", 1.0),
             seed=seed,
         )
         experiments.check_runnable(experiment, cfg)
@@ -337,12 +301,12 @@ def resolve(
         "experiment": experiment,
         "n_members": n_members,
         "n_nonmembers": n_nonmembers,
-        "epsilon_grid": [epsilon_json(e) for e in grid],
-        "delta": delta,
+        "epsilon_grid": [epsilon_json(e) for e in cfg.epsilon_grid],
+        "delta": cfg.delta,
         "repetitions": repetitions,
         "seed": seed,
         "attacks": list(attack_names),
-        "privacy": {"clip_norm": clip_norm},
+        "privacy": {"clip_norm": cfg.clip_norm},
         "train": train_canonical,
         "data": data_spec,
         "split": split_spec,
@@ -380,7 +344,7 @@ def _component(spec: dict, i: int) -> GaussianComponent:
     raises a ConfigError at its config path."""
     with _at_paths(_CONFIG_PATHS[GaussianComponent], i):
         return GaussianComponent(
-            mean=tuple(float(v) for v in spec["mean"]),
+            mean=tuple(spec["mean"]),
             cov=spec.get("cov", 1.0),
             label=spec.get("label"),
         )

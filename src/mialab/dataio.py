@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CsvParseError, PreprocessError, SchemaError, _refused
+from .errors import CsvParseError, PreprocessError, SchemaError, _integer
 
 KINDS = ("numeric", "categorical")
 ROLES = ("feature", "label", "split-attribute", "ignored")
@@ -57,13 +57,7 @@ class Schema:
         split = [c for c in self.columns if c.role == "split-attribute"]
         if len(split) > 1:
             raise SchemaError(f"schema allows at most one split-attribute column, found {len(split)}")
-        if isinstance(self.label_classes, bool) or not isinstance(
-            self.label_classes, (int, np.integer)
-        ):
-            raise _refused("label_classes", f"expected an integer, got {self.label_classes!r}",
-                           SchemaError)
-        if self.label_classes < 2:
-            raise _refused("label_classes", f"must be >= 2, got {self.label_classes}", SchemaError)
+        _integer("label_classes", self.label_classes, 2, SchemaError)
 
     @property
     def label_column(self) -> Column:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AccountingError, CalibrationError, _refused
+from .errors import AccountingError, CalibrationError, _integer, _number, _refused
 from .rngs import as_generator
 
 DEFAULT_ORDERS: tuple[float, ...] = (
@@ -47,22 +47,26 @@ class PrivacyParams:
     noise_multiplier: float = 0.0
 
     def __post_init__(self):
-        # A NaN fails each comparison. An infinite clip norm is allowed
-        # only without noise, the non-private form.
-        if not self.epsilon > 0:
-            raise _refused("epsilon", f"must be > 0, got {self.epsilon}", AccountingError)
-        if not 0 <= self.delta < 1:
-            raise _refused("delta", f"must be in [0, 1), got {self.delta}", AccountingError)
-        if not self.clip_norm > 0:
-            raise _refused("clip_norm", f"must be > 0, got {self.clip_norm}", AccountingError)
-        if not 0 <= self.noise_multiplier < math.inf:
-            raise _refused("noise_multiplier", f"must be finite and >= 0, got "
-                           f"{self.noise_multiplier}", AccountingError)
-        if math.isfinite(self.epsilon) and self.noise_multiplier == 0:
+        # The floats are stored; a NaN fails each comparison. An infinite
+        # clip norm is allowed only without noise, the non-private form.
+        eps, delta, clip_norm, sigma = (
+            _number(f.name, getattr(self, f.name), AccountingError) for f in fields(self))
+        if not eps > 0:
+            raise _refused("epsilon", f"must be > 0, got {eps}", AccountingError)
+        if not 0 <= delta < 1:
+            raise _refused("delta", f"must be in [0, 1), got {delta}", AccountingError)
+        if not clip_norm > 0:
+            raise _refused("clip_norm", f"must be > 0, got {clip_norm}", AccountingError)
+        if not 0 <= sigma < math.inf:
+            raise _refused("noise_multiplier", f"must be finite and >= 0, got {sigma}",
+                           AccountingError)
+        if math.isfinite(eps) and sigma == 0:
             raise _refused("noise_multiplier", "finite epsilon requires a positive noise "
                            "multiplier", AccountingError)
-        if self.noise_multiplier > 0 and self.clip_norm == math.inf:
+        if sigma > 0 and clip_norm == math.inf:
             raise _refused("clip_norm", "must be finite when noise is added", AccountingError)
+        for f, value in zip(fields(self), (eps, delta, clip_norm, sigma)):
+            object.__setattr__(self, f.name, value)
 
     def warn_if_delta_large(self, n: int) -> None:
         # Recommended regime is delta < 1/n; violating it only warns.
@@ -241,6 +245,8 @@ def account(q: float, sigma: float, steps: int, delta: float,
     mechanism (rate q, noise multiplier sigma), and the order achieving it:
     min over orders of steps * rdp(order) + log(1/delta) / (order - 1), the
     first order in the grid on a tie."""
+    q, sigma, delta = (_number(f, v, AccountingError)
+                       for f, v in (("q", q), ("sigma", sigma), ("delta", delta)))
     order = np.asarray(orders, dtype=np.float64)
     values = _rdp_values(q, sigma, order)
     if not values.size:
@@ -249,8 +255,7 @@ def account(q: float, sigma: float, steps: int, delta: float,
         raise AccountingError("RDP values must be non-negative")
     if not 0 < delta < 1:
         raise _refused("delta", f"must be in (0, 1), got {delta}", AccountingError)
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise _refused("steps", f"must be an integer >= 1, got {steps!r}", AccountingError)
+    _integer("steps", steps, 1, AccountingError)
     eps = float(steps) * values + math.log(1.0 / delta) / (order - 1.0)
     # a NaN never wins; with no finite epsilon the first order reports inf
     eps = np.where(eps < math.inf, eps, math.inf)
@@ -268,8 +273,10 @@ def calibrate_sigma(
     """Smallest noise multiplier whose accounted epsilon lands within 1%
     below the target, found by bisection on the sigma bracket
     [_SIGMA_MIN, _SIGMA_MAX] down to a width of _SIGMA_RESOLUTION."""
-    if not (math.isfinite(target_epsilon) and target_epsilon > 0):
-        raise CalibrationError(f"target epsilon must be finite and > 0, got {target_epsilon}")
+    target_epsilon = _number("target_epsilon", target_epsilon, CalibrationError)
+    if not 0 < target_epsilon < math.inf:
+        raise _refused("target_epsilon", f"must be finite and > 0, got {target_epsilon}",
+                       CalibrationError)
     lo, hi = _SIGMA_MIN, _SIGMA_MAX
     # Every sigma is accounted once: eps_hi is the epsilon at the current hi.
     eps_hi = account(q, hi, steps, delta, orders).epsilon

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two type rules
+every value owner applies: _integer (any integer but a bool, at least a
+minimum) and _number (any real but a bool, read as a float)."""
 
 import contextlib
+import math
+import numbers
 
 
 class MialabError(Exception):
@@ -35,10 +39,29 @@ def _rebuilt(cls, args):
 
 def _refused(field, message, cls=MialabError):
     """The cls(message) error that a dataclass raises when the value of
-    field breaks one of its rules."""
-    exc = cls(message)
+    field breaks one of its rules; a ConfigError is built at field."""
+    exc = cls(field, message) if issubclass(cls, ConfigError) else cls(message)
     exc.field = field
     return exc
+
+
+def _integer(field, value, minimum, cls=MialabError):
+    """Refuses a value of field that is not an integer >= minimum; any
+    numbers.Integral but a bool is an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise _refused(field, f"must be an integer >= {minimum}, got {value!r}", cls)
+
+
+def _number(field, value, cls=MialabError):
+    """value as a float; refuses one that is not a number (any
+    numbers.Real but a bool). An integer beyond the float range reads as
+    +-inf, so the owner's range rule judges it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _refused(field, f"expected a number, got {value!r}", cls)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @contextlib.contextmanager

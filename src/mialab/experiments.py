@@ -34,8 +34,8 @@ import numpy as np
 
 from . import attacks, dp, nn
 from .dataio import Rows
-from .errors import MialabError, ShadowPoolTooSmall, SplitError, _refused
-from .rngs import as_generator, subseed
+from .errors import MialabError, ShadowPoolTooSmall, SplitError, _integer, _number, _refused
+from .rngs import _keyed_generator, as_generator, subseed
 from .splits import BiasInfo, MixturePools, draw, iid_counterfactual
 
 SCENARIO_DEPENDENT = "non-IID"
@@ -73,7 +73,7 @@ def exp_strong(attack, trainer: Trainer, s_tilde: Rows, candidates: Rows, seed) 
     was used (0 means z)."""
     if len(candidates) != 2 or len(candidates.keys()) != 2:
         raise MialabError("the strong game needs two candidate rows that differ")
-    rng = as_generator(subseed(seed, 11) if isinstance(seed, int) else seed)
+    rng = _keyed_generator(seed, 11)
     b = int(rng.integers(2))
     members = Rows.concat([s_tilde, candidates[[b]]])
     model = trainer(members, rng)
@@ -85,7 +85,7 @@ def exp_iid(attack_builder: AttackBuilder, trainer: Trainer, n: int, pool: Rows,
     replacement)."""
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
-    rng = as_generator(subseed(seed, 12) if isinstance(seed, int) else seed)
+    rng = _keyed_generator(seed, 12)
     idx = rng.choice(len(pool), size=n, replace=False)
     members = pool[idx]
     model = trainer(members, rng)
@@ -103,7 +103,7 @@ def exp_mm(attack_builder: AttackBuilder, trainer: Trainer, n: int,
            pools: MixturePools, seed) -> int:
     """One round of the mixture game: members from a uniformly chosen pool,
     the non-member challenge from a different uniformly chosen pool."""
-    rng = as_generator(subseed(seed, 13) if isinstance(seed, int) else seed)
+    rng = _keyed_generator(seed, 13)
     k = int(rng.integers(pools.n_pools))
     pool = pools.pools[k]
     if len(pool) < n:
@@ -130,7 +130,7 @@ def exp_alt(attack_builder: AttackBuilder, trainer: Trainer, n: int, pool: Rows,
     and the fresh candidate first, then flip the bit."""
     if len(pool) < n + 1:
         raise SplitError(f"pool of {len(pool)} cannot supply {n} members plus a challenge")
-    rng = as_generator(subseed(seed, 14) if isinstance(seed, int) else seed)
+    rng = _keyed_generator(seed, 14)
     idx = rng.choice(len(pool), size=n, replace=False)
     members = pool[idx]
     model = trainer(members, rng)
@@ -216,9 +216,9 @@ class ExperimentConfig:
         counts += [(f"hidden_units[{i}]", h, 1) for i, h in enumerate(self.hidden_units)]
         counts += [("repetitions", self.repetitions, 1), ("seed", self.seed, 0)]
         for field, value, minimum in counts:
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise _refused(field, f"must be an integer >= {minimum}, got {value!r}")
-        for i, eps in enumerate(self.epsilon_grid):
+            _integer(field, value, minimum)
+        grid = tuple(_number(f"epsilon_grid[{i}]", e) for i, e in enumerate(self.epsilon_grid))
+        for i, eps in enumerate(grid):
             if not eps > 0:  # NaN too
                 raise _refused(f"epsilon_grid[{i}]", f"must be > 0 (inf for non-private), "
                                f"got {eps}")
@@ -226,8 +226,7 @@ class ExperimentConfig:
             if name not in KNOWN_ATTACKS:
                 raise _refused(f"attack_names[{i}]", f"unknown attack {name!r}; allowed: "
                                f"{list(KNOWN_ATTACKS)}")
-        for field, values in (("epsilon_grid", self.epsilon_grid),
-                              ("attack_names", self.attack_names)):
+        for field, values in (("epsilon_grid", grid), ("attack_names", self.attack_names)):
             if not values:
                 raise _refused(field, "must not be empty")
             for i, value in enumerate(values):
@@ -235,10 +234,13 @@ class ExperimentConfig:
                     raise _refused(f"{field}[{i}]", f"{field} lists an entry twice: {list(values)}")
         if not self.hidden_units:
             raise _refused("hidden_units", "must not be empty")
-        if not 0 < self.delta < 1:
-            raise _refused("delta", f"must be in (0, 1), got {self.delta}")
-        if not 0 < self.clip_norm < math.inf:
-            raise _refused("clip_norm", f"must be finite and > 0, got {self.clip_norm}")
+        delta, clip_norm = _number("delta", self.delta), _number("clip_norm", self.clip_norm)
+        if not 0 < delta < 1:
+            raise _refused("delta", f"must be in (0, 1), got {delta}")
+        if not 0 < clip_norm < math.inf:
+            raise _refused("clip_norm", f"must be finite and > 0, got {clip_norm}")
+        for name, value in (("epsilon_grid", grid), ("delta", delta), ("clip_norm", clip_norm)):
+            object.__setattr__(self, name, value)
 
 
 def check_runnable(experiment: str, cfg: ExperimentConfig) -> None:

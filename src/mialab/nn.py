@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dp
 from .dataio import Rows
-from .errors import MialabError, TrainingDiverged, _refused
+from .errors import MialabError, TrainingDiverged, _integer, _number, _refused
 from .rngs import as_generator
 
 PROB_FLOOR = 1e-30
@@ -85,22 +85,29 @@ class TrainConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        # Every dataclasses.replace runs these again, so they stay plain
-        # comparisons; a NaN fails each of them.
-        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise _refused(name, f"must be an integer >= 1, got {value!r}")
-        if not 0 < self.learning_rate < math.inf:
-            raise _refused("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.l2_coefficient < math.inf:
-            raise _refused("l2_coefficient", f"must be finite and >= 0, got {self.l2_coefficient}")
-        if len(self.adam_betas) != 2:
+        # Every dataclasses.replace runs these again: typing the fields took
+        # replace from 4.2 to 11.5 us, and a cluster-demo campaign builds 81
+        # TrainConfigs. The floats are stored; a NaN fails each range rule.
+        _integer("epochs", self.epochs, 1)
+        _integer("batch_size", self.batch_size, 1)
+        lr = _number("learning_rate", self.learning_rate)
+        if not 0 < lr < math.inf:
+            raise _refused("learning_rate", f"must be finite and > 0, got {lr}")
+        l2 = _number("l2_coefficient", self.l2_coefficient)
+        if not 0 <= l2 < math.inf:
+            raise _refused("l2_coefficient", f"must be finite and >= 0, got {l2}")
+        if not isinstance(self.adam_betas, (tuple, list)) or len(self.adam_betas) != 2:
             raise _refused("adam_betas", f"expected two numbers, got {self.adam_betas!r}")
-        for i, beta in enumerate(self.adam_betas):
+        betas = tuple(_number(f"adam_betas[{i}]", b) for i, b in enumerate(self.adam_betas))
+        for i, beta in enumerate(betas):
             if not 0 <= beta < 1:
                 raise _refused(f"adam_betas[{i}]", f"must be in [0, 1), got {beta}")
-        if not 0 < self.adam_epsilon < math.inf:
-            raise _refused("adam_epsilon", f"must be finite and > 0, got {self.adam_epsilon}")
+        eps = _number("adam_epsilon", self.adam_epsilon)
+        if not 0 < eps < math.inf:
+            raise _refused("adam_epsilon", f"must be finite and > 0, got {eps}")
+        for name, value in (("learning_rate", lr), ("l2_coefficient", l2),
+                            ("adam_betas", betas), ("adam_epsilon", eps)):
+            object.__setattr__(self, name, value)
 
 
 def init_model(layer_dims: Sequence[int], seed) -> MlpModel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -18,3 +20,9 @@ def subseed(master: int, *key: int) -> np.random.SeedSequence:
     but reproducible randomness regardless of execution order.
     """
     return np.random.SeedSequence([int(master), *[int(k) for k in key]])
+
+
+def _keyed_generator(seed, *key: int) -> np.random.Generator:
+    """The generator of subseed(seed, *key) for an integer seed (any
+    numbers.Integral), or of seed itself (a SeedSequence or Generator)."""
+    return as_generator(subseed(seed, *key) if isinstance(seed, numbers.Integral) else seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, Rows, distinct
-from .errors import SplitError, _refused
+from .errors import SplitError, _integer, _refused
 from .rngs import as_generator, subseed
 
 
@@ -48,9 +48,8 @@ class MixturePools:
         self._check_disjoint()
 
     def _check_member(self) -> None:
-        if isinstance(self.k_member, bool) or not isinstance(self.k_member, (int, np.integer)):
-            raise _refused("k_member", f"must be an integer, got {self.k_member!r}", SplitError)
-        if not 0 <= self.k_member < len(self.pools):
+        _integer("k_member", self.k_member, 0, SplitError)
+        if self.k_member >= len(self.pools):
             raise _refused("k_member", f"{self.k_member} out of range for {len(self.pools)} pools",
                            SplitError)
 

@@ -9,15 +9,14 @@ constant-pool scenario is constructed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataio import Column, Dataset, Rows, Schema, distinct
-from .errors import MialabError, _refused
-from .rngs import as_generator, subseed
+from .errors import MialabError, _integer, _number, _refused
+from .rngs import _keyed_generator
 from .splits import MixturePools
 
 
@@ -30,14 +29,10 @@ class GaussianComponent:
     def __post_init__(self):
         if not len(self.mean):
             raise _refused("mean", "must have at least one entry")
-        finite = np.isfinite(np.asarray(self.mean, dtype=np.float64))
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise _refused(f"mean[{j}]", f"must be finite, got {self.mean[j]}")
-        if self.label is not None and (
-            isinstance(self.label, bool) or not isinstance(self.label, int) or self.label < 0
-        ):
-            raise _refused("label", f"must be an integer >= 0 or None, got {self.label!r}")
+        mean = tuple(_finite_number(f"mean[{j}]", v) for j, v in enumerate(self.mean))
+        if self.label is not None:
+            _integer("label", self.label, 0)
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "_covariance", self._checked_covariance())
 
     def covariance(self) -> np.ndarray:
@@ -73,12 +68,7 @@ class GaussianComponent:
 
 def _finite_number(field: str, value) -> float:
     """value as a float; refuses one that is not a finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise _refused(field, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
+    number = _number(field, value)
     if not math.isfinite(number):
         raise _refused(field, f"expected a finite number, got {value!r}")
     return number
@@ -110,9 +100,7 @@ def mixture_samples(
     naming it (components[1].mean, components[1].label)."""
     if not components:
         raise MialabError("need at least one mixture component")
-    if (isinstance(n_per_component, bool) or not isinstance(n_per_component, numbers.Integral)
-            or n_per_component < 1):
-        raise _refused("n_per_component", f"must be an integer >= 1, got {n_per_component!r}")
+    _integer("n_per_component", n_per_component, 1)
     dim = len(components[0].mean)
     for k, comp in enumerate(components):
         if len(comp.mean) != dim:
@@ -120,7 +108,7 @@ def mixture_samples(
                            f"does, got {len(comp.mean)}")
         if comp.label is None and label_rule is None:
             raise _refused(f"components[{k}].label", "required when no label_rule is given")
-    rng = as_generator(subseed(seed, 31) if isinstance(seed, (int, np.integer)) else seed)
+    rng = _keyed_generator(seed, 31)
     pools: list[Rows] = []
     for comp in components:
         mean = np.asarray(comp.mean, dtype=np.float64)

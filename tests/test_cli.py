@@ -316,8 +316,8 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value, message", [
-        ("x", "expected an integer, got 'x'"),
-        (2.9, "expected an integer, got 2.9"),
+        ("x", "must be an integer >= 2, got 'x'"),
+        (2.9, "must be an integer >= 2, got 2.9"),
     ])
     def test_label_classes_not_an_integer_is_a_data_error(self, tmp_path, capsys, value, message):
         doc = self.tiny_csv_doc(tmp_path, {"kind": "cluster"}, label_classes=value)
@@ -329,10 +329,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("split, n_components, message", [
         ({"kind": "cluster", "k_member": 2}, 2, "2 out of range for 2 pools"),
-        ({"kind": "mixture", "k_member": -1}, 2, "-1 out of range for 2 pools"),
+        ({"kind": "mixture", "k_member": -1}, 2, "must be an integer >= 0, got -1"),
         ({"kind": "mixture", "k_member": 4}, 4, "4 out of range for 4 pools"),
-        ({"kind": "mixture", "k_member": 0.5}, 2, "must be an integer, got 0.5"),
-        ({"kind": "cluster", "k_member": True}, 2, "must be an integer, got True"),
+        ({"kind": "mixture", "k_member": 0.5}, 2, "must be an integer >= 0, got 0.5"),
+        ({"kind": "cluster", "k_member": True}, 2, "must be an integer >= 0, got True"),
     ])
     def test_k_member_out_of_range_exits_two_before_writing(
         self, tmp_path, capsys, split, n_components, message
@@ -778,6 +778,15 @@ class TestDigest:
         a = config.resolve(synthetic_doc()).digest
         b = config.resolve(synthetic_doc(seed=4)).digest
         assert a != b
+
+    def test_integers_in_float_fields_do_not_change_the_digest(self):
+        # The canonical form reads the floats the owners stored, not the JSON.
+        train = {"hidden_units": [8], "epochs": 5, "batch_size": 40}
+        floats = synthetic_doc(train={**train, "learning_rate": 1.0, "adam_betas": [0.0, 0.5]},
+                               privacy={"clip_norm": 1.0}, epsilon_grid=[1.0, "inf"])
+        ints = synthetic_doc(train={**train, "learning_rate": 1, "adam_betas": [0, 0.5]},
+                             privacy={"clip_norm": 1}, epsilon_grid=[1, "inf"])
+        assert config.resolve(ints).digest == config.resolve(floats).digest
 
     def test_seed_override_feeds_digest(self):
         doc = synthetic_doc()

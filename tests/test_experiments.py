@@ -28,7 +28,7 @@ from mialab.rngs import as_generator, subseed
 from mialab.splits import MixturePools
 from mialab.synthetic import GaussianComponent, mixture_dataset, synthetic_mixture
 
-from conftest import row_keys
+from conftest import TWO_BLOBS, row_keys
 
 FIXED_MODEL = nn.init_model((2, 4, 2), seed=0)
 
@@ -162,6 +162,28 @@ class TestGamesBasics:
         a = exp_strong(attack, fixed_trainer, s_tilde, candidates, 123)
         b = exp_strong(attack, fixed_trainer, s_tilde, candidates, 123)
         assert a == b
+
+    def test_a_numpy_integer_seed_plays_the_stream_of_the_same_int(self, overlap_pool,
+                                                                   blob_pools):
+        candidates, s_tilde = overlap_pool[:2], overlap_pool[2:12]
+        games = [
+            lambda trainer, seed: exp_iid(constant_attack_builder, trainer, 20, overlap_pool,
+                                          seed),
+            lambda trainer, seed: exp_alt(constant_attack_builder, trainer, 20, overlap_pool,
+                                          seed),
+            lambda trainer, seed: exp_mm(constant_attack_builder, trainer, 20, blob_pools, seed),
+            lambda trainer, seed: exp_strong(lambda model, rows: 0, trainer, s_tilde,
+                                             candidates, seed),
+        ]
+        for game in games:
+            played = []
+            for seed in (5, np.int64(5)):
+                members = []
+                bit = game(lambda rows, rng: members.append(row_keys(rows)) or FIXED_MODEL, seed)
+                played.append((members, bit))
+            assert played[0] == played[1]
+        assert [row_keys(p) for p in synthetic_mixture(TWO_BLOBS, 30, np.int64(5)).pools] == [
+            row_keys(p) for p in synthetic_mixture(TWO_BLOBS, 30, 5).pools]
 
     def test_pool_too_small_errors(self, overlap_pool):
         with pytest.raises(SplitError):

@@ -323,7 +323,7 @@ class TestMixturePoolsInvariants:
         with pytest.raises(SplitError, match="out of range"):
             MixturePools(pools=pools, k_member=2)
         for k_member in (0.5, True, "1"):
-            with pytest.raises(SplitError, match=f"^k_member: must be an integer, got "
+            with pytest.raises(SplitError, match=f"^k_member: must be an integer >= 0, got "
                                f"{k_member!r}$") as refused:
                 MixturePools(pools=pools, k_member=k_member)
             assert refused.value.field == "k_member"
